@@ -170,8 +170,8 @@ def run_stages(names, cfg: ExperimentConfig, out: Path) -> None:
 def _sweep_row(task) -> dict:
     idx, n, k, trajectory, cfg_payload, violate = task
     rng = np.random.default_rng([cfg_payload["seed"], idx])
-    decision = EdgeDecisionParams(**cfg_payload["decision"])
-    welch = WelchParams(**cfg_payload["welch"])
+    decision = cfg_payload["decision"]
+    welch = cfg_payload["welch"]
     row = {
         "instance": idx,
         "n_nodes": n,
@@ -240,10 +240,15 @@ def cmd_sweep(args) -> int:
     lo_k, hi_k = payload.get("corrupt", [1, 3])
     trajectories = payload.get("trajectories", ["analytic"])
     violate = bool(payload.get("violate_assumption", False))
+    try:
+        welch = WelchParams(**payload.get("welch", {}))
+        decision = EdgeDecisionParams(**payload.get("decision", {}))
+    except (DataError, TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid sweep configuration: {exc}") from exc
     cfg_payload = {
         "seed": int(payload.get("seed", 0)) if args.seed is None else args.seed,
-        "welch": payload.get("welch", {}),
-        "decision": payload.get("decision", {}),
+        "welch": welch,
+        "decision": decision,
     }
 
     rng = np.random.default_rng(cfg_payload["seed"])

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -106,6 +107,18 @@ class GenerativeModel:
 
     def spectral_radius(self) -> float:
         return float(np.max(np.abs(np.linalg.eigvals(self.companion_matrix()))))
+
+    @cached_property
+    def state_covariance(self) -> np.ndarray:
+        """Stationary covariance P of the companion state, from the discrete
+        Lyapunov equation P = C P C^T + Q; solved once per model, read-only."""
+        n = self.n_nodes
+        C = self.companion_matrix()
+        Q = np.zeros_like(C)
+        Q[:n, :n] = np.diag(self.noise_variance)
+        P = solve_discrete_lyapunov(C, Q)
+        P.setflags(write=False)
+        return P
 
     def self_response(self, grid: FrequencyGrid) -> np.ndarray:
         """S_i(e^{j w}) for every node, shape (n_freq, N)."""
@@ -214,7 +227,7 @@ def analytic_psd(model: GenerativeModel, grid: FrequencyGrid) -> SpectralMatrix:
         Minv = np.linalg.inv(M)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"I - G singular on the grid: {exc}") from exc
-    vals = np.einsum("fik,fk,fjk->fij", Minv, phi_e, np.conj(Minv))
+    vals = (Minv * phi_e[:, None, :]) @ np.conj(np.swapaxes(Minv, 1, 2))
     vals = 0.5 * (vals + np.conj(np.swapaxes(vals, 1, 2)))
     return SpectralMatrix(grid, vals, model.labels)
 
@@ -261,9 +274,7 @@ def stationary_autocovariance(model: GenerativeModel, lags: Sequence[int]) -> di
     """Exact R(k) = E[x[t+k] x[t]^T] from the companion Lyapunov equation."""
     n = model.n_nodes
     C = model.companion_matrix()
-    Q = np.zeros_like(C)
-    Q[:n, :n] = np.diag(model.noise_variance)
-    P = solve_discrete_lyapunov(C, Q)
+    P = model.state_covariance
     out: dict[int, np.ndarray] = {}
     for k in sorted(set(abs(int(l)) for l in lags)):
         R = np.linalg.matrix_power(C, k) @ P

@@ -101,9 +101,8 @@ def woodbury_chain_inverse(
             inv[bad] = np.nan
             denom = np.where(bad, 1.0, denom)
         gain = d[:, v] / denom
-        update = np.einsum("fi,fj->fij", inv[:, :, v], inv[:, v, :])
-        update[flagged] = 0.0
-        inv = inv - gain[:, None, None] * update
+        col = np.where(flagged[:, None], 0.0, gain[:, None] * inv[:, :, v])
+        inv -= col[:, :, None] * inv[:, None, v, :]
         steps.append((v, SpectralMatrix(grid, inv.copy(), model.labels, flagged.copy())))
     if flagged.all():
         raise NumericalError("corrupted inverse undefined on the whole grid")

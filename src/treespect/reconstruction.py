@@ -64,19 +64,18 @@ class TopologyEstimate:
 
 
 def observed_support_graph(
-    psd: SpectralMatrix,
+    inv: SpectralMatrix,
     corrupt: Iterable[int],
     params: EdgeDecisionParams,
-    ridge: float = 0.0,
 ) -> UndirectedGraph:
-    """Support of the marginal inverse PSD, as a graph on all nodes with
-    edges only among the observed ones."""
+    """Support of the marginal inverse PSD, derived from the full inverse
+    `inv`, as a graph on all nodes with edges only among the observed ones."""
     corrupt = frozenset(corrupt)
-    observed = sorted(set(range(psd.n_nodes)) - corrupt)
-    marg = marginal_inverse_psd(psd, observed, ridge)
+    observed = sorted(set(range(inv.n_nodes)) - corrupt)
+    marg = marginal_inverse_psd(inv, observed)
     sub = infer_support_graph(marg, params)
     edges = [(observed[a], observed[b]) for a, b in sub.edges]
-    return UndirectedGraph.from_edges(psd.n_nodes, edges)
+    return UndirectedGraph.from_edges(inv.n_nodes, edges)
 
 
 def true_edges_by_separation(
@@ -271,9 +270,9 @@ def hide_and_learn(
         )
     if psd.labels != report.labels:
         raise DataError("spectrum and detection report disagree on node labels")
-    t_m = observed_support_graph(psd, corrupt, params, ridge)
-    etree = true_edges_by_separation(t_m, observed, report.leaves, report.leaf_edges)
     inv_full = invert_spectrum(psd, ridge)
+    t_m = observed_support_graph(inv_full, corrupt, params)
+    etree = true_edges_by_separation(t_m, observed, report.leaves, report.leaf_edges)
     estimate = place_corrupt_nodes(
         etree, observed, corrupt, report.support_graph, inv_full, params, t_m=t_m
     )

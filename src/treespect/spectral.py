@@ -133,10 +133,6 @@ class SpectralMatrix:
         norm = np.linalg.norm(self.values, axis=(1, 2))
         return float(np.max(diff / np.maximum(norm, 1e-300)))
 
-    def hermitized(self) -> "SpectralMatrix":
-        sym = 0.5 * (self.values + np.conj(np.swapaxes(self.values, 1, 2)))
-        return SpectralMatrix(self.grid, sym, self.labels, self.flagged.copy())
-
 
 @dataclass(frozen=True)
 class WelchParams:
@@ -209,19 +205,23 @@ def invert_spectrum(
 
     Frequencies whose condition number exceeds `cond_cap` are flagged and
     excluded from downstream decision rules rather than aborting the run.
+    The singular values of a Hermitian matrix are its eigenvalue
+    magnitudes, so the 2-norm condition number comes from `eigvalsh`
+    instead of an SVD.
     """
     if ridge < 0:
         raise DataError("ridge must be nonnegative")
-    herm = s.hermitized()
-    mats = herm.values + ridge * np.eye(s.n_nodes)[None, :, :]
-    flagged = s.flagged.copy()
-    cond = np.linalg.cond(mats)
-    flagged |= ~np.isfinite(cond) | (cond > cond_cap)
+    n = s.n_nodes
+    mats = 0.5 * (s.values + np.conj(np.swapaxes(s.values, 1, 2)))
+    mats += ridge * np.eye(n)
+    lam = np.abs(np.linalg.eigvalsh(mats))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond = lam.max(axis=1) / lam.min(axis=1)
+    flagged = s.flagged | ~np.isfinite(cond) | (cond > cond_cap)
     if flagged.all():
         raise NumericalError("all frequencies singular beyond ridge repair")
-    safe = mats.copy()
-    safe[flagged] = np.eye(s.n_nodes)
-    inv = np.linalg.inv(safe)
+    mats[flagged] = np.eye(n)
+    inv = np.linalg.inv(mats)
     inv = 0.5 * (inv + np.conj(np.swapaxes(inv, 1, 2)))
     inv[flagged] = np.nan
     return SpectralMatrix(s.grid, inv, s.labels, flagged)
@@ -233,18 +233,32 @@ def auto_ridge(s: SpectralMatrix) -> float:
     return 1e-10 * float(np.median(diag))
 
 
-def marginal_inverse_psd(
-    psd: SpectralMatrix, observed: Sequence[int], ridge: float = 0.0
-) -> SpectralMatrix:
-    """Inverse of the principal submatrix of the PSD over observed nodes.
+def marginal_inverse_psd(inv: SpectralMatrix, observed: Sequence[int]) -> SpectralMatrix:
+    """Inverse of the PSD's principal submatrix over the observed nodes.
 
     This marginalizes the hidden nodes out; it is not the submatrix of the
-    full inverse.
+    full inverse K but its Schur complement K_oo - K_oh K_hh^-1 K_ho, one
+    k x k solve per frequency for k hidden nodes.  Frequencies flagged in
+    `inv` stay flagged and come out NaN.
     """
     obs = sorted(observed)
     if len(obs) < 2:
         raise DataError("need at least two observed nodes")
-    return invert_spectrum(psd.submatrix(obs), ridge)
+    hid = sorted(set(range(inv.n_nodes)) - set(obs))
+    flagged = inv.flagged.copy()
+    marg = inv.values[np.ix_(np.arange(inv.grid.size), obs, obs)]
+    if hid:
+        ok = np.flatnonzero(~flagged)
+        k_hh = inv.values[np.ix_(ok, hid, hid)]
+        k_ho = inv.values[np.ix_(ok, hid, obs)]
+        k_oh = inv.values[np.ix_(ok, obs, hid)]
+        try:
+            marg[ok] -= k_oh @ np.linalg.solve(k_hh, k_ho)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"hidden block of the inverse is singular: {exc}") from exc
+        marg = 0.5 * (marg + np.conj(np.swapaxes(marg, 1, 2)))
+    marg[flagged] = np.nan
+    return SpectralMatrix(inv.grid, marg, [inv.labels[i] for i in obs], flagged)
 
 
 # ---------------------------------------------------------------------------

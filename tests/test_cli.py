@@ -206,6 +206,26 @@ def test_sweep_tiny_and_empty(tmp_path):
     assert (out / "sweep_summary.csv").read_text().strip().splitlines()[0].startswith("instance,")
 
 
+def test_sweep_invalid_welch_block_exits_2(tmp_path):
+    sweep_cfg = tmp_path / "sweep.json"
+    sweep_cfg.write_text(
+        json.dumps({"instances": 1, "welch": {"segment_length": 100}, "seed": 4})
+    )
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", str(sweep_cfg), "--out", str(out)]) == 2
+    assert not (out / "sweep_summary.csv").exists()
+
+
+def test_sweep_invalid_decision_block_exits_2(tmp_path):
+    sweep_cfg = tmp_path / "sweep.json"
+    sweep_cfg.write_text(
+        json.dumps({"instances": 1, "decision": {"phase_threshold": -1}, "seed": 4})
+    )
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", str(sweep_cfg), "--out", str(out)]) == 2
+    assert not (out / "sweep_summary.csv").exists()
+
+
 def test_sweep_negative_controls_reported_not_crashed(tmp_path):
     sweep_cfg = tmp_path / "sweep.json"
     sweep_cfg.write_text(

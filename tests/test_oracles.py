@@ -34,6 +34,38 @@ def relative_gap(a, b):
 
 
 # ---------------------------------------------------------------------------
+# signatures
+
+def test_signatures_share_one_lyapunov_solve(monkeypatch):
+    # every random_delay signature reads the same state covariance, so a
+    # model with several specs solves the Lyapunov equation once
+    from treespect import ltisim
+    from treespect.corruption import analytic_signature
+    from treespect.instances import draw_delay_spec, draw_model, tree_with_deep_nodes
+
+    rng = np.random.default_rng(8)
+    tree, marked = tree_with_deep_nodes(rng, 20, 4)
+    model = draw_model(rng, tree)
+    specs = [draw_delay_spec(rng, v) for v in marked]
+    calls = []
+    real = ltisim.solve_discrete_lyapunov
+    monkeypatch.setattr(
+        ltisim, "solve_discrete_lyapunov", lambda *a: calls.append(1) or real(*a)
+    )
+    sigs = analytic_signatures(model, specs, GRID)
+    assert len(calls) == 1
+    for spec in specs:
+        fresh = ltisim.GenerativeModel(
+            model.topology, model.coupling, model.self_dynamics,
+            model.noise_variance, model.labels,
+        )
+        ref = analytic_signature(spec, GRID, fresh)
+        np.testing.assert_array_equal(sigs[spec.node].h, ref.h)
+        np.testing.assert_array_equal(sigs[spec.node].d, ref.d)
+    assert len(calls) == 1 + len(specs)
+
+
+# ---------------------------------------------------------------------------
 # corrupted PSD
 
 def test_trivial_signatures_give_clean_psd(chain_setup):

@@ -49,14 +49,14 @@ def chain_setup():
 
 def test_marginal_support_matches_latent_figure(chain_setup):
     _, psd, report = chain_setup
-    t_m = observed_support_graph(psd, report.corrupt, ANALYTIC_DECISION)
+    t_m = observed_support_graph(invert_spectrum(psd), report.corrupt, ANALYTIC_DECISION)
     assert t_m.edges == FIG_LATENT_EDGES
 
 
 def test_marginal_support_without_corrupt_is_moral(chain_setup):
     model, _, _ = chain_setup
     psd = analytic_psd(model, GRID)
-    t_m = observed_support_graph(psd, frozenset(), ANALYTIC_DECISION)
+    t_m = observed_support_graph(invert_spectrum(psd), frozenset(), ANALYTIC_DECISION)
     assert t_m.edges == moral_graph(model.topology).edges
 
 
@@ -67,7 +67,8 @@ def test_hiding_middle_of_three_chain_creates_spurious_edge():
         ((0.0,),) * 3,
         np.ones(3),
     )
-    t_m = observed_support_graph(analytic_psd(model, GRID), {1}, ANALYTIC_DECISION)
+    inv = invert_spectrum(analytic_psd(model, GRID))
+    t_m = observed_support_graph(inv, {1}, ANALYTIC_DECISION)
     assert t_m.edges == {(0, 2)}
 
 
@@ -79,7 +80,7 @@ def test_marginal_support_within_four_hops():
         inst = random_instance(rng, 12, 2, GRID)
         sigs = analytic_signatures(inst.model, inst.specs, GRID)
         psd = analytic_corrupted_psd(inst.model, sigs, GRID)
-        t_m = observed_support_graph(psd, inst.corrupt, ANALYTIC_DECISION)
+        t_m = observed_support_graph(invert_spectrum(psd), inst.corrupt, ANALYTIC_DECISION)
         for a, b in t_m.edges:
             assert bfs_distances(inst.topology, a)[b] <= 4
 
@@ -89,7 +90,7 @@ def test_marginal_support_within_four_hops():
 
 def test_separation_prunes_to_true_edges(chain_setup):
     _, psd, report = chain_setup
-    t_m = observed_support_graph(psd, report.corrupt, ANALYTIC_DECISION)
+    t_m = observed_support_graph(invert_spectrum(psd), report.corrupt, ANALYTIC_DECISION)
     kept = true_edges_by_separation(t_m, report.observed, report.leaves, report.leaf_edges)
     assert kept == FIG_TRUE_EDGES
 
@@ -115,7 +116,7 @@ def test_complete_graph_keeps_nothing():
 
 def test_placement_reconnects_chain(chain_setup):
     _, psd, report = chain_setup
-    t_m = observed_support_graph(psd, report.corrupt, ANALYTIC_DECISION)
+    t_m = observed_support_graph(invert_spectrum(psd), report.corrupt, ANALYTIC_DECISION)
     kept = true_edges_by_separation(t_m, report.observed, report.leaves, report.leaf_edges)
     est = place_corrupt_nodes(
         kept,
@@ -136,7 +137,7 @@ def test_placement_without_corrupt_is_identity(chain_setup):
     model, _, _ = chain_setup
     psd = analytic_psd(model, GRID)
     report = detect(invert_spectrum(psd), ANALYTIC_DECISION)
-    t_m = observed_support_graph(psd, frozenset(), ANALYTIC_DECISION)
+    t_m = observed_support_graph(invert_spectrum(psd), frozenset(), ANALYTIC_DECISION)
     kept = true_edges_by_separation(t_m, report.observed, report.leaves, report.leaf_edges)
     est = place_corrupt_nodes(
         kept, report.observed, frozenset(), report.support_graph,
@@ -149,7 +150,7 @@ def test_conflicting_placements_are_reported(chain_setup):
     # doctor the (3,5) entry into a fake constant so a second alignment
     # also passes; the conflict must surface as a diagnostic, not a guess
     _, psd, report = chain_setup
-    t_m = observed_support_graph(psd, report.corrupt, ANALYTIC_DECISION)
+    t_m = observed_support_graph(invert_spectrum(psd), report.corrupt, ANALYTIC_DECISION)
     kept = true_edges_by_separation(t_m, report.observed, report.leaves, report.leaf_edges)
     inv = invert_spectrum(psd)
     vals = inv.values.copy()
@@ -167,7 +168,7 @@ def test_unplaced_corrupt_node_is_reported(chain_setup):
     # doctor the true (1,5) far-pair entry into a rotating one so no
     # alignment passes; the corrupt node must be reported as unplaced
     _, psd, report = chain_setup
-    t_m = observed_support_graph(psd, report.corrupt, ANALYTIC_DECISION)
+    t_m = observed_support_graph(invert_spectrum(psd), report.corrupt, ANALYTIC_DECISION)
     kept = true_edges_by_separation(t_m, report.observed, report.leaves, report.leaf_edges)
     inv = invert_spectrum(psd)
     vals = inv.values.copy()

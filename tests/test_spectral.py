@@ -187,6 +187,40 @@ def test_all_singular_raises():
         invert_spectrum(SpectralMatrix(grid, vals, ["a", "b"]))
 
 
+def _hermitian_with_eigenvalues(rng, eigenvalues):
+    n = len(eigenvalues)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    return (q * np.asarray(eigenvalues)) @ np.conj(q.T)
+
+
+@pytest.mark.parametrize("cond_cap", [1e6, 1e12])
+def test_conditioning_flags_match_svd_reference(cond_cap):
+    # eigenvalue-based conditioning must flag exactly the bins an SVD
+    # condition number would, right at the cap and with or without a ridge
+    rng = np.random.default_rng(11)
+    grid = FrequencyGrid.welch_bins(16)
+    vals = np.empty((16, 4, 4), dtype=complex)
+    for f in range(14):
+        target = cond_cap * (1 + 1e-3 if f % 2 else 1 - 1e-3)
+        sign = -1.0 if f % 4 >= 2 else 1.0  # half the bins are indefinite
+        vals[f] = _hermitian_with_eigenvalues(rng, [1.0, sign * 0.3, 0.01, 1.0 / target])
+    vals[14] = np.diag([1.0, 2.0, 3.0, 0.0])  # exactly singular
+    vals[15] = np.diag([1.0, 1.0, 1.0, 1e-3 / cond_cap])  # a ridge rescues it
+    s = SpectralMatrix(grid, vals, ["a", "b", "c", "d"])
+    ridge = 10.0 / cond_cap
+    for r in (0.0, ridge):
+        reference = np.linalg.cond(vals + r * np.eye(4))
+        expected = ~np.isfinite(reference) | (reference > cond_cap)
+        inv = invert_spectrum(s, r, cond_cap=cond_cap)
+        np.testing.assert_array_equal(inv.flagged, expected)
+        assert np.isnan(inv.values[expected]).all()
+        assert np.isfinite(inv.values[~expected]).all()
+    plain = invert_spectrum(s, cond_cap=cond_cap).flagged
+    np.testing.assert_array_equal(plain[:14], np.arange(14) % 2 == 1)
+    assert plain[14] and plain[15]
+    assert not invert_spectrum(s, ridge, cond_cap=cond_cap).flagged[15]
+
+
 def test_auto_ridge_scale():
     grid = FrequencyGrid.welch_bins(16)
     vals = 4.0 * np.broadcast_to(np.eye(2), (16, 2, 2)).astype(complex)
@@ -200,36 +234,59 @@ def test_auto_ridge_scale():
 def test_marginal_over_all_nodes_is_full_inverse():
     model = chain3_model()
     grid = FrequencyGrid.welch_bins(32)
-    psd = analytic_psd(model, grid)
-    full = invert_spectrum(psd)
-    marg = marginal_inverse_psd(psd, [0, 1, 2])
+    full = invert_spectrum(analytic_psd(model, grid))
+    marg = marginal_inverse_psd(full, [0, 1, 2])
     np.testing.assert_allclose(marg.values, full.values, atol=1e-10)
 
 
 def test_marginal_hiding_middle_node_matches_schur_oracle():
-    # hiding the middle of a 3-chain must couple the endpoints: the marginal
-    # inverse equals the Schur complement of the full inverse PSD
+    # hiding the middle of a 3-chain must couple the endpoints: the Schur
+    # complement of the full inverse equals the dense inverse of the
+    # observed submatrix of the PSD
     model = chain3_model()
     grid = FrequencyGrid.welch_bins(32)
     psd = analytic_psd(model, grid)
-    full_inv = invert_spectrum(psd).values
-    obs, hid = [0, 2], 1
-    oracle = np.empty((grid.size, 2, 2), dtype=complex)
-    for f in range(grid.size):
-        A = full_inv[f][np.ix_(obs, obs)]
-        b = full_inv[f][obs, hid]
-        oracle[f] = A - np.outer(b, np.conj(b)) / full_inv[f][hid, hid]
-    marg = marginal_inverse_psd(psd, obs)
+    obs = [0, 2]
+    oracle = invert_spectrum(psd.submatrix(obs)).values
+    marg = marginal_inverse_psd(invert_spectrum(psd), obs)
     np.testing.assert_allclose(marg.values, oracle, atol=1e-10)
     # spurious endpoint coupling is present at essentially every frequency
     assert np.abs(marg.entry(0, 1)).min() > 1e-6
 
 
+@pytest.mark.parametrize("n,k", [(15, 3), (40, 8)])
+@pytest.mark.parametrize("ridge", [0.0, 0.05])
+def test_marginal_matches_dense_submatrix_inverse(n, k, ridge):
+    from treespect.instances import draw_delay_spec, draw_model, tree_with_deep_nodes
+    from treespect.oracles import analytic_corrupted_psd, analytic_signatures
+
+    grid = FrequencyGrid.welch_bins(64)
+    rng = np.random.default_rng(100 + n)
+    for _ in range(2):
+        tree, marked = tree_with_deep_nodes(rng, n, k)
+        model = draw_model(rng, tree)
+        specs = [draw_delay_spec(rng, v) for v in marked]
+        psd = analytic_corrupted_psd(model, analytic_signatures(model, specs, grid), grid)
+        pre = np.zeros(grid.size, dtype=bool)
+        pre[[5, 40]] = True
+        psd = SpectralMatrix(grid, psd.values, psd.labels, pre)
+        obs = sorted(set(range(n)) - set(marked))
+        dense = invert_spectrum(psd.submatrix(obs), ridge)
+        marg = marginal_inverse_psd(invert_spectrum(psd, ridge), obs)
+        assert marg.labels == dense.labels
+        np.testing.assert_array_equal(marg.flagged, dense.flagged)
+        assert marg.flagged[[5, 40]].all()
+        assert np.isnan(marg.values[marg.flagged]).all()
+        ok = ~marg.flagged
+        gap = np.abs(marg.values[ok] - dense.values[ok]).max()
+        assert gap <= 1e-10 * np.abs(dense.values[ok]).max()
+
+
 def test_marginal_needs_two_nodes():
     model = chain3_model()
-    psd = analytic_psd(model, FrequencyGrid.welch_bins(32))
+    inv = invert_spectrum(analytic_psd(model, FrequencyGrid.welch_bins(32)))
     with pytest.raises(DataError):
-        marginal_inverse_psd(psd, [1])
+        marginal_inverse_psd(inv, [1])
 
 
 # ---------------------------------------------------------------------------
