@@ -42,7 +42,6 @@ from .graphs import (
     n_hop_neighbors,
     neighborhood_is_clique,
     perturbed_graph,
-    separates,
 )
 from .instances import Instance, chain7_corruption, chain7_model, random_instance
 from .ltisim import (

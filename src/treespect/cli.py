@@ -135,7 +135,11 @@ def stage_learn(cfg: ExperimentConfig, out: Path) -> list[Path]:
     spath = _require(out / SPECTRA, "treespect spectra")
     rpath = _require(out / DETECTION_JSON, "treespect detect")
     spectra = load_spectra_binary(spath)
-    report = report_from_dict(json.loads(rpath.read_text()), spectra.labels)
+    try:
+        payload = json.loads(rpath.read_text())
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{rpath.name} is not valid JSON: {exc}") from exc
+    report = report_from_dict(payload, spectra.labels)
     estimate = hide_and_learn(spectra, report, cfg.decision, cfg.ridge)
     jpath = out / TOPOLOGY_JSON
     jpath.write_text(estimate_to_json(estimate))
@@ -325,7 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="experiment config JSON")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override config seed")
-        p.add_argument("--threads", type=int, default=1, help="worker processes")
         p.add_argument(
             "--format",
             dest="format_panel",

@@ -12,7 +12,6 @@ signature; estimating it from data never needs the model internals.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -208,12 +207,3 @@ def analytic_signature(
         level = 2.0 * spec.p * (1 - spec.p) * (r0 - rlag)
         return CorruptionSignature(grid, h, np.full(grid.size, max(level, 0.0)))
     raise DataError(f"no closed-form signature for kind {spec.kind!r}")
-
-
-def save_signature_csv(sig: CorruptionSignature, path: str | Path) -> None:
-    with Path(path).open("w") as fh:
-        fh.write("omega,re_h,im_h,d\n")
-        for w, h, d in zip(sig.grid.frequencies, sig.h, sig.d):
-            fh.write(
-                f"{float(w)!r},{float(h.real)!r},{float(h.imag)!r},{float(d)!r}\n"
-            )

@@ -69,10 +69,8 @@ def normalized_magnitude_scores(inv: SpectralMatrix) -> np.ndarray:
     return scores.max(axis=0)
 
 
-def infer_support_graph(inv: SpectralMatrix, params: EdgeDecisionParams) -> UndirectedGraph:
-    """Edges where the normalized magnitude score reaches the threshold."""
-    scores = normalized_magnitude_scores(inv)
-    n = inv.n_nodes
+def _support_from_scores(scores: np.ndarray, params: EdgeDecisionParams) -> UndirectedGraph:
+    n = scores.shape[0]
     edges = [
         (i, j)
         for i in range(n)
@@ -80,6 +78,11 @@ def infer_support_graph(inv: SpectralMatrix, params: EdgeDecisionParams) -> Undi
         if scores[i, j] >= params.magnitude_threshold
     ]
     return UndirectedGraph.from_edges(n, edges)
+
+
+def infer_support_graph(inv: SpectralMatrix, params: EdgeDecisionParams) -> UndirectedGraph:
+    """Edges where the normalized magnitude score reaches the threshold."""
+    return _support_from_scores(normalized_magnitude_scores(inv), params)
 
 
 def phase_nonconstancy_score(
@@ -139,16 +142,8 @@ def detect(inv: SpectralMatrix, params: EdgeDecisionParams) -> DetectionReport:
     diagnostic rather than guessed either way.
     """
     scores = normalized_magnitude_scores(inv)
+    support = _support_from_scores(scores, params)
     n = inv.n_nodes
-    support = UndirectedGraph.from_edges(
-        n,
-        [
-            (i, j)
-            for i in range(n)
-            for j in range(i + 1, n)
-            if scores[i, j] >= params.magnitude_threshold
-        ],
-    )
     candidates = frozenset(i for i in range(n) if neighborhood_is_clique(support, i))
     corrupt: set[int] = set()
     leaves: set[int] = set()
@@ -268,6 +263,8 @@ def report_from_dict(payload: dict, labels: Sequence[str]) -> DetectionReport:
         )
     except KeyError as exc:
         raise DataError(f"malformed detection report: missing {exc}") from exc
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise DataError(f"malformed detection report: {exc}") from exc
 
 
 def report_to_dot(report: DetectionReport) -> str:

@@ -6,7 +6,6 @@ attached only at serialization boundaries.
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -68,12 +67,6 @@ class UndirectedGraph:
     def leaves(self) -> frozenset[int]:
         adj = self.adjacency()
         return frozenset(i for i in range(self.node_count) if len(adj[i]) == 1)
-
-    def remove_nodes(self, drop: Iterable[int]) -> "UndirectedGraph":
-        """Same node set, but all edges incident to `drop` deleted."""
-        dropped = set(drop)
-        kept = frozenset(e for e in self.edges if not (e[0] in dropped or e[1] in dropped))
-        return UndirectedGraph(self.node_count, kept)
 
     def _check_node(self, i: int) -> None:
         if not 0 <= i < self.node_count:
@@ -164,19 +157,6 @@ def neighborhood_is_clique(g: UndirectedGraph, i: int) -> bool:
     return all(g.has_edge(a, b) for k, a in enumerate(nbrs) for b in nbrs[k + 1:])
 
 
-def separates(g: UndirectedGraph, c: int, d: int, cut: frozenset[int] | set[int]) -> bool:
-    """True iff deleting the cut vertices leaves c and d disconnected."""
-    cut = frozenset(cut)
-    if c in cut or d in cut:
-        raise DataError("endpoints may not belong to the cut set")
-    g._check_node(c)
-    g._check_node(d)
-    if c == d:
-        return False
-    reach = bfs_distances(g.remove_nodes(cut), c)
-    return reach[d] < 0
-
-
 def connected_components(g: UndirectedGraph, within: Iterable[int] | None = None) -> list[frozenset[int]]:
     """Maximal connected node sets, ordered by smallest member.
 
@@ -208,26 +188,6 @@ def connected_components(g: UndirectedGraph, within: Iterable[int] | None = None
 
 def sorted_edges(g: UndirectedGraph) -> list[Edge]:
     return sorted(g.edges)
-
-
-def graph_to_json(g: UndirectedGraph, labels: Sequence[str]) -> str:
-    if len(labels) != g.node_count:
-        raise DataError("label count does not match node count")
-    payload = {
-        "nodes": list(labels),
-        "edges": [[labels[a], labels[b]] for a, b in sorted_edges(g)],
-    }
-    return json.dumps(payload, indent=2, sort_keys=True)
-
-
-def graph_from_json(text: str) -> tuple[UndirectedGraph, list[str]]:
-    payload = json.loads(text)
-    labels = [str(x) for x in payload["nodes"]]
-    index = {lab: i for i, lab in enumerate(labels)}
-    if len(index) != len(labels):
-        raise DataError("duplicate node labels")
-    edges = [(index[str(a)], index[str(b)]) for a, b in payload["edges"]]
-    return UndirectedGraph.from_edges(len(labels), edges), labels
 
 
 def graph_to_dot(

@@ -6,8 +6,10 @@ Given per-node signatures (h, d), the corrupted PSD is
 
 Its inverse is built without any dense inversion: rescale the entrywise
 clean inverse by 1/(conj(h_i) h_j), then absorb each node's additive term
-with one Woodbury rank-one downdate.  The intermediate inverses are the
-quantities the detection proofs reason about, so they are returned too.
+with one Woodbury rank-one downdate, in place.  The detection proofs
+reason about the intermediate inverses; a zero additive term makes its
+downdate a no-op, so the inverse after absorbing only node v is the chain
+run on signatures whose d is zero everywhere except at v.
 """
 
 from __future__ import annotations
@@ -63,36 +65,29 @@ def woodbury_chain_inverse(
     model: GenerativeModel,
     signatures: Mapping[int, CorruptionSignature],
     grid: FrequencyGrid,
-    order: Sequence[int] | None = None,
-) -> tuple[SpectralMatrix, list[tuple[int, SpectralMatrix]]]:
+) -> tuple[SpectralMatrix, tuple[int, ...]]:
     """Inverse corrupted PSD via the rank-one update chain.
 
     Step 0 rescales the entrywise clean inverse by the multiplicative
-    responses; every node in `order` (default: all signature nodes, sorted)
-    then contributes one downdate
+    responses; every signature node, in sorted order, then contributes one
+    downdate
 
         inv <- inv - inv e_v e_v^T inv * d_v / (1 + d_v inv(v,v)),
 
     written in the form that stays finite when d_v = 0.  Frequencies where
     a response vanishes or the downdate denominator hits zero are flagged.
-    Returns the final inverse and the per-step intermediates in order.
+    Returns the final inverse and the nodes absorbed, in order.
     """
     n = model.n_nodes
     h, d = _signature_arrays(n, grid, signatures)
-    if order is None:
-        order = sorted(signatures)
-    else:
-        order = list(order)
-        if sorted(order) != sorted(signatures):
-            raise DataError("order must list exactly the signature nodes")
+    order = tuple(sorted(signatures))
 
     flagged = np.abs(h).min(axis=1) < H_FLOOR
-    clean_inv = analytic_inverse_psd(model, grid)
     h_safe = np.where(np.abs(h) < H_FLOOR, 1.0, h)
-    inv = clean_inv.values / (np.conj(h_safe[:, :, None]) * h_safe[:, None, :])
+    inv = analytic_inverse_psd(model, grid).values
+    inv /= np.conj(h_safe[:, :, None]) * h_safe[:, None, :]
     inv[flagged] = np.nan
 
-    steps: list[tuple[int, SpectralMatrix]] = []
     for v in order:
         denom = 1.0 + d[:, v] * np.where(flagged, 0.0, inv[:, v, v])
         bad = np.abs(denom) < 1e-12
@@ -103,8 +98,6 @@ def woodbury_chain_inverse(
         gain = d[:, v] / denom
         col = np.where(flagged[:, None], 0.0, gain[:, None] * inv[:, :, v])
         inv -= col[:, :, None] * inv[:, None, v, :]
-        steps.append((v, SpectralMatrix(grid, inv.copy(), model.labels, flagged.copy())))
     if flagged.all():
         raise NumericalError("corrupted inverse undefined on the whole grid")
-    final = SpectralMatrix(grid, inv, model.labels, flagged)
-    return final, steps
+    return SpectralMatrix(grid, inv, model.labels, flagged), order

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import BinaryIO
 
 import numpy as np
 
@@ -51,15 +52,6 @@ class TimeSeriesPanel:
     def n_samples(self) -> int:
         return self.data.shape[1]
 
-    def index_of(self, label: str) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise DataError(f"no channel labelled {label!r}") from None
-
-    def channel(self, i: int) -> np.ndarray:
-        return self.data[i]
-
     def with_channels(self, data: np.ndarray) -> "TimeSeriesPanel":
         return TimeSeriesPanel(data, self.labels, self.dt)
 
@@ -93,14 +85,23 @@ def save_panel_binary(panel: TimeSeriesPanel, path: str | Path) -> None:
         fh.write(np.ascontiguousarray(panel.data, dtype="<f8").tobytes())
 
 
+def read_exact(fh: BinaryIO, size: int, path: str | Path) -> bytes:
+    """The next `size` bytes of a binary artifact; a file too short for the
+    sizes its header declares is a DataError."""
+    remaining = os.fstat(fh.fileno()).st_size - fh.tell()
+    if size > remaining:
+        raise DataError(f"{path}: truncated, {size} bytes declared but {remaining} left")
+    return fh.read(size)
+
+
 def load_panel_binary(path: str | Path) -> TimeSeriesPanel:
     with Path(path).open("rb") as fh:
         magic = fh.read(4)
         if magic != PANEL_MAGIC:
             raise DataError(f"{path}: not a panel file (bad magic {magic!r})")
-        n, t, dt, blob_len = struct.unpack("<QQdI", fh.read(28))
-        labels = json.loads(fh.read(blob_len).decode())
-        data = np.frombuffer(fh.read(n * t * 8), dtype="<f8").reshape(n, t)
+        n, t, dt, blob_len = struct.unpack("<QQdI", read_exact(fh, 28, path))
+        labels = json.loads(read_exact(fh, blob_len, path).decode())
+        data = np.frombuffer(read_exact(fh, n * t * 8, path), dtype="<f8").reshape(n, t)
     return TimeSeriesPanel(data.copy(), labels, dt)
 
 
@@ -122,8 +123,3 @@ def load_panel(path: str | Path) -> TimeSeriesPanel:
     if magic == PANEL_MAGIC:
         return load_panel_binary(path)
     return load_panel_csv(path)
-
-
-def select_channels(panel: TimeSeriesPanel, labels: Sequence[str]) -> TimeSeriesPanel:
-    idx = [panel.index_of(lab) for lab in labels]
-    return TimeSeriesPanel(panel.data[idx], [panel.labels[i] for i in idx], panel.dt)

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.signal import get_window
 
 from .errors import DataError, NumericalError
-from .panel import TimeSeriesPanel
+from .panel import TimeSeriesPanel, read_exact
 
 SPECTRA_MAGIC = b"RTSM"
 
@@ -29,7 +29,6 @@ class FrequencyGrid:
     """Strictly increasing angular frequencies in (-pi, pi]."""
 
     frequencies: np.ndarray
-    symmetric: bool = True
 
     def __post_init__(self):
         freqs = np.asarray(self.frequencies, dtype=np.float64)
@@ -40,11 +39,10 @@ class FrequencyGrid:
             raise DataError("frequencies must be strictly increasing")
         if freqs[0] <= -np.pi - 1e-12 or freqs[-1] > np.pi + 1e-12:
             raise DataError("frequencies must lie in (-pi, pi]")
-        if self.symmetric:
-            interior = freqs[(np.abs(freqs) > 1e-12) & (freqs < np.pi - 1e-12)]
-            have = set(np.round(freqs, 12))
-            if any(round(-w, 12) not in have for w in interior):
-                raise DataError("grid marked symmetric but not closed under negation")
+        interior = freqs[(np.abs(freqs) > 1e-12) & (freqs < np.pi - 1e-12)]
+        have = set(np.round(freqs, 12))
+        if any(round(-w, 12) not in have for w in interior):
+            raise DataError("frequency grid is not closed under negation")
 
     @classmethod
     def welch_bins(cls, segment_length: int) -> "FrequencyGrid":
@@ -113,12 +111,6 @@ class SpectralMatrix:
 
     def entry(self, i: int, j: int) -> np.ndarray:
         return self.values[:, i, j]
-
-    def index_of(self, label: str) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise DataError(f"no node labelled {label!r}") from None
 
     def submatrix(self, indices: Sequence[int]) -> "SpectralMatrix":
         idx = list(indices)
@@ -227,12 +219,6 @@ def invert_spectrum(
     return SpectralMatrix(s.grid, inv, s.labels, flagged)
 
 
-def auto_ridge(s: SpectralMatrix) -> float:
-    """Tiny Tikhonov level for ill-conditioned estimates."""
-    diag = np.abs(s.values[:, range(s.n_nodes), range(s.n_nodes)])
-    return 1e-10 * float(np.median(diag))
-
-
 def marginal_inverse_psd(inv: SpectralMatrix, observed: Sequence[int]) -> SpectralMatrix:
     """Inverse of the PSD's principal submatrix over the observed nodes.
 
@@ -280,26 +266,13 @@ def load_spectra_binary(path: str | Path) -> SpectralMatrix:
         magic = fh.read(4)
         if magic != SPECTRA_MAGIC:
             raise DataError(f"{path}: not a spectra file (bad magic {magic!r})")
-        f, n, blob_len = struct.unpack("<QQI", fh.read(20))
-        labels = json.loads(fh.read(blob_len).decode())
-        freqs = np.frombuffer(fh.read(f * 8), dtype="<f8")
-        flagged = np.frombuffer(fh.read(f), dtype="u1").astype(bool)
-        values = np.frombuffer(fh.read(f * n * n * 16), dtype="<c16").reshape(f, n, n)
+        f, n, blob_len = struct.unpack("<QQI", read_exact(fh, 20, path))
+        labels = json.loads(read_exact(fh, blob_len, path).decode())
+        freqs = np.frombuffer(read_exact(fh, f * 8, path), dtype="<f8")
+        flagged = np.frombuffer(read_exact(fh, f, path), dtype="u1").astype(bool)
+        values = np.frombuffer(read_exact(fh, f * n * n * 16, path), dtype="<c16")
+        values = values.reshape(f, n, n)
     return SpectralMatrix(FrequencyGrid(freqs.copy()), values.copy(), labels, flagged)
-
-
-def save_spectra_csv(s: SpectralMatrix, path: str | Path) -> None:
-    """Long format: omega, node_i, node_j, re, im (upper triangle + diagonal)."""
-    with Path(path).open("w") as fh:
-        fh.write("omega,node_i,node_j,re,im\n")
-        for fi, w in enumerate(s.grid.frequencies):
-            for i in range(s.n_nodes):
-                for j in range(i, s.n_nodes):
-                    v = s.values[fi, i, j]
-                    fh.write(
-                        f"{float(w)!r},{s.labels[i]},{s.labels[j]},"
-                        f"{float(v.real)!r},{float(v.imag)!r}\n"
-                    )
 
 
 def save_magnitude_phase_csv(s: SpectralMatrix, path: str | Path) -> None:

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from treespect.corruption import CorruptionSignature
 from treespect.graphs import UndirectedGraph
+from treespect.oracles import woodbury_chain_inverse
 
 
 def prufer_tree(seq: list[int], n: int) -> UndirectedGraph:
@@ -33,6 +35,19 @@ def random_tree(rng: np.random.Generator, n: int) -> UndirectedGraph:
         return UndirectedGraph.from_edges(2, [(0, 1)])
     seq = [int(x) for x in rng.integers(0, n, size=n - 2)]
     return prufer_tree(seq, n)
+
+
+def one_step_inverse(model, sigs, node, grid):
+    """psi_1: the chain inverse after absorbing only `node`'s additive term.
+
+    Every other signature keeps its response h but gets d = 0, which makes
+    its downdate a no-op.
+    """
+    zeroed = {
+        v: sig if v == node else CorruptionSignature(grid, sig.h, np.zeros(grid.size))
+        for v, sig in sigs.items()
+    }
+    return woodbury_chain_inverse(model, zeroed, grid)[0]
 
 
 @pytest.fixture

@@ -126,6 +126,48 @@ def test_missing_upstream_artifact_exits_3(tmp_path):
     assert main(["detect", "--config", str(cfg), "--out", str(tmp_path / "empty")]) == 3
 
 
+def test_truncated_spectra_exits_3(tmp_path, capsys):
+    cfg = write_tiny(tmp_path, trajectory_length=20_000, burn_in=100)
+    out = tmp_path / "run"
+    for stage in ("simulate", "corrupt", "spectra"):
+        assert main([stage, "--config", str(cfg), "--out", str(out)]) == 0
+    spectra = out / "spectra_corrupt.rtsm"
+    full = spectra.read_bytes()
+    for size in (10, 1000, len(full) - 1):
+        spectra.write_bytes(full[:size])
+        assert main(["detect", "--config", str(cfg), "--out", str(out)]) == 3
+        assert "truncated" in capsys.readouterr().err
+
+
+def test_truncated_panel_exits_3(tmp_path, capsys):
+    cfg = write_tiny(tmp_path, trajectory_length=20_000, burn_in=100)
+    out = tmp_path / "run"
+    for stage in ("simulate", "corrupt"):
+        assert main([stage, "--config", str(cfg), "--out", str(out)]) == 0
+    panel = out / "panel_corrupt.bin"
+    panel.write_bytes(panel.read_bytes()[:1000])
+    assert main(["spectra", "--config", str(cfg), "--out", str(out)]) == 3
+    assert "truncated" in capsys.readouterr().err
+
+
+def test_malformed_detection_report_exits_3(tmp_path):
+    cfg = write_tiny(tmp_path, trajectory_length=20_000, burn_in=100)
+    out = tmp_path / "run"
+    for stage in ("simulate", "corrupt", "spectra", "detect"):
+        assert main([stage, "--config", str(cfg), "--out", str(out)]) == 0
+    report = out / "detection.json"
+    good = json.loads(report.read_text())
+    for bad in (
+        report.read_text()[:50],
+        json.dumps({**good, "support_edges": 7}),
+        json.dumps({**good, "support_edges": "1-2"}),
+        json.dumps({**good, "evidence": []}),
+        json.dumps([good]),
+    ):
+        report.write_text(bad)
+        assert main(["learn", "--config", str(cfg), "--out", str(out)]) == 3
+
+
 def test_degenerate_data_exits_4(tmp_path):
     cfg = write_tiny(tmp_path, trajectory_length=20_000)
     out = tmp_path / "run"

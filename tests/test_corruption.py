@@ -7,7 +7,6 @@ from treespect.corruption import (
     analytic_signature,
     apply_corruption,
     estimate_signature,
-    save_signature_csv,
 )
 from treespect.errors import DataError
 from treespect.instances import chain7_corruption, chain7_model
@@ -164,17 +163,9 @@ def test_different_seeds_same_signature(chain_panel):
     assert np.abs(sa.d - sb.d).max() < 0.15
 
 
-def test_signature_validation_and_csv(tmp_path):
+def test_signature_validation_and_csv():
     grid = FrequencyGrid.welch_bins(16)
     with pytest.raises(DataError):
         CorruptionSignature(grid, np.ones(16), -np.ones(16))
     sig = CorruptionSignature.trivial(grid)
     assert sig.is_trivial()
-    path = tmp_path / "sig.csv"
-    save_signature_csv(sig, path)
-    rows = path.read_text().strip().splitlines()
-    assert rows[0] == "omega,re_h,im_h,d"
-    assert len(rows) == 17
-    w, re_h, im_h, d = (float(x) for x in rows[1].split(","))
-    assert (re_h, im_h, d) == (1.0, 0.0, 0.0)
-    assert w == grid.frequencies[0]

@@ -10,15 +10,12 @@ from treespect.graphs import (
     UndirectedGraph,
     bfs_distances,
     connected_components,
-    graph_from_json,
     graph_to_dot,
-    graph_to_json,
     is_tree,
     moral_graph,
     n_hop_neighbors,
     neighborhood_is_clique,
     perturbed_graph,
-    separates,
     sorted_edges,
 )
 
@@ -58,12 +55,6 @@ def perturbed_by_path_enumeration(moral, corrupt):
                     edges.add((a, b))
                     break
     return UndirectedGraph(moral.node_count, frozenset(edges))
-
-
-def separated_by_path_enumeration(g, c, d, cut):
-    return not any(
-        all(v not in cut for v in path) for path in all_simple_paths(g, c, d)
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -178,7 +169,7 @@ def test_perturbed_monotone_in_corrupt_set(n, seed):
 
 
 # ---------------------------------------------------------------------------
-# cliques / separation / components
+# cliques / components
 
 def test_clique_neighborhoods_in_perturbed_chain():
     gu = UndirectedGraph(7, CHAIN7_PERTURBED_EDGES)
@@ -208,43 +199,6 @@ def test_single_neighbor_is_clique():
     assert not neighborhood_is_clique(g, 1)
 
 
-def test_separation_basics():
-    chain3 = UndirectedGraph.chain(3)
-    assert separates(chain3, 0, 2, {1})
-    assert not separates(CHAIN7, 0, 6, frozenset())
-    with pytest.raises(DataError):
-        separates(chain3, 0, 1, {1})
-
-
-def test_separation_in_marginal_support_graph():
-    # graph of the "latent node 4" figure, 0-indexed; deleting {1,2} isolates
-    # node 0 from the {4,5,6} side, so separation holds
-    g = UndirectedGraph.from_edges(
-        7, [(0, 1), (1, 2), (2, 4), (4, 5), (5, 6), (0, 2), (4, 6), (1, 4), (1, 5), (2, 5)]
-    )
-    assert separates(g, 0, 6, {1, 2})
-    assert not separates(g, 0, 6, {1})
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(3, 10), st.data())
-def test_separates_agrees_with_path_enumeration(n, data):
-    seed = data.draw(st.integers(0, 2**32 - 1))
-    rng = np.random.default_rng(seed)
-    pairs = list(itertools.combinations(range(n), 2))
-    k = int(rng.integers(1, len(pairs) + 1))
-    g = UndirectedGraph.from_edges(
-        n, [pairs[i] for i in rng.choice(len(pairs), size=k, replace=False)]
-    )
-    c, d = rng.choice(n, size=2, replace=False)
-    cut = frozenset(
-        int(v) for v in rng.choice(n, size=min(2, n - 2), replace=False) if v not in (c, d)
-    )
-    assert separates(g, int(c), int(d), cut) == separated_by_path_enumeration(
-        g, int(c), int(d), cut
-    )
-
-
 def test_components_of_pruned_graph():
     g = UndirectedGraph.from_edges(7, [(0, 1), (1, 2), (4, 5), (5, 6)])
     comps = connected_components(g, within={0, 1, 2, 4, 5, 6})
@@ -262,14 +216,6 @@ def test_components_trivial_cases():
 
 # ---------------------------------------------------------------------------
 # serialization
-
-def test_json_roundtrip_preserves_labels_and_edges():
-    labels = ["n1", "n2", "n3", "n4"]
-    g = UndirectedGraph.from_edges(4, [(2, 0), (1, 3)])
-    g2, labels2 = graph_from_json(graph_to_json(g, labels))
-    assert labels2 == labels
-    assert g2.edges == g.edges
-
 
 def test_dot_output_canonical_order():
     g = UndirectedGraph.from_edges(3, [(1, 2), (0, 1)])

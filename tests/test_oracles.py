@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,8 @@ from treespect.spectral import (
     estimate_cpsd,
     invert_spectrum,
 )
+
+from conftest import one_step_inverse
 
 GRID = FrequencyGrid.welch_bins(256)
 
@@ -106,8 +110,8 @@ def test_corrupted_psd_matches_empirical_estimate(chain_setup):
 
 def test_no_corruption_chain_returns_clean_inverse(chain_setup):
     model, _, _ = chain_setup
-    inv, steps = woodbury_chain_inverse(model, {}, GRID)
-    assert steps == []
+    inv, absorbed = woodbury_chain_inverse(model, {}, GRID)
+    assert absorbed == ()
     np.testing.assert_allclose(
         inv.values, analytic_inverse_psd(model, GRID).values, atol=1e-12
     )
@@ -116,9 +120,9 @@ def test_no_corruption_chain_returns_clean_inverse(chain_setup):
 def test_chain_inverse_equals_dense_inverse(chain_setup):
     model, _, sigs = chain_setup
     dense = invert_spectrum(analytic_corrupted_psd(model, sigs, GRID))
-    wood, steps = woodbury_chain_inverse(model, sigs, GRID)
+    wood, absorbed = woodbury_chain_inverse(model, sigs, GRID)
     assert relative_gap(wood.values, dense.values) < 1e-9
-    assert len(steps) == 1 and steps[0][0] == 3
+    assert absorbed == (3,)
 
 
 @pytest.mark.parametrize("seed", [101, 202, 303])
@@ -133,12 +137,32 @@ def test_chain_inverse_matches_dense_on_random_instances(seed):
     assert relative_gap(wood.values, dense.values) < 1e-9
 
 
+def test_zero_additive_terms_leave_the_rescaled_clean_inverse():
+    # the property one_step_inverse relies on: a d = 0 downdate is a no-op,
+    # so only the multiplicative rescaling of the clean inverse remains
+    rng = np.random.default_rng(29)
+    inst = random_instance(rng, 13, 2, GRID)
+    sigs = analytic_signatures(inst.model, inst.specs, GRID)
+    zeroed = {
+        v: CorruptionSignature(GRID, sig.h, np.zeros(GRID.size)) for v, sig in sigs.items()
+    }
+    inv, absorbed = woodbury_chain_inverse(inst.model, zeroed, GRID)
+    h = np.ones((GRID.size, inst.model.n_nodes), dtype=complex)
+    for v, sig in sigs.items():
+        h[:, v] = sig.h
+    clean = analytic_inverse_psd(inst.model, GRID).values
+    np.testing.assert_array_equal(
+        inv.values, clean / (np.conj(h[:, :, None]) * h[:, None, :])
+    )
+    assert not inv.flagged.any()
+    assert absorbed == tuple(sorted(sigs))
+
+
 def test_first_step_phase_structure(chain_setup):
     # after absorbing the corrupt node, the leaf-to-2-hop entry is still a
     # zero-phase constant while the corrupt node's own entries rotate
     model, _, sigs = chain_setup
-    _, steps = woodbury_chain_inverse(model, sigs, GRID)
-    psi1 = steps[0][1]
+    psi1 = one_step_inverse(model, sigs, 3, GRID)
     leaf_two_hop = psi1.entry(0, 2)
     assert np.abs(leaf_two_hop.imag).max() < 1e-12
     corrupt_edge = psi1.entry(3, 2)
@@ -158,9 +182,7 @@ def test_candidate_rows_settle_after_one_update():
     for i in sorted(leaves | inst.corrupt):
         dist = bfs_distances(model.topology, i)
         nearest = min(inst.corrupt, key=lambda v: dist[v])
-        order = [nearest] + sorted(inst.corrupt - {nearest})
-        _, steps = woodbury_chain_inverse(model, sigs, GRID, order=order)
-        psi1 = steps[0][1]
+        psi1 = one_step_inverse(model, sigs, nearest, GRID)
         gap = np.abs(full.values[:, i, :] - psi1.values[:, i, :]).max()
         assert gap < 1e-9 * np.abs(full.values).max()
 
@@ -175,9 +197,7 @@ def test_far_pair_locality_around_each_corrupt_node():
     full, _ = woodbury_chain_inverse(model, sigs, GRID)
     adj = model.topology.adjacency()
     for l in sorted(inst.corrupt):
-        order = [l] + sorted(inst.corrupt - {l})
-        _, steps = woodbury_chain_inverse(model, sigs, GRID, order=order)
-        psi1 = steps[0][1]
+        psi1 = one_step_inverse(model, sigs, l, GRID)
         dist = bfs_distances(model.topology, l)
         for q in adj[l]:
             for r in adj[l]:
@@ -200,3 +220,23 @@ def test_vanishing_response_flags_frequencies(chain_setup):
     inv, _ = woodbury_chain_inverse(model, sigs, GRID)
     assert inv.flagged[10]
     assert inv.flagged.sum() == 1
+
+
+def test_chain_memory_stays_a_few_arrays():
+    # the chain downdates one working inverse in place; keeping a copy per
+    # absorbed node would cost k more F x n x n arrays
+    from treespect.instances import draw_delay_spec, draw_model, tree_with_deep_nodes
+
+    rng = np.random.default_rng(3)
+    tree, marked = tree_with_deep_nodes(rng, 40, 8)
+    model = draw_model(rng, tree)
+    sigs = analytic_signatures(model, [draw_delay_spec(rng, v) for v in marked], GRID)
+    array_bytes = GRID.size * 40 * 40 * np.dtype(np.complex128).itemsize
+    tracemalloc.start()
+    try:
+        _, absorbed = woodbury_chain_inverse(model, sigs, GRID)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(absorbed) == 8
+    assert peak < 4 * array_bytes

@@ -5,12 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from treespect.errors import DataError
-from treespect.panel import (
-    TimeSeriesPanel,
-    load_panel,
-    save_panel,
-    select_channels,
-)
+from treespect.panel import TimeSeriesPanel, load_panel, save_panel
 
 
 def make_panel(n=3, t=50, seed=0):
@@ -56,10 +51,3 @@ def test_csv_size_limit(tmp_path):
     big = TimeSeriesPanel(np.zeros((2, 6 * 10**6)), ["a", "b"])
     with pytest.raises(DataError):
         save_panel(big, tmp_path / "p.csv", "csv")
-
-
-def test_select_channels():
-    panel = make_panel(4)
-    sub = select_channels(panel, ["n2", "n0"])
-    assert sub.labels == ("n2", "n0")
-    np.testing.assert_array_equal(sub.data[1], panel.data[0])
