@@ -167,47 +167,64 @@ def simulate(
 
     The companion-form recursion is run through its eigenbasis so each mode
     is a scalar first-order filter; this is exact and fast for long records.
+    Real modes are filtered in real arithmetic.  Complex modes come in
+    conjugate pairs whose outputs are conjugate, so only the member with
+    positive imaginary part is filtered and contributes twice its real part.
     A direct stepping loop (`force_loop`, also the automatic fallback when
     the eigenbasis is ill-conditioned) runs the recursion verbatim.  Both
-    paths consume the identical noise stream.  The first `burn_in` samples
-    are discarded to reach stationarity, and output is bit-reproducible for
-    a fixed (model, length, seed).
+    paths consume the identical noise stream, drawn in blocks of `block`
+    samples.  The first `burn_in` samples are run to reach stationarity but
+    never stored, so the returned panel is contiguous and holds exactly
+    `length` samples; output is bit-reproducible for a fixed (model,
+    length, seed).
     """
     if length < 1:
         raise DataError("trajectory length must be >= 1")
     n = model.n_nodes
     C = model.companion_matrix()
-    dim = C.shape[0]
     total = burn_in + length
     rng = np.random.default_rng(seed)
     sigma = np.sqrt(model.noise_variance)
 
-    lam, V = np.linalg.eig(C.astype(np.complex128))
+    lam, V = np.linalg.eig(C)
     cond = np.linalg.cond(V)
     use_eigen = not force_loop and np.isfinite(cond) and cond < 1e8
     if use_eigen:
         Vin = np.linalg.inv(V)[:, :n]  # noise enters the top N state rows
-        Vout = V[:n, :]
-        zi = np.zeros((dim, 1), dtype=np.complex128)
+        real = np.flatnonzero(lam.imag == 0)
+        pair = np.flatnonzero(lam.imag > 0)
+        lam_r, lam_c = lam[real].real, lam[pair]
+        Vin_r, Vin_c = Vin[real].real, Vin[pair]
+        Vout_r, Vout_c = V[:n, real].real, 2.0 * V[:n, pair]
+        zi_r = np.zeros((real.size, 1))
+        zi_c = np.zeros((pair.size, 1), dtype=np.complex128)
     else:
-        state = np.zeros(dim)
+        state = np.zeros(C.shape[0])
 
-    x = np.empty((n, total))
+    x = np.empty((n, length))
     done = 0
     while done < total:
         m = min(block, total - done)
-        w = rng.standard_normal((n, m)) * sigma[:, None]
+        w = rng.standard_normal((n, m))
+        w *= sigma[:, None]
+        lo, hi = max(done - burn_in, 0), max(done + m - burn_in, 0)
+        skip = m - (hi - lo)  # leading block columns still in burn-in
+        dest = x[:, lo:hi]
         if use_eigen:
-            u = Vin @ w.astype(np.complex128)
-            y = np.empty_like(u)
-            for k in range(dim):
-                y[k], zi[k] = lfilter([1.0], [1.0, -lam[k]], u[k], zi=zi[k])
-            x[:, done:done + m] = (Vout @ y).real
+            u = Vin_r @ w
+            for k in range(real.size):
+                u[k], zi_r[k] = lfilter([1.0], [1.0, -lam_r[k]], u[k], zi=zi_r[k])
+            np.matmul(Vout_r, u[:, skip:], out=dest)
+            if pair.size:
+                u = Vin_c @ w
+                for k in range(pair.size):
+                    u[k], zi_c[k] = lfilter([1.0], [1.0, -lam_c[k]], u[k], zi=zi_c[k])
+                dest += (Vout_c @ u[:, skip:]).real
         else:
-            x[:, done:done + m], state = _step_block(C, state, w)
+            out, state = _step_block(C, state, w)
+            dest[:] = out[:, skip:]
         done += m
 
-    x = x[:, burn_in:]
     if not np.all(np.isfinite(x)):
         raise NumericalError("simulation produced non-finite samples")
     return TimeSeriesPanel(x, model.labels)

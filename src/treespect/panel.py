@@ -78,20 +78,47 @@ def save_panel_binary(panel: TimeSeriesPanel, path: str | Path) -> None:
     """Compact format: magic, shape, dt, JSON label blob, little-endian
     float64 samples row-major (one row per channel)."""
     blob = json.dumps(list(panel.labels)).encode()
+    data = np.ascontiguousarray(panel.data, dtype="<f8")
     with Path(path).open("wb") as fh:
         fh.write(PANEL_MAGIC)
         fh.write(struct.pack("<QQdI", panel.n_channels, panel.n_samples, panel.dt, len(blob)))
         fh.write(blob)
-        fh.write(np.ascontiguousarray(panel.data, dtype="<f8").tobytes())
+        fh.write(memoryview(data).cast("B"))
+
+
+def _bytes_left(fh: BinaryIO) -> int:
+    return os.fstat(fh.fileno()).st_size - fh.tell()
 
 
 def read_exact(fh: BinaryIO, size: int, path: str | Path) -> bytes:
     """The next `size` bytes of a binary artifact; a file too short for the
     sizes its header declares is a DataError."""
-    remaining = os.fstat(fh.fileno()).st_size - fh.tell()
+    remaining = _bytes_left(fh)
     if size > remaining:
         raise DataError(f"{path}: truncated, {size} bytes declared but {remaining} left")
     return fh.read(size)
+
+
+def expect_payload(fh: BinaryIO, size: int, path: str | Path) -> None:
+    """Check that exactly `size` bytes, the declared payload, are left in a
+    binary artifact; a shorter file or trailing bytes are a DataError."""
+    remaining = _bytes_left(fh)
+    if size > remaining:
+        raise DataError(f"{path}: truncated, {size} bytes declared but {remaining} left")
+    if size < remaining:
+        raise DataError(f"{path}: {remaining - size} trailing bytes past the declared payload")
+
+
+def read_labels(fh: BinaryIO, size: int, path: str | Path) -> list[str]:
+    """The JSON label list of a binary artifact; a blob that does not parse
+    as a list of strings is a DataError."""
+    try:
+        labels = json.loads(read_exact(fh, size, path).decode())
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError
+        raise DataError(f"{path}: corrupt label blob ({exc})") from exc
+    if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
+        raise DataError(f"{path}: label blob is not a list of strings")
+    return labels
 
 
 def load_panel_binary(path: str | Path) -> TimeSeriesPanel:
@@ -100,9 +127,11 @@ def load_panel_binary(path: str | Path) -> TimeSeriesPanel:
         if magic != PANEL_MAGIC:
             raise DataError(f"{path}: not a panel file (bad magic {magic!r})")
         n, t, dt, blob_len = struct.unpack("<QQdI", read_exact(fh, 28, path))
-        labels = json.loads(read_exact(fh, blob_len, path).decode())
-        data = np.frombuffer(read_exact(fh, n * t * 8, path), dtype="<f8").reshape(n, t)
-    return TimeSeriesPanel(data.copy(), labels, dt)
+        labels = read_labels(fh, blob_len, path)
+        expect_payload(fh, n * t * 8, path)
+        data = np.empty((n, t), dtype="<f8")
+        fh.readinto(memoryview(data).cast("B"))
+    return TimeSeriesPanel(data, labels, dt)
 
 
 def save_panel(panel: TimeSeriesPanel, path: str | Path, fmt: str = "bin") -> Path:

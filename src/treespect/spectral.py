@@ -16,10 +16,11 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.signal import get_window
 
 from .errors import DataError, NumericalError
-from .panel import TimeSeriesPanel, read_exact
+from .panel import TimeSeriesPanel, expect_payload, read_exact, read_labels
 
 SPECTRA_MAGIC = b"RTSM"
 
@@ -155,9 +156,10 @@ class WelchParams:
 def estimate_cpsd(panel: TimeSeriesPanel, params: WelchParams) -> SpectralMatrix:
     """Welch-averaged cross power spectral density for all channel pairs.
 
-    Segments are windowed, transformed once per channel, and averaged as
-    outer products, so the estimate is Hermitian by construction.  Output
-    lives on the symmetric DFT-bin grid of the segment length.
+    Segments are strided views of the panel, demeaned and windowed one
+    chunk at a time, transformed once per channel, and averaged as per-bin
+    outer products F_k F_k^H, so the estimate is Hermitian by construction.
+    Output lives on the symmetric DFT-bin grid of the segment length.
     """
     n, t = panel.data.shape
     L = params.segment_length
@@ -168,25 +170,25 @@ def estimate_cpsd(panel: TimeSeriesPanel, params: WelchParams) -> SpectralMatrix
         )
     window = get_window(params.window, L, fftbins=True).astype(np.float64)
     scale = 1.0 / (n_seg * np.sum(window**2))
-    x = panel.data - panel.data.mean(axis=1, keepdims=True)
+    mean = panel.data.mean(axis=1)[:, None, None]
+    segments = sliding_window_view(panel.data, L, axis=1)[:, ::params.hop]
 
     half = L // 2
-    acc = np.zeros((n, n, half + 1), dtype=np.complex128)
+    acc = np.zeros((half + 1, n, n), dtype=np.complex128)
     # bound the FFT workspace to ~64 MB regardless of trajectory length
     chunk = max(8, int(2**22 / max(1, n * (half + 1))))
-    starts = np.arange(n_seg) * params.hop
     for lo in range(0, n_seg, chunk):
-        sel = starts[lo:lo + chunk]
-        seg = x[:, sel[:, None] + np.arange(L)] * window
-        F = np.fft.rfft(seg, axis=-1)
-        acc += np.einsum("isk,jsk->ijk", F, np.conj(F))
+        seg = segments[:, lo:lo + chunk] - mean
+        seg *= window
+        F = np.fft.rfft(seg, axis=-1).transpose(2, 0, 1)
+        acc += F @ np.conj(F).transpose(0, 2, 1)
     acc *= scale
 
     grid = FrequencyGrid.welch_bins(L)
     values = np.empty((L, n, n), dtype=np.complex128)
     # grid order: k = -(L/2-1) .. L/2 ; negative bins are conjugate mirrors
-    values[half - 1:] = np.moveaxis(acc, 2, 0)
-    values[:half - 1] = np.conj(np.moveaxis(acc[:, :, 1:half][:, :, ::-1], 2, 0))
+    values[half - 1:] = acc
+    values[:half - 1] = np.conj(acc[half - 1:0:-1])
     return SpectralMatrix(grid, values, panel.labels)
 
 
@@ -267,7 +269,8 @@ def load_spectra_binary(path: str | Path) -> SpectralMatrix:
         if magic != SPECTRA_MAGIC:
             raise DataError(f"{path}: not a spectra file (bad magic {magic!r})")
         f, n, blob_len = struct.unpack("<QQI", read_exact(fh, 20, path))
-        labels = json.loads(read_exact(fh, blob_len, path).decode())
+        labels = read_labels(fh, blob_len, path)
+        expect_payload(fh, f * (9 + 16 * n * n), path)
         freqs = np.frombuffer(read_exact(fh, f * 8, path), dtype="<f8")
         flagged = np.frombuffer(read_exact(fh, f, path), dtype="u1").astype(bool)
         values = np.frombuffer(read_exact(fh, f * n * n * 16, path), dtype="<c16")

@@ -150,6 +150,42 @@ def test_truncated_panel_exits_3(tmp_path, capsys):
     assert "truncated" in capsys.readouterr().err
 
 
+def flipped(blob: bytes, offset: int) -> bytes:
+    return blob[:offset] + bytes([blob[offset] ^ 0xFF]) + blob[offset + 1:]
+
+
+def test_corrupt_label_blob_exits_3(tmp_path, capsys):
+    cfg = write_tiny(tmp_path, trajectory_length=20_000, burn_in=100)
+    out = tmp_path / "run"
+    for stage in ("simulate", "corrupt", "spectra"):
+        assert main([stage, "--config", str(cfg), "--out", str(out)]) == 0
+    # label blobs start after magic + header: byte 24 (RTSM), byte 32 (RTSP)
+    spectra, panel = out / "spectra_corrupt.rtsm", out / "panel_corrupt.bin"
+    good = panel.read_bytes()
+    assert good[32:37] == b'["1",'
+    for path, blob, stage in (
+        (spectra, flipped(spectra.read_bytes(), 24), "detect"),
+        (panel, flipped(good, 32), "spectra"),
+        # same length and valid JSON, but one label is a number
+        (panel, good[:33] + b" 1 " + good[36:], "spectra"),
+    ):
+        path.write_bytes(blob)
+        assert main([stage, "--config", str(cfg), "--out", str(out)]) == 3
+        assert "label blob" in capsys.readouterr().err
+
+
+def test_trailing_bytes_exit_3(tmp_path, capsys):
+    cfg = write_tiny(tmp_path, trajectory_length=20_000, burn_in=100)
+    out = tmp_path / "run"
+    for stage in ("simulate", "corrupt", "spectra"):
+        assert main([stage, "--config", str(cfg), "--out", str(out)]) == 0
+    for artifact, stage in (("spectra_corrupt.rtsm", "detect"), ("panel_corrupt.bin", "spectra")):
+        path = out / artifact
+        path.write_bytes(path.read_bytes() + b"\0\0")
+        assert main([stage, "--config", str(cfg), "--out", str(out)]) == 3
+        assert "trailing bytes" in capsys.readouterr().err
+
+
 def test_malformed_detection_report_exits_3(tmp_path):
     cfg = write_tiny(tmp_path, trajectory_length=20_000, burn_in=100)
     out = tmp_path / "run"

@@ -106,6 +106,34 @@ def test_eigen_and_loop_paths_agree():
         np.testing.assert_allclose(fast.data, slow.data, atol=1e-9)
 
 
+@pytest.mark.parametrize(
+    "b21, dynamics, complex_modes",
+    [
+        (-0.5, ((0.3,), (0.2,)), 2),  # one conjugate pair
+        (0.4, ((0.3,), (0.2,)), 0),  # real modes only
+        (0.4, ((0.3,), (0.2, -0.1)), 2),  # a real mode and a conjugate pair
+    ],
+)
+def test_eigen_path_real_and_conjugate_modes(monkeypatch, b21, dynamics, complex_modes):
+    m = GenerativeModel(
+        UndirectedGraph.from_edges(2, [(0, 1)]),
+        {(0, 1): 0.5, (1, 0): b21},
+        dynamics,
+        np.ones(2),
+    )
+    lam = np.linalg.eigvals(m.companion_matrix())
+    assert np.count_nonzero(lam.imag) == complex_modes
+    slow = simulate(m, 3_000, seed=4, burn_in=900, block=701, force_loop=True)
+
+    def no_loop(*args):
+        raise AssertionError("the stepping loop ran instead of the eigen path")
+
+    monkeypatch.setattr("treespect.ltisim._step_block", no_loop)
+    fast = simulate(m, 3_000, seed=4, burn_in=900, block=701)
+    assert fast.data.flags.c_contiguous and fast.data.shape == (2, 3_000)
+    np.testing.assert_allclose(fast.data, slow.data, rtol=0, atol=1e-9)
+
+
 def test_two_node_covariance_matches_lyapunov_oracle():
     # frozen from the discrete Lyapunov solve P = B P B' + I for this model
     expected_r0 = np.array([[1.30208333, 0.0], [0.0, 1.20833333]])

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,13 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from treespect.errors import DataError
-from treespect.panel import TimeSeriesPanel, load_panel, save_panel
+from treespect.panel import (
+    TimeSeriesPanel,
+    load_panel,
+    load_panel_binary,
+    save_panel,
+    save_panel_binary,
+)
 
 
 def make_panel(n=3, t=50, seed=0):
@@ -51,3 +59,22 @@ def test_csv_size_limit(tmp_path):
     big = TimeSeriesPanel(np.zeros((2, 6 * 10**6)), ["a", "b"])
     with pytest.raises(DataError):
         save_panel(big, tmp_path / "p.csv", "csv")
+
+
+def test_binary_io_copies_at_most_once(tmp_path):
+    # saving streams the array's own buffer; loading fills one preallocated
+    # array, plus the 1/8-size finiteness mask of the panel check
+    panel = TimeSeriesPanel(np.ones((7, 10**6)), [f"n{i}" for i in range(7)])
+    path = tmp_path / "p.bin"
+    tracemalloc.start()
+    try:
+        save_panel_binary(panel, path)
+        save_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        back = load_panel_binary(path)
+        load_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back.data, panel.data)
+    assert save_peak < 0.25 * panel.data.nbytes
+    assert load_peak < 1.25 * panel.data.nbytes

@@ -114,6 +114,30 @@ def test_matches_scipy_csd():
     np.testing.assert_allclose(pxy[order], mine.entry(0, 1), rtol=0, atol=1e-12)
 
 
+def test_matches_scipy_csd_across_chunks():
+    # at n=3, L=4096 the ~64 MB workspace bound gives chunks of 682
+    # segments; 800 segments make one full chunk and one partial chunk
+    n, L = 3, 4096
+    params = WelchParams(segment_length=L)
+    t = L + 799 * params.hop
+    assert params.segment_count(t) == 800
+    panel = white_panel(n=n, t=t, seed=13)
+    offset = np.array([[-3.0], [0.5], [7.0]])  # one mean per record, not per chunk
+    panel = panel.with_channels(panel.data + offset)
+    mine = estimate_cpsd(panel, params)
+    x = panel.data - panel.data.mean(axis=1, keepdims=True)
+    tol = 1e-12 * np.abs(mine.values).max()
+    for i in range(n):
+        for j in range(i, n):
+            f, pxy = csd(
+                x[j], x[i], fs=1.0, window="hann", nperseg=L, noverlap=L // 2,
+                detrend=False, return_onesided=False, scaling="density",
+            )
+            w = 2 * np.pi * f
+            order = np.argsort(np.where(w <= -np.pi + 1e-12, w + 2 * np.pi, w))
+            np.testing.assert_allclose(pxy[order], mine.entry(i, j), rtol=0, atol=tol)
+
+
 def test_too_short_panel_rejected():
     with pytest.raises(DataError):
         estimate_cpsd(white_panel(t=900), WelchParams(segment_length=256))
