@@ -152,9 +152,6 @@ class CorruptionSignature:
     def trivial(cls, grid: FrequencyGrid) -> "CorruptionSignature":
         return cls(grid, np.ones(grid.size, dtype=complex), np.zeros(grid.size))
 
-    def is_trivial(self) -> bool:
-        return bool(np.all(self.h == 1.0) and np.all(self.d == 0.0))
-
 
 def estimate_signature(
     clean: np.ndarray, corrupt: np.ndarray, params: WelchParams

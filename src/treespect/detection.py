@@ -13,7 +13,7 @@ one means leaf, and that single edge is a true edge of the tree.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -88,25 +88,31 @@ def infer_support_graph(inv: SpectralMatrix, params: EdgeDecisionParams) -> Undi
 def phase_nonconstancy_score(
     inv: SpectralMatrix, i: int, j: int, params: EdgeDecisionParams
 ) -> float:
-    """Magnitude-weighted circular standard deviation of the entry's phase.
+    """Magnitude-weighted circular standard deviation of the entry's phase
+    over the two-sided band.
 
     Zero for constant phase; a negative real entry also scores zero (its
     phase is a constant pi).  Only frequencies that carry magnitude (above
     the floor quantile) and sit away from the band edges enter; phase
-    elsewhere is estimation noise.
+    elsewhere is estimation noise.  Each stored bin enters the magnitude
+    floor and the resultant as often as the two-sided spectrum holds it
+    (`grid.multiplicity`).  A bin and its conjugate at -omega cancel in
+    imaginary part, so the resultant |sum |K| e^{i theta}| / sum |K|
+    reduces to |sum Re K| / sum |K|.
     """
     entry = inv.entry(i, j)
     usable = ~inv.flagged
+    mult = inv.grid.multiplicity
     mag = np.abs(entry)
-    floor = np.quantile(mag[usable], params.magnitude_floor_quantile)
+    floor = np.quantile(np.repeat(mag[usable], mult[usable]), params.magnitude_floor_quantile)
     admissible = usable & inv.grid.interior_mask(params.band_edge_bins) & (mag >= floor)
     if not admissible.any():
         raise NumericalError(f"no admissible frequencies for entry ({i},{j})")
-    w = mag[admissible]
-    total = w.sum()
+    m = mult[admissible]
+    total = np.sum(m * mag[admissible])
     if total <= 0:
         return 0.0
-    resultant = np.abs(np.sum(w * np.exp(1j * np.angle(entry[admissible])))) / total
+    resultant = abs(np.sum(m * entry[admissible].real)) / total
     resultant = min(max(resultant, 1e-300), 1.0)
     return float(np.sqrt(-2.0 * np.log(resultant)))
 
@@ -123,11 +129,7 @@ class DetectionReport:
     evidence: dict[int, tuple[tuple[int, float, str], ...]]
     diagnostics: tuple[Diagnostic, ...]
     labels: tuple[str, ...]
-    edge_scores: dict[Edge, float] = None  # type: ignore[assignment]
-
-    def __post_init__(self):
-        if self.edge_scores is None:
-            object.__setattr__(self, "edge_scores", {})
+    edge_scores: dict[Edge, float] = field(default_factory=dict)
 
     @property
     def observed(self) -> frozenset[int]:

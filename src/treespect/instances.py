@@ -31,7 +31,7 @@ from .graphs import (
     moral_graph,
     perturbed_graph,
 )
-from .ltisim import GenerativeModel
+from .ltisim import GenerativeModel, spectral_radius
 # analytic_corrupted_psd stays importable here: benchmark/layers.py wraps it
 from .oracles import (  # noqa: F401
     analytic_corrupted_psd,
@@ -125,13 +125,7 @@ def draw_model(rng: np.random.Generator, tree: UndirectedGraph, ar: bool = False
     )
     sigma = rng.uniform(0.5, 2.0, size=n)
 
-    probe = object.__new__(GenerativeModel)
-    object.__setattr__(probe, "topology", tree)
-    object.__setattr__(probe, "coupling", coupling)
-    object.__setattr__(probe, "self_dynamics", dyn)
-    object.__setattr__(probe, "noise_variance", sigma)
-    object.__setattr__(probe, "labels", tuple(str(i + 1) for i in range(n)))
-    rho = probe.spectral_radius()
+    rho = spectral_radius(tree, coupling, dyn)
     scale = TARGET_RADIUS / max(rho, TARGET_RADIUS)
     coupling = {key: v * scale for key, v in coupling.items()}
     dyn = tuple(tuple(a * scale for a in c) for c in dyn)

@@ -31,6 +31,44 @@ STABILITY_MARGIN = 1e-3
 DEFAULT_BURN_IN = 10_000
 
 
+def _companion(
+    topology: UndirectedGraph,
+    coupling: Mapping[tuple[int, int], float],
+    self_dynamics: Sequence[Sequence[float]],
+) -> np.ndarray:
+    """Companion matrix of the equivalent vector autoregression.
+
+    Its lag matrices A_k, k=1..p, hold the self terms at their own lag and
+    the coupling on row i at lag m_i (the degree of S_i), which reproduces
+    S_i x_i = sum b_ij x_j + w_i up to a statistically irrelevant time
+    shift of the white noise.
+    """
+    n, p = topology.node_count, max(len(c) for c in self_dynamics)
+    A = np.zeros((p, n, n))
+    for i, coeffs in enumerate(self_dynamics):
+        m = len(coeffs)
+        for k, a in enumerate(coeffs, start=1):
+            A[k - 1, i, i] = a
+        for j in topology.neighbors(i):
+            A[m - 1, i, j] = coupling[(i, j)]
+    C = np.zeros((n * p, n * p))
+    C[:n] = A.transpose(1, 0, 2).reshape(n, n * p)
+    if p > 1:
+        C[n:, :-n] = np.eye(n * (p - 1))
+    return C
+
+
+def spectral_radius(
+    topology: UndirectedGraph,
+    coupling: Mapping[tuple[int, int], float],
+    self_dynamics: Sequence[Sequence[float]],
+) -> float:
+    """Largest eigenvalue magnitude of the system's companion matrix; the
+    system is stable when it is below 1."""
+    C = _companion(topology, coupling, self_dynamics)
+    return float(np.max(np.abs(np.linalg.eigvals(C))))
+
+
 @dataclass(frozen=True)
 class GenerativeModel:
     """Tree-structured (or more generally sparse) bidirectional LTI system."""
@@ -65,7 +103,7 @@ class GenerativeModel:
             raise DataError("coupling keys must be exactly the directed edge pairs")
         if any(v == 0.0 for v in self.coupling.values()):
             raise DataError("couplings on edges must be nonzero")
-        rho = self.spectral_radius()
+        rho = spectral_radius(self.topology, self.coupling, self.self_dynamics)
         if rho > 1.0 - STABILITY_MARGIN:
             raise NumericalError(
                 f"model unstable or too close to marginal (spectral radius {rho:.6f})"
@@ -75,38 +113,8 @@ class GenerativeModel:
     def n_nodes(self) -> int:
         return self.topology.node_count
 
-    @property
-    def order(self) -> int:
-        return max(len(c) for c in self.self_dynamics)
-
-    def lag_matrices(self) -> np.ndarray:
-        """A_k, k=1..p, of the equivalent vector autoregression.
-
-        Self terms sit at their own lag; the coupling on row i enters at lag
-        m_i (the degree of S_i), which reproduces S_i x_i = sum b_ij x_j + w_i
-        up to a statistically irrelevant time shift of the white noise.
-        """
-        n, p = self.n_nodes, self.order
-        A = np.zeros((p, n, n))
-        for i, coeffs in enumerate(self.self_dynamics):
-            m = len(coeffs)
-            for k, a in enumerate(coeffs, start=1):
-                A[k - 1, i, i] = a
-            for j in self.topology.neighbors(i):
-                A[m - 1, i, j] = self.coupling[(i, j)]
-        return A
-
     def companion_matrix(self) -> np.ndarray:
-        n, p = self.n_nodes, self.order
-        A = self.lag_matrices()
-        C = np.zeros((n * p, n * p))
-        C[:n] = A.transpose(1, 0, 2).reshape(n, n * p)
-        if p > 1:
-            C[n:, :-n] = np.eye(n * (p - 1))
-        return C
-
-    def spectral_radius(self) -> float:
-        return float(np.max(np.abs(np.linalg.eigvals(self.companion_matrix()))))
+        return _companion(self.topology, self.coupling, self.self_dynamics)
 
     @cached_property
     def state_covariance(self) -> np.ndarray:
@@ -340,11 +348,6 @@ def model_from_dict(payload: Mapping) -> GenerativeModel:
         raise DataError(f"malformed model description: {exc}") from exc
     topo = UndirectedGraph.from_edges(n, edges)
     return GenerativeModel(topo, coupling, dynamics, sigma, tuple(labels))
-
-
-def save_model(model: GenerativeModel, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(model_to_dict(model), fh, indent=2, sort_keys=True)
 
 
 def load_model(path) -> GenerativeModel:

@@ -104,7 +104,7 @@ def true_edges_by_separation(
 def _alignment_trials(
     theta_i: frozenset[int],
     theta_j: frozenset[int],
-    comp_adj: dict[int, set[int]],
+    comp_adj: dict[int, frozenset[int]],
     corrupt: Sequence[int],
     perturbed: UndirectedGraph,
     inv_full: SpectralMatrix,
@@ -143,7 +143,6 @@ def place_corrupt_nodes(
     perturbed: UndirectedGraph,
     inv_full: SpectralMatrix,
     params: EdgeDecisionParams,
-    t_m: UndirectedGraph | None = None,
 ) -> TopologyEstimate:
     """Reconnect the pruned components through the corrupt nodes.
 
@@ -158,7 +157,6 @@ def place_corrupt_nodes(
     etree = UndirectedGraph(n, true_edges)
     comps = connected_components(etree, within=observed)
     comp_adj = {v: etree.neighbors(v) for v in observed}
-    comp_adj = {v: set(nb) for v, nb in comp_adj.items()}
 
     diagnostics: list[Diagnostic] = []
     for comp in comps:
@@ -246,7 +244,7 @@ def place_corrupt_nodes(
         graph=graph,
         provenance=provenance,
         components_before_placement=tuple(comps),
-        observed_support=t_m if t_m is not None else etree,
+        observed_support=etree,
         diagnostics=tuple(diagnostics),
         labels=inv_full.labels,
         placements=tuple(trials),
@@ -274,7 +272,7 @@ def hide_and_learn(
     t_m = observed_support_graph(inv_full, corrupt, params)
     etree = true_edges_by_separation(t_m, observed, report.leaves, report.leaf_edges)
     estimate = place_corrupt_nodes(
-        etree, observed, corrupt, report.support_graph, inv_full, params, t_m=t_m
+        etree, observed, corrupt, report.support_graph, inv_full, params
     )
     provenance = dict(estimate.provenance)
     for e in report.leaf_edges:

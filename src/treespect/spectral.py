@@ -1,10 +1,12 @@
 """Frequency grids, spectral matrices, Welch cross-PSD estimation and
 per-frequency matrix inversion.
 
-Conventions: unit sample interval, angular frequencies in (-pi, pi], and
-cross-spectra defined as the transform of E[x_i[n+k] x_j[n]] so that the
-matrix at each frequency is Hermitian and, for a stable system, positive
-definite.
+Conventions: unit sample interval, and cross-spectra defined as the
+transform of E[x_i[n+k] x_j[n]] so that the matrix at each frequency is
+Hermitian and, for a stable system, positive definite.  The processes are
+real-valued, so the matrix at -omega is the conjugate of the one at omega:
+a spectrum is stored once, on angular frequencies in [0, pi], and its
+negative half is implied.
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ SPECTRA_MAGIC = b"RTSM"
 
 @dataclass(frozen=True)
 class FrequencyGrid:
-    """Strictly increasing angular frequencies in (-pi, pi]."""
+    """Strictly increasing angular frequencies in [0, pi], one half of a
+    spectrum whose other half, at -omega, is the conjugate."""
 
     frequencies: np.ndarray
 
@@ -38,20 +41,15 @@ class FrequencyGrid:
             raise DataError("frequency grid needs at least 8 points")
         if np.any(np.diff(freqs) <= 0):
             raise DataError("frequencies must be strictly increasing")
-        if freqs[0] <= -np.pi - 1e-12 or freqs[-1] > np.pi + 1e-12:
-            raise DataError("frequencies must lie in (-pi, pi]")
-        interior = freqs[(np.abs(freqs) > 1e-12) & (freqs < np.pi - 1e-12)]
-        have = set(np.round(freqs, 12))
-        if any(round(-w, 12) not in have for w in interior):
-            raise DataError("frequency grid is not closed under negation")
+        if freqs[0] < -1e-12 or freqs[-1] > np.pi + 1e-12:
+            raise DataError("frequencies must lie in [0, pi]")
 
     @classmethod
     def welch_bins(cls, segment_length: int) -> "FrequencyGrid":
-        """DFT bin frequencies of a length-L segment, mapped into (-pi, pi]."""
+        """DFT bin frequencies 2 pi k / L, k = 0..L/2, of a length-L segment."""
         if segment_length < 16 or segment_length % 2:
             raise DataError("segment length must be even and >= 16")
-        half = segment_length // 2
-        k = np.arange(-(half - 1), half + 1)
+        k = np.arange(segment_length // 2 + 1)
         return cls(2.0 * np.pi * k / segment_length)
 
     @property
@@ -62,11 +60,18 @@ class FrequencyGrid:
     def spacing(self) -> float:
         return float(np.median(np.diff(self.frequencies)))
 
+    @property
+    def multiplicity(self) -> np.ndarray:
+        """How often each bin occurs in the two-sided spectrum on (-pi, pi]:
+        once at omega = 0 and omega = pi, twice (as +-omega) elsewhere."""
+        w = self.frequencies
+        return np.where((w < 1e-12) | (w > np.pi - 1e-12), 1, 2)
+
     def interior_mask(self, edge_bins: int = 2) -> np.ndarray:
-        """True away from omega = 0 and omega = +-pi, where real-valued data
+        """True away from omega = 0 and omega = pi, where real-valued data
         pins the phase and phase tests lose power."""
         margin = edge_bins * self.spacing + 1e-12
-        w = np.abs(self.frequencies)
+        w = self.frequencies
         return (w > margin) & (w < np.pi - margin)
 
     def close_to(self, other: "FrequencyGrid") -> bool:
@@ -77,7 +82,8 @@ class FrequencyGrid:
 
 @dataclass(frozen=True)
 class SpectralMatrix:
-    """Per-frequency N x N complex matrix field over a grid.
+    """Per-frequency N x N complex matrix field over a half grid; the
+    matrix at -omega is the conjugate of the one at omega.
 
     `flagged` marks frequencies that downstream decisions must skip
     (e.g. inversion exceeded the conditioning cap there).
@@ -120,12 +126,6 @@ class SpectralMatrix:
             self.grid, vals, [self.labels[i] for i in idx], self.flagged.copy()
         )
 
-    def hermitian_error(self) -> float:
-        """Max over frequencies of ||M - M*||_F / ||M||_F."""
-        diff = np.linalg.norm(self.values - np.conj(np.swapaxes(self.values, 1, 2)), axis=(1, 2))
-        norm = np.linalg.norm(self.values, axis=(1, 2))
-        return float(np.max(diff / np.maximum(norm, 1e-300)))
-
 
 @dataclass(frozen=True)
 class WelchParams:
@@ -159,7 +159,8 @@ def estimate_cpsd(panel: TimeSeriesPanel, params: WelchParams) -> SpectralMatrix
     Segments are strided views of the panel, demeaned and windowed one
     chunk at a time, transformed once per channel, and averaged as per-bin
     outer products F_k F_k^H, so the estimate is Hermitian by construction.
-    Output lives on the symmetric DFT-bin grid of the segment length.
+    The real FFT gives bins k = 0..L/2, which is the whole spectrum: the
+    bins at -omega are the conjugates.
     """
     n, t = panel.data.shape
     L = params.segment_length
@@ -183,13 +184,7 @@ def estimate_cpsd(panel: TimeSeriesPanel, params: WelchParams) -> SpectralMatrix
         F = np.fft.rfft(seg, axis=-1).transpose(2, 0, 1)
         acc += F @ np.conj(F).transpose(0, 2, 1)
     acc *= scale
-
-    grid = FrequencyGrid.welch_bins(L)
-    values = np.empty((L, n, n), dtype=np.complex128)
-    # grid order: k = -(L/2-1) .. L/2 ; negative bins are conjugate mirrors
-    values[half - 1:] = acc
-    values[:half - 1] = np.conj(acc[half - 1:0:-1])
-    return SpectralMatrix(grid, values, panel.labels)
+    return SpectralMatrix(FrequencyGrid.welch_bins(L), acc, panel.labels)
 
 
 def invert_spectrum(

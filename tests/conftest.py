@@ -50,6 +50,18 @@ def one_step_inverse(model, sigs, node, grid):
     return woodbury_chain_inverse(model, zeroed, grid)[0]
 
 
+def two_sided(s):
+    """Frequencies, values and flags of the half spectrum `s` mirrored by
+    conjugation onto the two-sided grid (-pi, pi]."""
+    h = s.grid.size - 1
+    w = s.grid.frequencies
+    return (
+        np.concatenate([-w[h - 1:0:-1], w]),
+        np.concatenate([np.conj(s.values[h - 1:0:-1]), s.values]),
+        np.concatenate([s.flagged[h - 1:0:-1], s.flagged]),
+    )
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

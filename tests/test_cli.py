@@ -9,6 +9,8 @@ from treespect.instances import chain7_model
 from treespect.ltisim import model_to_dict
 from treespect.panel import TimeSeriesPanel, load_panel, save_panel
 
+from conftest import two_sided
+
 # small, fast, threshold-tuned experiment: clean 7-chain, short record
 TINY = {
     "model": model_to_dict(chain7_model()),
@@ -137,6 +139,33 @@ def test_truncated_spectra_exits_3(tmp_path, capsys):
         spectra.write_bytes(full[:size])
         assert main(["detect", "--config", str(cfg), "--out", str(out)]) == 3
         assert "truncated" in capsys.readouterr().err
+
+
+def test_two_sided_spectra_file_exits_3(tmp_path, capsys):
+    # an RTSM file in the earlier layout, holding both halves of the grid
+    import struct
+
+    from treespect.spectral import load_spectra_binary
+
+    cfg = write_tiny(tmp_path, trajectory_length=20_000, burn_in=100)
+    out = tmp_path / "run"
+    for stage in ("simulate", "corrupt", "spectra"):
+        assert main([stage, "--config", str(cfg), "--out", str(out)]) == 0
+    spectra = out / "spectra_corrupt.rtsm"
+    half = load_spectra_binary(spectra)
+    freqs, values, flagged = two_sided(half)
+    blob = json.dumps(list(half.labels)).encode()
+    spectra.write_bytes(
+        b"RTSM"
+        + struct.pack("<QQI", freqs.size, half.n_nodes, len(blob))
+        + blob
+        + freqs.astype("<f8").tobytes()
+        + flagged.astype("u1").tobytes()
+        + values.astype("<c16").tobytes()
+    )
+    assert main(["detect", "--config", str(cfg), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "[0, pi]" in err and "Traceback" not in err
 
 
 def test_truncated_panel_exits_3(tmp_path, capsys):

@@ -166,6 +166,6 @@ def test_different_seeds_same_signature(chain_panel):
 def test_signature_validation_and_csv():
     grid = FrequencyGrid.welch_bins(16)
     with pytest.raises(DataError):
-        CorruptionSignature(grid, np.ones(16), -np.ones(16))
+        CorruptionSignature(grid, np.ones(grid.size), -np.ones(grid.size))
     sig = CorruptionSignature.trivial(grid)
-    assert sig.is_trivial()
+    assert np.all(sig.h == 1.0) and np.all(sig.d == 0.0)

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from treespect.corruption import apply_corruption
 from treespect.detection import (
     ANALYTIC_DECISION,
     EdgeDecisionParams,
@@ -16,9 +17,17 @@ from treespect.detection import (
 from treespect.errors import DataError
 from treespect.graphs import UndirectedGraph, moral_graph, perturbed_graph
 from treespect.instances import chain7_corruption, chain7_model, random_instance
-from treespect.ltisim import GenerativeModel, analytic_inverse_psd
+from treespect.ltisim import GenerativeModel, analytic_inverse_psd, simulate
 from treespect.oracles import analytic_corrupted_psd, analytic_signatures
-from treespect.spectral import FrequencyGrid, SpectralMatrix, invert_spectrum
+from treespect.spectral import (
+    FrequencyGrid,
+    SpectralMatrix,
+    WelchParams,
+    estimate_cpsd,
+    invert_spectrum,
+)
+
+from conftest import two_sided
 
 GRID = FrequencyGrid.welch_bins(256)
 
@@ -94,6 +103,54 @@ def test_negative_real_constant_scores_zero():
     vals[:, 0, 1] = vals[:, 1, 0] = -0.5 * np.linspace(1.0, 1.5, GRID.size)
     s = SpectralMatrix(GRID, vals, ["a", "b"])
     assert phase_nonconstancy_score(s, 0, 1, ANALYTIC_DECISION) < 1e-9
+
+
+def _two_sided_floor_and_resultant(inv, i, j, params):
+    """Magnitude floor and phase resultant as defined on the two-sided grid
+    (-pi, pi], from the half spectrum mirrored by conjugation."""
+    w, values, flagged = two_sided(inv)
+    entry, usable = values[:, i, j], ~flagged
+    mag = np.abs(entry)
+    floor = np.quantile(mag[usable], params.magnitude_floor_quantile)
+    margin = params.band_edge_bins * inv.grid.spacing + 1e-12
+    interior = (np.abs(w) > margin) & (np.abs(w) < np.pi - margin)
+    admissible = usable & interior & (mag >= floor)
+    wt = mag[admissible]
+    resultant = np.abs(np.sum(wt * np.exp(1j * np.angle(entry[admissible])))) / wt.sum()
+    return floor, min(resultant, 1.0)
+
+
+@pytest.fixture(scope="module")
+def welch_chain_inverse():
+    model = chain7_model()
+    panel = apply_corruption(simulate(model, 200_000, seed=3), chain7_corruption(), seed=3)
+    return invert_spectrum(estimate_cpsd(panel, WelchParams(segment_length=256)))
+
+
+@pytest.mark.parametrize("source", ["welch", "analytic", "analytic_flagged"])
+def test_half_grid_score_equals_two_sided_formula(source, chain_inverse, welch_chain_inverse):
+    if source == "welch":
+        inv, params = welch_chain_inverse, EdgeDecisionParams()
+    else:
+        inv, params = chain_inverse, ANALYTIC_DECISION
+    if source == "analytic_flagged":  # flags at 0, pi and one interior bin
+        flagged = np.zeros(GRID.size, dtype=bool)
+        flagged[[0, 40, GRID.size - 1]] = True
+        inv = SpectralMatrix(GRID, inv.values, inv.labels, flagged)
+    usable = ~inv.flagged
+    mult = inv.grid.multiplicity
+    for i, j in sorted(detect(inv, params).support_graph.edges):
+        floor, resultant = _two_sided_floor_and_resultant(inv, i, j, params)
+        mag = np.abs(inv.entry(i, j))
+        half_floor = np.quantile(np.repeat(mag[usable], mult[usable]), params.magnitude_floor_quantile)
+        assert half_floor == floor
+        score = phase_nonconstancy_score(inv, i, j, params)
+        # the resultant lives in [0, 1]; the score sqrt(-2 log R) amplifies
+        # rounding where R sits within rounding noise of 0 or 1
+        assert np.exp(-score**2 / 2) == pytest.approx(resultant, rel=1e-12, abs=1e-12)
+        if 1e-9 < resultant < 1 - 1e-9:
+            old = np.sqrt(-2.0 * np.log(resultant))
+            assert score == pytest.approx(old, rel=1e-12, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -37,9 +37,12 @@ def chain3_model(b01=0.6, b10=0.4, b12=0.5, b21=0.7):
 
 def test_welch_bins_grid_symmetric():
     grid = FrequencyGrid.welch_bins(64)
-    assert grid.size == 64
+    assert grid.size == 33
     assert grid.frequencies[-1] == pytest.approx(np.pi)
-    assert grid.frequencies[0] == pytest.approx(-np.pi + 2 * np.pi / 64)
+    assert grid.frequencies[0] == 0.0
+    # the implied negative half: every bin but 0 and pi occurs twice in (-pi, pi]
+    np.testing.assert_array_equal(grid.multiplicity, [1] + [2] * 31 + [1])
+    assert grid.multiplicity.sum() == 64
 
 
 def test_grid_validation():
@@ -47,8 +50,8 @@ def test_grid_validation():
         FrequencyGrid(np.linspace(0.1, 1.0, 4))
     with pytest.raises(DataError):
         FrequencyGrid(np.linspace(-4.0, 4.0, 32))
-    with pytest.raises(DataError):
-        FrequencyGrid(np.linspace(0.1, 3.0, 16))
+    with pytest.raises(DataError):  # a two-sided grid
+        FrequencyGrid(2 * np.pi * np.arange(-7, 9) / 16)
 
 
 def test_interior_mask_excludes_band_edges():
@@ -84,18 +87,25 @@ def test_autospectrum_real_nonnegative():
 
 def test_hermitian_by_construction():
     s = estimate_cpsd(white_panel(), WelchParams(segment_length=128))
-    assert s.hermitian_error() < 1e-14
+    gap = np.linalg.norm(s.values - np.conj(np.swapaxes(s.values, 1, 2)), axis=(1, 2))
+    assert np.max(gap / np.linalg.norm(s.values, axis=(1, 2))) < 1e-14
 
 
 def test_conjugate_symmetry_across_zero():
-    s = estimate_cpsd(white_panel(), WelchParams(segment_length=128))
-    w = s.grid.frequencies
-    for wi, freq in enumerate(w):
-        if 1e-9 < freq < np.pi - 1e-9:
-            neg = int(np.argmin(np.abs(w + freq)))
-            np.testing.assert_allclose(
-                s.values[neg], np.conj(s.values[wi]), rtol=0, atol=1e-12
-            )
+    # the two-sided estimate holds the stored half at omega >= 0 and its
+    # conjugate at -omega, so the half grid loses nothing
+    panel = white_panel(n=2, t=30_000, seed=11)
+    L = 128
+    mine = estimate_cpsd(panel, WelchParams(segment_length=L)).entry(0, 1)
+    x = panel.data - panel.data.mean(axis=1, keepdims=True)
+    f, pxy = csd(
+        x[1], x[0], fs=1.0, window="hann", nperseg=L, noverlap=L // 2,
+        detrend=False, return_onesided=False, scaling="density",
+    )
+    k = np.rint(f * L).astype(int)  # 0..L/2-1, then -L/2..-1
+    np.testing.assert_allclose(pxy[k >= 0], mine[:L // 2], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(pxy[k == -L // 2], mine[L // 2], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(pxy[k < 0][1:], np.conj(mine[L // 2 - 1:0:-1]), rtol=0, atol=1e-12)
 
 
 def test_matches_scipy_csd():
@@ -104,14 +114,16 @@ def test_matches_scipy_csd():
     mine = estimate_cpsd(panel, WelchParams(segment_length=L))
     x = panel.data - panel.data.mean(axis=1, keepdims=True)
     # our convention transforms E[x_i[n+k] x_j[n]], which is scipy's csd with
-    # the argument order swapped
+    # the argument order swapped; scipy's one-sided density counts each bin
+    # as often as the two-sided spectrum holds it
     f, pxy = csd(
         x[1], x[0], fs=1.0, window="hann", nperseg=L, noverlap=L // 2,
-        detrend=False, return_onesided=False, scaling="density",
+        detrend=False, return_onesided=True, scaling="density",
     )
-    w = 2 * np.pi * f
-    order = np.argsort(np.where(w <= -np.pi + 1e-12, w + 2 * np.pi, w))
-    np.testing.assert_allclose(pxy[order], mine.entry(0, 1), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(2 * np.pi * f, mine.grid.frequencies, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(
+        pxy / mine.grid.multiplicity, mine.entry(0, 1), rtol=0, atol=1e-12
+    )
 
 
 def test_matches_scipy_csd_across_chunks():
@@ -129,13 +141,13 @@ def test_matches_scipy_csd_across_chunks():
     tol = 1e-12 * np.abs(mine.values).max()
     for i in range(n):
         for j in range(i, n):
-            f, pxy = csd(
+            _, pxy = csd(
                 x[j], x[i], fs=1.0, window="hann", nperseg=L, noverlap=L // 2,
-                detrend=False, return_onesided=False, scaling="density",
+                detrend=False, return_onesided=True, scaling="density",
             )
-            w = 2 * np.pi * f
-            order = np.argsort(np.where(w <= -np.pi + 1e-12, w + 2 * np.pi, w))
-            np.testing.assert_allclose(pxy[order], mine.entry(i, j), rtol=0, atol=tol)
+            np.testing.assert_allclose(
+                pxy / mine.grid.multiplicity, mine.entry(i, j), rtol=0, atol=tol
+            )
 
 
 def test_too_short_panel_rejected():
@@ -175,10 +187,10 @@ def test_estimate_error_shrinks_with_t():
 
 
 # ---------------------------------------------------------------------------
-# inversion
+# inversion (on 30-sample segments: 16 bins, k = 0..15)
 
 def test_invert_identity():
-    grid = FrequencyGrid.welch_bins(16)
+    grid = FrequencyGrid.welch_bins(30)
     eye = np.broadcast_to(np.eye(3), (16, 3, 3)).astype(complex)
     s = SpectralMatrix(grid, eye.copy(), ["a", "b", "c"])
     inv = invert_spectrum(s)
@@ -186,7 +198,7 @@ def test_invert_identity():
 
 
 def test_invert_diagonal_reciprocal():
-    grid = FrequencyGrid.welch_bins(16)
+    grid = FrequencyGrid.welch_bins(30)
     d = np.linspace(0.5, 2.0, 16)
     vals = np.einsum("f,ij->fij", d, np.eye(2)).astype(complex)
     inv = invert_spectrum(SpectralMatrix(grid, vals, ["a", "b"]))
@@ -194,7 +206,7 @@ def test_invert_diagonal_reciprocal():
 
 
 def test_singular_frequencies_flagged():
-    grid = FrequencyGrid.welch_bins(16)
+    grid = FrequencyGrid.welch_bins(30)
     vals = np.broadcast_to(np.eye(2), (16, 2, 2)).astype(complex).copy()
     vals[3] = 0.0
     inv = invert_spectrum(SpectralMatrix(grid, vals, ["a", "b"]))
@@ -203,7 +215,7 @@ def test_singular_frequencies_flagged():
 
 
 def test_all_singular_raises():
-    grid = FrequencyGrid.welch_bins(16)
+    grid = FrequencyGrid.welch_bins(30)
     vals = np.zeros((16, 2, 2), dtype=complex)
     with pytest.raises(NumericalError):
         invert_spectrum(SpectralMatrix(grid, vals, ["a", "b"]))
@@ -220,7 +232,7 @@ def test_conditioning_flags_match_svd_reference(cond_cap):
     # eigenvalue-based conditioning must flag exactly the bins an SVD
     # condition number would, right at the cap and with or without a ridge
     rng = np.random.default_rng(11)
-    grid = FrequencyGrid.welch_bins(16)
+    grid = FrequencyGrid.welch_bins(30)
     vals = np.empty((16, 4, 4), dtype=complex)
     for f in range(14):
         target = cond_cap * (1 + 1e-3 if f % 2 else 1 - 1e-3)
@@ -275,7 +287,7 @@ def test_marginal_matches_dense_submatrix_inverse(n, k, ridge):
     from treespect.instances import draw_delay_spec, draw_model, tree_with_deep_nodes
     from treespect.oracles import analytic_corrupted_psd, analytic_signatures
 
-    grid = FrequencyGrid.welch_bins(64)
+    grid = FrequencyGrid.welch_bins(128)
     rng = np.random.default_rng(100 + n)
     for _ in range(2):
         tree, marked = tree_with_deep_nodes(rng, n, k)
