@@ -4,14 +4,19 @@ stage: support graph, candidate set, corrupt/leaf split, marginal support,
 separation pruning, and placement.
 
     python scripts/run_chain7.py --samples 10000000 --out out/chain7
+
+A failed run prints `error: <message>` and exits with the library's code:
+2 config, 3 data, 4 numerical, 5 assumption violation.
 """
 
 import argparse
+import sys
 import time
 from pathlib import Path
 
 from treespect.corruption import apply_corruption
 from treespect.detection import EdgeDecisionParams, detect, report_to_dot, report_to_json
+from treespect.errors import TreespectError
 from treespect.instances import chain7_corruption, chain7_model
 from treespect.ltisim import simulate
 from treespect.reconstruction import (
@@ -71,4 +76,8 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+    except TreespectError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(exc.exit_code)

@@ -4,23 +4,26 @@ analytic and finite-sample, plus a negative-control batch that violates the
 3-hop placement rule.
 
     python scripts/run_sweep.py --instances 20 --out out/sweep
+
+Exits with the first nonzero exit code of its two `treespect sweep` runs.
 """
 
 import argparse
 import json
+import sys
 from pathlib import Path
 
 from treespect.cli import main as cli_main
 
 
-def main() -> None:
+def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--instances", type=int, default=20)
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--threads", type=int, default=1)
     ap.add_argument("--trajectories", nargs="+", default=["analytic", "100000", "1000000"])
     ap.add_argument("--out", type=Path, default=Path("out/sweep"))
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
     args.out.mkdir(parents=True, exist_ok=True)
 
     trajectories = [t if t == "analytic" else int(t) for t in args.trajectories]
@@ -35,17 +38,19 @@ def main() -> None:
     cfg = args.out / "sweep_config.json"
     cfg.write_text(json.dumps(base, indent=2))
     print("== assumption-satisfying instances ==")
-    cli_main(["sweep", "--config", str(cfg), "--out", str(args.out / "main"),
-              "--threads", str(args.threads)])
+    code = cli_main(["sweep", "--config", str(cfg), "--out", str(args.out / "main"),
+                     "--threads", str(args.threads)])
 
     negative = dict(base, instances=max(4, args.instances // 4),
                     violate_assumption=True, trajectories=["analytic"])
     ncfg = args.out / "sweep_negative_config.json"
     ncfg.write_text(json.dumps(negative, indent=2))
     print("== negative controls (corrupt nodes two hops apart) ==")
-    cli_main(["sweep", "--config", str(ncfg), "--out", str(args.out / "negative"),
-              "--threads", str(args.threads)])
+    negative_code = cli_main(["sweep", "--config", str(ncfg),
+                              "--out", str(args.out / "negative"),
+                              "--threads", str(args.threads)])
+    return code or negative_code
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

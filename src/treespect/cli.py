@@ -21,11 +21,16 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ExperimentConfig, load_config, sha256_file
+from .config import (
+    ExperimentConfig,
+    load_config,
+    refuse_unknown_keys,
+    sha256_file,
+    welch_and_decision,
+)
 from .corruption import apply_corruption
 from .detection import (
     ANALYTIC_DECISION,
-    EdgeDecisionParams,
     detect,
     report_from_dict,
     report_to_dot,
@@ -39,7 +44,6 @@ from .panel import load_panel, save_panel
 from .reconstruction import estimate_to_dot, estimate_to_json, hide_and_learn
 from .spectral import (
     FrequencyGrid,
-    WelchParams,
     estimate_cpsd,
     invert_spectrum,
     load_spectra_binary,
@@ -118,7 +122,7 @@ def stage_spectra(cfg: ExperimentConfig, out: Path) -> list[Path]:
 def stage_detect(cfg: ExperimentConfig, out: Path) -> list[Path]:
     src = _require(out / SPECTRA, "treespect spectra")
     spectra = load_spectra_binary(src)
-    inverse = invert_spectrum(spectra, cfg.ridge)
+    inverse = invert_spectrum(spectra)
     report = detect(inverse, cfg.decision)
     jpath = out / DETECTION_JSON
     jpath.write_text(report_to_json(report))
@@ -140,7 +144,7 @@ def stage_learn(cfg: ExperimentConfig, out: Path) -> list[Path]:
     except json.JSONDecodeError as exc:
         raise DataError(f"{rpath.name} is not valid JSON: {exc}") from exc
     report = report_from_dict(payload, spectra.labels)
-    estimate = hide_and_learn(spectra, report, cfg.decision, cfg.ridge)
+    estimate = hide_and_learn(spectra, report, cfg.decision)
     jpath = out / TOPOLOGY_JSON
     jpath.write_text(estimate_to_json(estimate))
     dpath = out / TOPOLOGY_DOT
@@ -170,6 +174,12 @@ def run_stages(names, cfg: ExperimentConfig, out: Path) -> None:
 
 # ---------------------------------------------------------------------------
 # sweep
+
+SWEEP_KEYS = frozenset({
+    "instances", "nodes", "corrupt", "trajectories", "seed", "violate_assumption",
+    "welch", "decision",
+})
+
 
 def _sweep_row(task) -> dict:
     idx, n, k, trajectory, cfg_payload, violate = task
@@ -206,8 +216,9 @@ def _sweep_row(task) -> dict:
         row["n_corrupt"] = len(inst.corrupt)
         if trajectory == "analytic":
             grid_params = ANALYTIC_DECISION
-            sigs = analytic_signatures(inst.model, inst.specs, _sweep_grid(welch))
-            psd = analytic_corrupted_psd(inst.model, sigs, _sweep_grid(welch))
+            grid = FrequencyGrid.welch_bins(min(welch.segment_length, 256))
+            sigs = analytic_signatures(inst.model, inst.specs, grid)
+            psd = analytic_corrupted_psd(inst.model, sigs, grid)
         else:
             grid_params = decision
             t = int(trajectory)
@@ -227,10 +238,6 @@ def _sweep_row(task) -> dict:
     return row
 
 
-def _sweep_grid(welch):
-    return FrequencyGrid.welch_bins(min(welch.segment_length, 256))
-
-
 def cmd_sweep(args) -> int:
     path = Path(args.config)
     if not path.exists():
@@ -239,16 +246,13 @@ def cmd_sweep(args) -> int:
         payload = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
+    refuse_unknown_keys(payload, SWEEP_KEYS, "sweep config")
     count = int(payload.get("instances", 0))
     lo_n, hi_n = payload.get("nodes", [7, 15])
     lo_k, hi_k = payload.get("corrupt", [1, 3])
     trajectories = payload.get("trajectories", ["analytic"])
     violate = bool(payload.get("violate_assumption", False))
-    try:
-        welch = WelchParams(**payload.get("welch", {}))
-        decision = EdgeDecisionParams(**payload.get("decision", {}))
-    except (DataError, TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid sweep configuration: {exc}") from exc
+    welch, decision = welch_and_decision(payload)
     cfg_payload = {
         "seed": int(payload.get("seed", 0)) if args.seed is None else args.seed,
         "welch": welch,

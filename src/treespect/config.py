@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from importlib import resources
 from pathlib import Path
 
@@ -13,6 +13,12 @@ from .detection import EdgeDecisionParams
 from .errors import ConfigError, DataError, NumericalError
 from .ltisim import GenerativeModel, load_model, model_from_dict, model_to_dict
 from .spectral import WelchParams
+
+EXPERIMENT_KEYS = frozenset({
+    "model", "model_path", "corruption", "trajectory_length", "seed", "burn_in",
+    "welch", "decision", "outputs",
+})
+OUTPUT_KEYS = frozenset({"panel_format", "spectra_csv"})
 
 
 @dataclass(frozen=True)
@@ -26,7 +32,6 @@ class ExperimentConfig:
     burn_in: int = 10_000
     welch: WelchParams = WelchParams()
     decision: EdgeDecisionParams = EdgeDecisionParams()
-    ridge: float = 0.0
     panel_format: str = "bin"
     spectra_csv: bool = False
 
@@ -35,8 +40,6 @@ class ExperimentConfig:
             raise ConfigError("trajectory_length must be >= 1")
         if self.burn_in < 0:
             raise ConfigError("burn_in must be >= 0")
-        if self.ridge < 0:
-            raise ConfigError("ridge must be >= 0")
         if self.panel_format not in ("bin", "csv"):
             raise ConfigError(f"unknown panel format {self.panel_format!r}")
         if self.welch.segment_count(self.trajectory_length) < 8:
@@ -55,18 +58,8 @@ class ExperimentConfig:
             "trajectory_length": self.trajectory_length,
             "seed": self.seed,
             "burn_in": self.burn_in,
-            "welch": {
-                "segment_length": self.welch.segment_length,
-                "overlap_fraction": self.welch.overlap_fraction,
-                "window": self.welch.window,
-            },
-            "decision": {
-                "magnitude_threshold": self.decision.magnitude_threshold,
-                "phase_threshold": self.decision.phase_threshold,
-                "magnitude_floor_quantile": self.decision.magnitude_floor_quantile,
-                "band_edge_bins": self.decision.band_edge_bins,
-            },
-            "ridge": self.ridge,
+            "welch": asdict(self.welch),
+            "decision": asdict(self.decision),
             "outputs": {"panel_format": self.panel_format, "spectra_csv": self.spectra_csv},
         }
 
@@ -81,8 +74,29 @@ class ExperimentConfig:
         return cfg
 
 
+def refuse_unknown_keys(payload: dict, known: frozenset[str], where: str) -> None:
+    """ConfigError unless `payload` is an object whose keys are all known."""
+    if not isinstance(payload, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    unknown = sorted(set(payload) - known)
+    if unknown:
+        raise ConfigError(f"unknown {where} key(s): {', '.join(map(repr, unknown))}")
+
+
+def welch_and_decision(payload: dict) -> tuple[WelchParams, EdgeDecisionParams]:
+    """The `welch` and `decision` blocks of an experiment or sweep config."""
+    try:
+        return (
+            WelchParams(**payload.get("welch", {})),
+            EdgeDecisionParams(**payload.get("decision", {})),
+        )
+    except (DataError, TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid welch or decision block: {exc}") from exc
+
+
 def config_from_dict(payload: dict, base_dir: Path | None = None) -> ExperimentConfig:
     try:
+        refuse_unknown_keys(payload, EXPERIMENT_KEYS, "config")
         if "model" in payload:
             model = model_from_dict(payload["model"])
         elif "model_path" in payload:
@@ -98,9 +112,9 @@ def config_from_dict(payload: dict, base_dir: Path | None = None) -> ExperimentC
             CorruptionSpec.from_dict(entry, model.labels)
             for entry in payload.get("corruption", [])
         )
-        welch = WelchParams(**payload.get("welch", {}))
-        decision = EdgeDecisionParams(**payload.get("decision", {}))
+        welch, decision = welch_and_decision(payload)
         outputs = payload.get("outputs", {})
+        refuse_unknown_keys(outputs, OUTPUT_KEYS, "outputs")
         return ExperimentConfig(
             model=model,
             corruption=corruption,
@@ -109,7 +123,6 @@ def config_from_dict(payload: dict, base_dir: Path | None = None) -> ExperimentC
             burn_in=int(payload.get("burn_in", 10_000)),
             welch=welch,
             decision=decision,
-            ridge=float(payload.get("ridge", 0.0)),
             panel_format=str(outputs.get("panel_format", "bin")),
             spectra_csv=bool(outputs.get("spectra_csv", False)),
         )

@@ -22,22 +22,22 @@ from .errors import DataError, NumericalError
 from .graphs import Edge, UndirectedGraph, graph_to_dot, neighborhood_is_clique, sorted_edges
 from .spectral import SpectralMatrix
 
+MAGNITUDE_FLOOR_QUANTILE = 0.25  # the phase test skips bins below this quantile
+
 
 @dataclass(frozen=True)
 class EdgeDecisionParams:
     """Thresholds turning exact zero / constant-phase tests into finite-data
-    decisions."""
+    decisions.  The phase test's band is fixed: the interior bins (2 spacings
+    from omega = 0 and pi, `spectral.BAND_EDGE_BINS`) whose magnitude reaches
+    the entry's 0.25 quantile (`MAGNITUDE_FLOOR_QUANTILE`)."""
 
     magnitude_threshold: float = 0.05
     phase_threshold: float = 0.1
-    magnitude_floor_quantile: float = 0.25
-    band_edge_bins: int = 2
 
     def __post_init__(self):
         if self.magnitude_threshold <= 0 or self.phase_threshold <= 0:
             raise DataError("decision thresholds must be positive")
-        if not 0 <= self.magnitude_floor_quantile < 1:
-            raise DataError("magnitude_floor_quantile must be in [0, 1)")
 
 
 # For exactly-computed spectra: structurally-zero entries are floating-point
@@ -85,9 +85,7 @@ def infer_support_graph(inv: SpectralMatrix, params: EdgeDecisionParams) -> Undi
     return _support_from_scores(normalized_magnitude_scores(inv), params)
 
 
-def phase_nonconstancy_score(
-    inv: SpectralMatrix, i: int, j: int, params: EdgeDecisionParams
-) -> float:
+def phase_nonconstancy_score(inv: SpectralMatrix, i: int, j: int) -> float:
     """Magnitude-weighted circular standard deviation of the entry's phase
     over the two-sided band.
 
@@ -104,8 +102,8 @@ def phase_nonconstancy_score(
     usable = ~inv.flagged
     mult = inv.grid.multiplicity
     mag = np.abs(entry)
-    floor = np.quantile(np.repeat(mag[usable], mult[usable]), params.magnitude_floor_quantile)
-    admissible = usable & inv.grid.interior_mask(params.band_edge_bins) & (mag >= floor)
+    floor = np.quantile(np.repeat(mag[usable], mult[usable]), MAGNITUDE_FLOOR_QUANTILE)
+    admissible = usable & inv.grid.interior_mask() & (mag >= floor)
     if not admissible.any():
         raise NumericalError(f"no admissible frequencies for entry ({i},{j})")
     m = mult[admissible]
@@ -156,7 +154,7 @@ def detect(inv: SpectralMatrix, params: EdgeDecisionParams) -> DetectionReport:
         rows: list[tuple[int, float, str]] = []
         nonconstant: list[int] = []
         for j in sorted(support.neighbors(i)):
-            score = phase_nonconstancy_score(inv, i, j, params)
+            score = phase_nonconstancy_score(inv, i, j)
             verdict = "nonconstant" if score >= params.phase_threshold else "constant"
             rows.append((j, score, verdict))
             if verdict == "nonconstant":

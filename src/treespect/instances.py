@@ -18,12 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corruption import CorruptionSpec
-from .detection import (
-    ANALYTIC_DECISION,
-    EdgeDecisionParams,
-    normalized_magnitude_scores,
-    phase_nonconstancy_score,
-)
+from .detection import normalized_magnitude_scores, phase_nonconstancy_score
 from .errors import DataError
 from .graphs import (
     UndirectedGraph,
@@ -150,7 +145,6 @@ NONCONSTANT_FLOOR = 0.15
 def _margins_ok(
     instance: Instance,
     grid: FrequencyGrid,
-    params: EdgeDecisionParams,
     edge_floor: float = EDGE_FLOOR,
 ) -> bool:
     """Reject coefficient draws whose analytic decision margins are thin.
@@ -177,7 +171,7 @@ def _margins_ok(
     for i, j in truth.edges:
         entry = inv.entry(i, j)
         is_real = np.abs(entry.imag).max() <= 1e-10 * np.abs(entry).max()
-        score = phase_nonconstancy_score(inv, i, j, params)
+        score = phase_nonconstancy_score(inv, i, j)
         if is_real:
             if score > CONSTANT_CEIL:
                 return False
@@ -202,7 +196,6 @@ def random_instance(
     n: int,
     k: int,
     grid: FrequencyGrid | None = None,
-    params: EdgeDecisionParams | None = None,
     ar: bool = False,
     max_tries: int = 200,
     edge_floor: float = EDGE_FLOOR,
@@ -214,13 +207,12 @@ def random_instance(
     sweeps should pass a floor above their detection threshold.
     """
     grid = grid or FrequencyGrid.welch_bins(256)
-    params = params or ANALYTIC_DECISION
     for attempt in range(max_tries):
         tree, marked = tree_with_deep_nodes(rng, n, k)
         model = draw_model(rng, tree, ar=ar)
         specs = tuple(draw_delay_spec(rng, v) for v in marked)
         inst = Instance(model, specs)
-        if _margins_ok(inst, grid, params, edge_floor):
+        if _margins_ok(inst, grid, edge_floor):
             return inst
     raise DataError(f"no acceptable coefficient draw after {max_tries} tries")
 

@@ -27,6 +27,7 @@ from .graphs import (
     UndirectedGraph,
     connected_components,
     graph_to_dot,
+    is_tree,
     sorted_edges,
 )
 from .spectral import SpectralMatrix, invert_spectrum, marginal_inverse_psd
@@ -58,8 +59,6 @@ class TopologyEstimate:
     placements: tuple[PlacementTrial, ...] = ()
 
     def is_tree(self) -> bool:
-        from .graphs import is_tree
-
         return is_tree(self.graph)
 
 
@@ -110,8 +109,9 @@ def _alignment_trials(
     inv_full: SpectralMatrix,
     params: EdgeDecisionParams,
 ):
-    """Every clique-compatible (p,q,l,r,s) alignment with its phase score
-    and whether the constant-phase test passed."""
+    """Every clique-compatible (p,q,l,r,s) alignment with the edge pair
+    {q-l, l-r} it proposes, its phase score and whether the constant-phase
+    test passed."""
     out = []
     for l in corrupt:
         for q in sorted(theta_i):
@@ -131,8 +131,11 @@ def _alignment_trials(
                             for b in five[ai + 1:]
                         ):
                             continue
-                        score = phase_nonconstancy_score(inv_full, p, s, params)
-                        out.append(((p, q, l, r, s), score, score < params.phase_threshold))
+                        score = phase_nonconstancy_score(inv_full, p, s)
+                        edges = frozenset({(min(q, l), max(q, l)), (min(l, r), max(l, r))})
+                        out.append(
+                            ((p, q, l, r, s), edges, score, score < params.phase_threshold)
+                        )
     return out
 
 
@@ -178,23 +181,14 @@ def place_corrupt_nodes(
             tried = _alignment_trials(
                 comps[i], comps[j], comp_adj, sorted(corrupt), perturbed, inv_full, params
             )
-            passing = [(cfg, score) for cfg, score, ok in tried if ok]
-            edge_sets = []
-            for (p, q, l, r, s), _score in passing:
-                es = frozenset({(min(q, l), max(q, l)), (min(l, r), max(l, r))})
-                if es not in edge_sets:
-                    edge_sets.append(es)
+            # distinct passing edge pairs, in trial order
+            edge_sets = list(dict.fromkeys(es for _, es, _, ok in tried if ok))
             adopted_set = edge_sets[0] if edge_sets else frozenset()
-            for (p, q, l, r, s), score, ok in tried:
-                trials.append(
-                    PlacementTrial(
-                        p, q, l, r, s, score,
-                        ok and frozenset(
-                            {(min(q, l), max(q, l)), (min(l, r), max(l, r))}
-                        ) == adopted_set,
-                    )
-                )
-            if not passing:
+            trials.extend(
+                PlacementTrial(*cfg, score, ok and es == adopted_set)
+                for cfg, es, score, ok in tried
+            )
+            if not edge_sets:
                 continue
             if len(edge_sets) > 1:
                 diagnostics.append(
@@ -226,20 +220,17 @@ def place_corrupt_nodes(
     for e in placement:
         provenance[e] = "placement_edge"
     graph = UndirectedGraph(n, frozenset(true_edges | placement))
-    if not diagnostics:
-        from .graphs import is_tree
-
-        if not is_tree(graph):
-            diagnostics.append(
-                Diagnostic(
-                    kind="estimate_not_tree",
-                    subject="topology",
-                    message=(
-                        f"reconstruction yielded {len(graph.edges)} edges on "
-                        f"{n} nodes but not a tree; treat recovery as failed"
-                    ),
-                )
+    if not diagnostics and not is_tree(graph):
+        diagnostics.append(
+            Diagnostic(
+                kind="estimate_not_tree",
+                subject="topology",
+                message=(
+                    f"reconstruction yielded {len(graph.edges)} edges on "
+                    f"{n} nodes but not a tree; treat recovery as failed"
+                ),
             )
+        )
     return TopologyEstimate(
         graph=graph,
         provenance=provenance,
@@ -255,7 +246,6 @@ def hide_and_learn(
     psd: SpectralMatrix,
     report: DetectionReport,
     params: EdgeDecisionParams,
-    ridge: float = 0.0,
 ) -> TopologyEstimate:
     """Full reconstruction from the corrupted PSD and a detection report."""
     n = psd.n_nodes
@@ -268,7 +258,7 @@ def hide_and_learn(
         )
     if psd.labels != report.labels:
         raise DataError("spectrum and detection report disagree on node labels")
-    inv_full = invert_spectrum(psd, ridge)
+    inv_full = invert_spectrum(psd)
     t_m = observed_support_graph(inv_full, corrupt, params)
     etree = true_edges_by_separation(t_m, observed, report.leaves, report.leaf_edges)
     estimate = place_corrupt_nodes(

@@ -25,6 +25,9 @@ from .errors import DataError, NumericalError
 from .panel import TimeSeriesPanel, expect_payload, read_exact, read_labels
 
 SPECTRA_MAGIC = b"RTSM"
+WELCH_WINDOW = "hann"  # Welch taper; segments overlap by half, so the hop is L/2
+BAND_EDGE_BINS = 2  # bins this many spacings from omega = 0 or pi are not interior
+COND_CAP = 1e12  # inversion flags a bin whose 2-norm condition number exceeds this
 
 
 @dataclass(frozen=True)
@@ -67,10 +70,11 @@ class FrequencyGrid:
         w = self.frequencies
         return np.where((w < 1e-12) | (w > np.pi - 1e-12), 1, 2)
 
-    def interior_mask(self, edge_bins: int = 2) -> np.ndarray:
-        """True away from omega = 0 and omega = pi, where real-valued data
-        pins the phase and phase tests lose power."""
-        margin = edge_bins * self.spacing + 1e-12
+    def interior_mask(self) -> np.ndarray:
+        """True more than `BAND_EDGE_BINS` spacings away from omega = 0 and
+        omega = pi, where real-valued data pins the phase and phase tests
+        lose power."""
+        margin = BAND_EDGE_BINS * self.spacing + 1e-12
         w = self.frequencies
         return (w > margin) & (w < np.pi - margin)
 
@@ -129,23 +133,19 @@ class SpectralMatrix:
 
 @dataclass(frozen=True)
 class WelchParams:
-    """Averaged-periodogram settings for cross-spectral estimation."""
+    """Welch segment length L; segments are Hann-windowed (`WELCH_WINDOW`)
+    and overlap by 50 %, so `hop` is L/2."""
 
     segment_length: int = 1024
-    overlap_fraction: float = 0.5
-    window: str = "hann"
 
     def __post_init__(self):
         L = self.segment_length
         if L < 16 or (L & (L - 1)) != 0:
             raise DataError("segment_length must be a power of two >= 16")
-        if not 0.0 <= self.overlap_fraction < 1.0:
-            raise DataError("overlap_fraction must be in [0, 1)")
 
     @property
     def hop(self) -> int:
-        h = int(round(self.segment_length * (1.0 - self.overlap_fraction)))
-        return max(1, h)
+        return self.segment_length // 2
 
     def segment_count(self, n_samples: int) -> int:
         if n_samples < self.segment_length:
@@ -169,7 +169,7 @@ def estimate_cpsd(panel: TimeSeriesPanel, params: WelchParams) -> SpectralMatrix
         raise DataError(
             f"{t} samples give {n_seg} Welch segments of length {L}; need >= 8"
         )
-    window = get_window(params.window, L, fftbins=True).astype(np.float64)
+    window = get_window(WELCH_WINDOW, L)
     scale = 1.0 / (n_seg * np.sum(window**2))
     mean = panel.data.mean(axis=1)[:, None, None]
     segments = sliding_window_view(panel.data, L, axis=1)[:, ::params.hop]
@@ -187,28 +187,23 @@ def estimate_cpsd(panel: TimeSeriesPanel, params: WelchParams) -> SpectralMatrix
     return SpectralMatrix(FrequencyGrid.welch_bins(L), acc, panel.labels)
 
 
-def invert_spectrum(
-    s: SpectralMatrix, ridge: float = 0.0, cond_cap: float = 1e12
-) -> SpectralMatrix:
-    """Per-frequency inverse of (M + ridge*I), Hermitized on both sides.
+def invert_spectrum(s: SpectralMatrix) -> SpectralMatrix:
+    """Per-frequency inverse of M, Hermitized on both sides.
 
-    Frequencies whose condition number exceeds `cond_cap` are flagged and
-    excluded from downstream decision rules rather than aborting the run.
-    The singular values of a Hermitian matrix are its eigenvalue
-    magnitudes, so the 2-norm condition number comes from `eigvalsh`
-    instead of an SVD.
+    Frequencies whose condition number exceeds `COND_CAP` (1e12) are
+    flagged and excluded from downstream decision rules rather than
+    aborting the run.  The singular values of a Hermitian matrix are its
+    eigenvalue magnitudes, so the 2-norm condition number comes from
+    `eigvalsh` instead of an SVD.
     """
-    if ridge < 0:
-        raise DataError("ridge must be nonnegative")
     n = s.n_nodes
     mats = 0.5 * (s.values + np.conj(np.swapaxes(s.values, 1, 2)))
-    mats += ridge * np.eye(n)
     lam = np.abs(np.linalg.eigvalsh(mats))
     with np.errstate(divide="ignore", invalid="ignore"):
         cond = lam.max(axis=1) / lam.min(axis=1)
-    flagged = s.flagged | ~np.isfinite(cond) | (cond > cond_cap)
+    flagged = s.flagged | ~np.isfinite(cond) | (cond > COND_CAP)
     if flagged.all():
-        raise NumericalError("all frequencies singular beyond ridge repair")
+        raise NumericalError("all frequencies singular")
     mats[flagged] = np.eye(n)
     inv = np.linalg.inv(mats)
     inv = 0.5 * (inv + np.conj(np.swapaxes(inv, 1, 2)))

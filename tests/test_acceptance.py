@@ -255,7 +255,7 @@ def test_criterion_4_classification_and_phase_table(analytic_pool):
         for l in sorted(inst.corrupt):
             for p, q, r, s in _alignment_configs(inst.topology, l):
                 scores = {
-                    pair: phase_nonconstancy_score(inv, *pair, ANALYTIC_DECISION)
+                    pair: phase_nonconstancy_score(inv, *pair)
                     for pair in [(p, s), (p, r), (q, s), (q, r)]
                 }
                 if scores[(p, s)] >= 1e-6 or any(

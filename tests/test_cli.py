@@ -2,9 +2,10 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from treespect.cli import main
-from treespect.config import bundled_config_path, load_config
+from treespect.config import bundled_config_path, config_from_dict, load_config
 from treespect.instances import chain7_model
 from treespect.ltisim import model_to_dict
 from treespect.panel import TimeSeriesPanel, load_panel, save_panel
@@ -121,6 +122,19 @@ def test_invalid_config_exits_2(tmp_path):
     assert main(["pipeline", "--config", str(bad), "--out", str(tmp_path)]) == 2
     short = write_tiny(tmp_path, trajectory_length=100)
     assert main(["pipeline", "--config", str(short), "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("overrides, key", [
+    ({"ridge": 0.0}, "ridge"),
+    ({"welch": {"window": "hann"}}, "window"),
+    ({"outputs": {"panel_format": "bin", "dot": True}}, "dot"),
+], ids=["ridge", "welch-window", "outputs-dot"])
+def test_unknown_config_key_exits_2(tmp_path, capsys, overrides, key):
+    cfg = write_tiny(tmp_path, **overrides)
+    out = tmp_path / "run"
+    assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"'{key}'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_missing_upstream_artifact_exits_3(tmp_path):
@@ -287,6 +301,13 @@ def test_bundled_configs_load():
     assert load_config(bundled_config_path("chain7")).trajectory_length == 10_000_000
 
 
+def test_config_echo_loads_back():
+    # the manifests echo cfg.to_dict(); the strict loader must accept it
+    for name in ("chain7", "chain7_quick", "chain7_clean"):
+        echo = load_config(bundled_config_path(name)).to_dict()
+        assert config_from_dict(echo).to_dict() == echo
+
+
 def test_sweep_tiny_and_empty(tmp_path):
     sweep_cfg = tmp_path / "sweep.json"
     sweep_cfg.write_text(
@@ -330,6 +351,15 @@ def test_sweep_invalid_decision_block_exits_2(tmp_path):
     )
     out = tmp_path / "sweep"
     assert main(["sweep", "--config", str(sweep_cfg), "--out", str(out)]) == 2
+    assert not (out / "sweep_summary.csv").exists()
+
+
+def test_sweep_unknown_key_exits_2(tmp_path, capsys):
+    sweep_cfg = tmp_path / "sweep.json"
+    sweep_cfg.write_text(json.dumps({"instance": 2, "seed": 4}))
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", str(sweep_cfg), "--out", str(out)]) == 2
+    assert "'instance'" in capsys.readouterr().err
     assert not (out / "sweep_summary.csv").exists()
 
 

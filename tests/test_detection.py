@@ -6,6 +6,7 @@ import pytest
 from treespect.corruption import apply_corruption
 from treespect.detection import (
     ANALYTIC_DECISION,
+    MAGNITUDE_FLOOR_QUANTILE,
     EdgeDecisionParams,
     detect,
     infer_support_graph,
@@ -20,6 +21,7 @@ from treespect.instances import chain7_corruption, chain7_model, random_instance
 from treespect.ltisim import GenerativeModel, analytic_inverse_psd, simulate
 from treespect.oracles import analytic_corrupted_psd, analytic_signatures
 from treespect.spectral import (
+    BAND_EDGE_BINS,
     FrequencyGrid,
     SpectralMatrix,
     WelchParams,
@@ -92,9 +94,9 @@ def test_support_matches_graph_construction_on_random_instances():
 
 def test_phase_scores_separate_edge_kinds(chain_inverse):
     # leaf to its 2-hop kin: exactly-zero phase
-    assert phase_nonconstancy_score(chain_inverse, 0, 2, ANALYTIC_DECISION) < 1e-6
+    assert phase_nonconstancy_score(chain_inverse, 0, 2) < 1e-6
     # leaf true edge: clearly rotating phase
-    assert phase_nonconstancy_score(chain_inverse, 0, 1, ANALYTIC_DECISION) > 0.1
+    assert phase_nonconstancy_score(chain_inverse, 0, 1) > 0.1
 
 
 def test_negative_real_constant_scores_zero():
@@ -102,17 +104,17 @@ def test_negative_real_constant_scores_zero():
     vals[:, 0, 0] = vals[:, 1, 1] = 2.0
     vals[:, 0, 1] = vals[:, 1, 0] = -0.5 * np.linspace(1.0, 1.5, GRID.size)
     s = SpectralMatrix(GRID, vals, ["a", "b"])
-    assert phase_nonconstancy_score(s, 0, 1, ANALYTIC_DECISION) < 1e-9
+    assert phase_nonconstancy_score(s, 0, 1) < 1e-9
 
 
-def _two_sided_floor_and_resultant(inv, i, j, params):
+def _two_sided_floor_and_resultant(inv, i, j):
     """Magnitude floor and phase resultant as defined on the two-sided grid
     (-pi, pi], from the half spectrum mirrored by conjugation."""
     w, values, flagged = two_sided(inv)
     entry, usable = values[:, i, j], ~flagged
     mag = np.abs(entry)
-    floor = np.quantile(mag[usable], params.magnitude_floor_quantile)
-    margin = params.band_edge_bins * inv.grid.spacing + 1e-12
+    floor = np.quantile(mag[usable], MAGNITUDE_FLOOR_QUANTILE)
+    margin = BAND_EDGE_BINS * inv.grid.spacing + 1e-12
     interior = (np.abs(w) > margin) & (np.abs(w) < np.pi - margin)
     admissible = usable & interior & (mag >= floor)
     wt = mag[admissible]
@@ -140,11 +142,11 @@ def test_half_grid_score_equals_two_sided_formula(source, chain_inverse, welch_c
     usable = ~inv.flagged
     mult = inv.grid.multiplicity
     for i, j in sorted(detect(inv, params).support_graph.edges):
-        floor, resultant = _two_sided_floor_and_resultant(inv, i, j, params)
+        floor, resultant = _two_sided_floor_and_resultant(inv, i, j)
         mag = np.abs(inv.entry(i, j))
-        half_floor = np.quantile(np.repeat(mag[usable], mult[usable]), params.magnitude_floor_quantile)
+        half_floor = np.quantile(np.repeat(mag[usable], mult[usable]), MAGNITUDE_FLOOR_QUANTILE)
         assert half_floor == floor
-        score = phase_nonconstancy_score(inv, i, j, params)
+        score = phase_nonconstancy_score(inv, i, j)
         # the resultant lives in [0, 1]; the score sqrt(-2 log R) amplifies
         # rounding where R sits within rounding noise of 0 or 1
         assert np.exp(-score**2 / 2) == pytest.approx(resultant, rel=1e-12, abs=1e-12)
@@ -288,5 +290,3 @@ def test_report_roundtrip(chain_inverse):
 def test_degenerate_params_rejected():
     with pytest.raises(DataError):
         EdgeDecisionParams(magnitude_threshold=0.0)
-    with pytest.raises(DataError):
-        EdgeDecisionParams(magnitude_floor_quantile=1.0)

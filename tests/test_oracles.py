@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from treespect.corruption import CorruptionSignature, apply_corruption
-from treespect.detection import ANALYTIC_DECISION, phase_nonconstancy_score
+from treespect.detection import phase_nonconstancy_score
 from treespect.graphs import bfs_distances
 from treespect.instances import chain7_corruption, chain7_model, random_instance
 from treespect.ltisim import analytic_inverse_psd, analytic_psd, simulate
@@ -166,7 +166,7 @@ def test_first_step_phase_structure(chain_setup):
     leaf_two_hop = psi1.entry(0, 2)
     assert np.abs(leaf_two_hop.imag).max() < 1e-12
     corrupt_edge = psi1.entry(3, 2)
-    assert phase_nonconstancy_score(psi1, 3, 2, ANALYTIC_DECISION) > 0.3
+    assert phase_nonconstancy_score(psi1, 3, 2) > 0.3
     assert np.abs(corrupt_edge.imag).max() > 1e-3
 
 

@@ -1,0 +1,38 @@
+import os
+import runpy
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import treespect
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def test_run_chain7_failure_exits_with_its_code(tmp_path):
+    # 2000 samples give 2 Welch segments of the default 1024; 8 are needed
+    env = dict(os.environ, PYTHONPATH=str(Path(treespect.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "run_chain7.py"), "--samples", "2000",
+         "--out", str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "codes, expected",
+    [([2, 0], 2), ([0, 5], 5), ([3, 5], 3), ([0, 0], 0)],
+    ids=["main-fails", "negative-fails", "both-fail", "both-pass"],
+)
+def test_run_sweep_exits_with_first_nonzero_code(tmp_path, monkeypatch, codes, expected):
+    returned = iter(codes)
+    monkeypatch.setattr("treespect.cli.main", lambda argv: next(returned))
+    monkeypatch.setattr(sys, "argv", ["run_sweep.py", "--out", str(tmp_path)])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(SCRIPTS / "run_sweep.py"), run_name="__main__")
+    assert exc.value.code == expected
