@@ -16,6 +16,7 @@ import json
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -47,22 +48,16 @@ from .spectral import (
     estimate_cpsd,
     invert_spectrum,
     load_spectra_binary,
-    save_magnitude_phase_csv,
     save_spectra_binary,
 )
 
-PANEL_CLEAN = "panel_clean"
-PANEL_CORRUPT = "panel_corrupt"
+PANEL_CLEAN = "panel_clean.bin"
+PANEL_CORRUPT = "panel_corrupt.bin"
 SPECTRA = "spectra_corrupt.rtsm"
-SPECTRA_CSV = "spectra_corrupt_magphase.csv"
 DETECTION_JSON = "detection.json"
 DETECTION_DOT = "detection.dot"
 TOPOLOGY_JSON = "topology.json"
 TOPOLOGY_DOT = "topology.dot"
-
-
-def _panel_path(out: Path, stem: str, fmt: str) -> Path:
-    return out / f"{stem}.{fmt}"
 
 
 def _write_manifest(out: Path, stage: str, cfg: ExperimentConfig, inputs, outputs, extra=None):
@@ -88,35 +83,28 @@ def _require(path: Path, hint: str) -> Path:
 
 def stage_simulate(cfg: ExperimentConfig, out: Path) -> list[Path]:
     panel = simulate(cfg.model, cfg.trajectory_length, cfg.seed, burn_in=cfg.burn_in)
-    path = save_panel(panel, _panel_path(out, PANEL_CLEAN, cfg.panel_format), cfg.panel_format)
+    path = save_panel(panel, out / PANEL_CLEAN)
     _write_manifest(out, "simulate", cfg, [], [path])
     return [path]
 
 
 def stage_corrupt(cfg: ExperimentConfig, out: Path) -> list[Path]:
-    src = _require(_panel_path(out, PANEL_CLEAN, cfg.panel_format), "treespect simulate")
+    src = _require(out / PANEL_CLEAN, "treespect simulate")
     panel = load_panel(src)
     corrupted = apply_corruption(panel, list(cfg.corruption), cfg.seed)
-    path = save_panel(
-        corrupted, _panel_path(out, PANEL_CORRUPT, cfg.panel_format), cfg.panel_format
-    )
+    path = save_panel(corrupted, out / PANEL_CORRUPT)
     _write_manifest(out, "corrupt", cfg, [src], [path])
     return [path]
 
 
 def stage_spectra(cfg: ExperimentConfig, out: Path) -> list[Path]:
-    src = _require(_panel_path(out, PANEL_CORRUPT, cfg.panel_format), "treespect corrupt")
+    src = _require(out / PANEL_CORRUPT, "treespect corrupt")
     panel = load_panel(src)
     spectra = estimate_cpsd(panel, cfg.welch)
     path = out / SPECTRA
     save_spectra_binary(spectra, path)
-    written = [path]
-    if cfg.spectra_csv:
-        csv_path = out / SPECTRA_CSV
-        save_magnitude_phase_csv(spectra, csv_path)
-        written.append(csv_path)
-    _write_manifest(out, "spectra", cfg, [src], written)
-    return written
+    _write_manifest(out, "spectra", cfg, [src], [path])
+    return [path]
 
 
 def stage_detect(cfg: ExperimentConfig, out: Path) -> list[Path]:
@@ -181,6 +169,32 @@ SWEEP_KEYS = frozenset({
 })
 
 
+def _is_count(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 0
+
+
+def _is_range(v) -> bool:
+    return isinstance(v, list) and len(v) == 2 and all(map(_is_count, v)) and v[0] <= v[1]
+
+
+def _is_trajectory(v) -> bool:
+    return v == "analytic" or (_is_count(v) and v > 0)
+
+
+def _sweep_value(payload: dict, key: str, default, valid, expected: str):
+    """`payload[key]` (or the default) if `valid` accepts it, else a
+    ConfigError naming the key."""
+    value = payload.get(key, default)
+    if not valid(value):
+        raise ConfigError(f"sweep config {key!r} must be {expected}, got {value!r}")
+    return value
+
+
+def _max_corrupt(n: int, hi_k: int) -> int:
+    """Most corrupt nodes a sweep draws on an n-node tree."""
+    return max(1, min(hi_k, (n - 4) // 3))
+
+
 def _sweep_row(task) -> dict:
     idx, n, k, trajectory, cfg_payload, violate = task
     rng = np.random.default_rng([cfg_payload["seed"], idx])
@@ -221,8 +235,7 @@ def _sweep_row(task) -> dict:
             psd = analytic_corrupted_psd(inst.model, sigs, grid)
         else:
             grid_params = decision
-            t = int(trajectory)
-            panel = simulate(inst.model, t, seed=int(rng.integers(2**31)))
+            panel = simulate(inst.model, trajectory, seed=int(rng.integers(2**31)))
             corrupted = apply_corruption(panel, list(inst.specs), seed=int(rng.integers(2**31)))
             psd = estimate_cpsd(corrupted, welch)
         report = detect(invert_spectrum(psd), grid_params)
@@ -247,14 +260,26 @@ def cmd_sweep(args) -> int:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
     refuse_unknown_keys(payload, SWEEP_KEYS, "sweep config")
-    count = int(payload.get("instances", 0))
-    lo_n, hi_n = payload.get("nodes", [7, 15])
-    lo_k, hi_k = payload.get("corrupt", [1, 3])
-    trajectories = payload.get("trajectories", ["analytic"])
-    violate = bool(payload.get("violate_assumption", False))
+    count = _sweep_value(payload, "instances", 0, _is_count, "an integer >= 0")
+    pair = "a [low, high] pair of integers >= 0"
+    lo_n, hi_n = _sweep_value(payload, "nodes", [7, 15], _is_range, pair)
+    lo_k, hi_k = _sweep_value(payload, "corrupt", [1, 3], _is_range, pair)
+    if max(1, lo_k) > _max_corrupt(lo_n, hi_k):
+        raise ConfigError(
+            f"sweep config 'corrupt' low {lo_k} is more than a {lo_n}-node tree can host"
+        )
+    trajectories = _sweep_value(
+        payload, "trajectories", ["analytic"],
+        lambda v: isinstance(v, list) and all(map(_is_trajectory, v)),
+        'a list of "analytic" or sample counts >= 1',
+    )
+    seed = _sweep_value(payload, "seed", 0, _is_count, "an integer >= 0")
+    violate = _sweep_value(
+        payload, "violate_assumption", False, lambda v: isinstance(v, bool), "true or false"
+    )
     welch, decision = welch_and_decision(payload)
     cfg_payload = {
-        "seed": int(payload.get("seed", 0)) if args.seed is None else args.seed,
+        "seed": seed if args.seed is None else args.seed,
         "welch": welch,
         "decision": decision,
     }
@@ -263,8 +288,7 @@ def cmd_sweep(args) -> int:
     tasks = []
     for idx in range(count):
         n = int(rng.integers(lo_n, hi_n + 1))
-        kmax = max(1, min(int(hi_k), (n - 4) // 3))
-        k = int(rng.integers(max(1, int(lo_k)), kmax + 1))
+        k = int(rng.integers(max(1, lo_k), _max_corrupt(n, hi_k) + 1))
         for trajectory in trajectories:
             tasks.append((idx, n, k, trajectory, cfg_payload, violate))
 
@@ -297,14 +321,11 @@ def cmd_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 # entry point
 
-def _load_run_config(args) -> ExperimentConfig:
-    cfg = load_config(args.config)
-    return cfg.with_overrides(seed=args.seed, panel_format=args.format_panel)
-
-
 def _make_stage_cmd(names):
     def run(args) -> int:
-        cfg = _load_run_config(args)
+        cfg = load_config(args.config)
+        if args.seed is not None:
+            cfg = replace(cfg, seed=args.seed)
         run_stages(names, cfg, Path(args.out))
         return 0
 
@@ -333,13 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="experiment config JSON")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override config seed")
-        p.add_argument(
-            "--format",
-            dest="format_panel",
-            choices=["csv", "bin"],
-            default=None,
-            help="panel file format override",
-        )
         p.set_defaults(func=_make_stage_cmd(names))
 
     p = sub.add_parser("sweep", help="randomized recovery-rate sweep")

@@ -4,21 +4,23 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields
 from importlib import resources
 from pathlib import Path
 
 from .corruption import CorruptionSpec
 from .detection import EdgeDecisionParams
 from .errors import ConfigError, DataError, NumericalError
-from .ltisim import GenerativeModel, load_model, model_from_dict, model_to_dict
+from .ltisim import GenerativeModel, model_from_dict, model_to_dict
 from .spectral import WelchParams
 
 EXPERIMENT_KEYS = frozenset({
     "model", "model_path", "corruption", "trajectory_length", "seed", "burn_in",
-    "welch", "decision", "outputs",
+    "welch", "decision",
 })
-OUTPUT_KEYS = frozenset({"panel_format", "spectra_csv"})
+MODEL_KEYS = frozenset({"labels", "edges", "self_dynamics", "noise_variance"})
+EDGE_KEYS = frozenset({"a", "b", "ab", "ba"})
+CORRUPTION_KEYS = frozenset(f.name for f in fields(CorruptionSpec))
 
 
 @dataclass(frozen=True)
@@ -32,16 +34,12 @@ class ExperimentConfig:
     burn_in: int = 10_000
     welch: WelchParams = WelchParams()
     decision: EdgeDecisionParams = EdgeDecisionParams()
-    panel_format: str = "bin"
-    spectra_csv: bool = False
 
     def __post_init__(self):
         if self.trajectory_length < 1:
             raise ConfigError("trajectory_length must be >= 1")
         if self.burn_in < 0:
             raise ConfigError("burn_in must be >= 0")
-        if self.panel_format not in ("bin", "csv"):
-            raise ConfigError(f"unknown panel format {self.panel_format!r}")
         if self.welch.segment_count(self.trajectory_length) < 8:
             raise ConfigError(
                 f"trajectory_length {self.trajectory_length} too short for "
@@ -60,18 +58,7 @@ class ExperimentConfig:
             "burn_in": self.burn_in,
             "welch": asdict(self.welch),
             "decision": asdict(self.decision),
-            "outputs": {"panel_format": self.panel_format, "spectra_csv": self.spectra_csv},
         }
-
-    def with_overrides(
-        self, seed: int | None = None, panel_format: str | None = None
-    ) -> "ExperimentConfig":
-        cfg = self
-        if seed is not None:
-            cfg = replace(cfg, seed=seed)
-        if panel_format is not None:
-            cfg = replace(cfg, panel_format=panel_format)
-        return cfg
 
 
 def refuse_unknown_keys(payload: dict, known: frozenset[str], where: str) -> None:
@@ -94,27 +81,34 @@ def welch_and_decision(payload: dict) -> tuple[WelchParams, EdgeDecisionParams]:
         raise ConfigError(f"invalid welch or decision block: {exc}") from exc
 
 
+def _checked_model(payload: dict) -> GenerativeModel:
+    """The model block, inline or from `model_path`, with its keys and each
+    `edges[]` entry's keys checked."""
+    refuse_unknown_keys(payload, MODEL_KEYS, "model")
+    for i, edge in enumerate(payload.get("edges", [])):
+        refuse_unknown_keys(edge, EDGE_KEYS, f"edges[{i}]")
+    return model_from_dict(payload)
+
+
 def config_from_dict(payload: dict, base_dir: Path | None = None) -> ExperimentConfig:
     try:
         refuse_unknown_keys(payload, EXPERIMENT_KEYS, "config")
         if "model" in payload:
-            model = model_from_dict(payload["model"])
+            model = _checked_model(payload["model"])
         elif "model_path" in payload:
             path = Path(payload["model_path"])
             if base_dir is not None and not path.is_absolute():
                 path = base_dir / path
             if not path.exists():
                 raise ConfigError(f"model file not found: {path}")
-            model = load_model(path)
+            model = _checked_model(json.loads(path.read_text()))
         else:
             raise ConfigError("config needs 'model' or 'model_path'")
-        corruption = tuple(
-            CorruptionSpec.from_dict(entry, model.labels)
-            for entry in payload.get("corruption", [])
-        )
+        entries = payload.get("corruption", [])
+        for i, entry in enumerate(entries):
+            refuse_unknown_keys(entry, CORRUPTION_KEYS, f"corruption[{i}]")
+        corruption = tuple(CorruptionSpec.from_dict(e, model.labels) for e in entries)
         welch, decision = welch_and_decision(payload)
-        outputs = payload.get("outputs", {})
-        refuse_unknown_keys(outputs, OUTPUT_KEYS, "outputs")
         return ExperimentConfig(
             model=model,
             corruption=corruption,
@@ -123,8 +117,6 @@ def config_from_dict(payload: dict, base_dir: Path | None = None) -> ExperimentC
             burn_in=int(payload.get("burn_in", 10_000)),
             welch=welch,
             decision=decision,
-            panel_format=str(outputs.get("panel_format", "bin")),
-            spectra_csv=bool(outputs.get("spectra_csv", False)),
         )
     except ConfigError:
         raise

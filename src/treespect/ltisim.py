@@ -13,7 +13,6 @@ G_ij = b_ij / S_i and e_i = w_i / S_i.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Sequence
@@ -348,8 +347,3 @@ def model_from_dict(payload: Mapping) -> GenerativeModel:
         raise DataError(f"malformed model description: {exc}") from exc
     topo = UndirectedGraph.from_edges(n, edges)
     return GenerativeModel(topo, coupling, dynamics, sigma, tuple(labels))
-
-
-def load_model(path) -> GenerativeModel:
-    with open(path) as fh:
-        return model_from_dict(json.load(fh))

@@ -1,4 +1,4 @@
-"""Multi-channel time-series container and its CSV / binary file formats."""
+"""Multi-channel time-series container and its RTSP file format."""
 
 from __future__ import annotations
 
@@ -14,8 +14,8 @@ import numpy as np
 from .errors import DataError
 
 PANEL_MAGIC = b"RTSP"
-# entries beyond this are refused in CSV form; use the binary format instead
-CSV_ENTRY_LIMIT = 10**7
+# the header's f8 slot; spectra assume a unit sample interval
+SAMPLE_INTERVAL = 1.0
 
 
 @dataclass(frozen=True)
@@ -24,7 +24,6 @@ class TimeSeriesPanel:
 
     data: np.ndarray
     labels: tuple[str, ...]
-    dt: float = 1.0
 
     def __post_init__(self):
         data = np.asarray(self.data, dtype=np.float64)
@@ -41,8 +40,6 @@ class TimeSeriesPanel:
             raise DataError("duplicate channel labels")
         if not np.all(np.isfinite(data)):
             raise DataError("panel contains non-finite samples")
-        if self.dt <= 0:
-            raise DataError("dt must be positive")
 
     @property
     def n_channels(self) -> int:
@@ -53,37 +50,7 @@ class TimeSeriesPanel:
         return self.data.shape[1]
 
     def with_channels(self, data: np.ndarray) -> "TimeSeriesPanel":
-        return TimeSeriesPanel(data, self.labels, self.dt)
-
-
-def save_panel_csv(panel: TimeSeriesPanel, path: str | Path) -> None:
-    if panel.data.size > CSV_ENTRY_LIMIT:
-        raise DataError(
-            f"panel has {panel.data.size} entries; CSV is limited to "
-            f"{CSV_ENTRY_LIMIT}, use the binary format"
-        )
-    header = ",".join(panel.labels)
-    np.savetxt(path, panel.data.T, delimiter=",", header=header, comments="", fmt="%.17g")
-
-
-def load_panel_csv(path: str | Path, dt: float = 1.0) -> TimeSeriesPanel:
-    path = Path(path)
-    with path.open() as fh:
-        labels = [x.strip() for x in fh.readline().strip().split(",")]
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    return TimeSeriesPanel(data.T, labels, dt)
-
-
-def save_panel_binary(panel: TimeSeriesPanel, path: str | Path) -> None:
-    """Compact format: magic, shape, dt, JSON label blob, little-endian
-    float64 samples row-major (one row per channel)."""
-    blob = json.dumps(list(panel.labels)).encode()
-    data = np.ascontiguousarray(panel.data, dtype="<f8")
-    with Path(path).open("wb") as fh:
-        fh.write(PANEL_MAGIC)
-        fh.write(struct.pack("<QQdI", panel.n_channels, panel.n_samples, panel.dt, len(blob)))
-        fh.write(blob)
-        fh.write(memoryview(data).cast("B"))
+        return TimeSeriesPanel(data, self.labels)
 
 
 def _bytes_left(fh: BinaryIO) -> int:
@@ -121,34 +88,32 @@ def read_labels(fh: BinaryIO, size: int, path: str | Path) -> list[str]:
     return labels
 
 
-def load_panel_binary(path: str | Path) -> TimeSeriesPanel:
+def save_panel(panel: TimeSeriesPanel, path: str | Path) -> Path:
+    """Write an RTSP file: magic, shape, the sample interval (always 1.0),
+    JSON label blob, little-endian float64 samples row-major (one row per
+    channel).  Returns the path."""
+    path = Path(path)
+    blob = json.dumps(list(panel.labels)).encode()
+    data = np.ascontiguousarray(panel.data, dtype="<f8")
+    with path.open("wb") as fh:
+        fh.write(PANEL_MAGIC)
+        header = (panel.n_channels, panel.n_samples, SAMPLE_INTERVAL, len(blob))
+        fh.write(struct.pack("<QQdI", *header))
+        fh.write(blob)
+        fh.write(memoryview(data).cast("B"))
+    return path
+
+
+def load_panel(path: str | Path) -> TimeSeriesPanel:
     with Path(path).open("rb") as fh:
         magic = fh.read(4)
         if magic != PANEL_MAGIC:
             raise DataError(f"{path}: not a panel file (bad magic {magic!r})")
         n, t, dt, blob_len = struct.unpack("<QQdI", read_exact(fh, 28, path))
+        if dt != SAMPLE_INTERVAL:
+            raise DataError(f"{path}: sample interval {dt!r}, not {SAMPLE_INTERVAL}")
         labels = read_labels(fh, blob_len, path)
         expect_payload(fh, n * t * 8, path)
         data = np.empty((n, t), dtype="<f8")
         fh.readinto(memoryview(data).cast("B"))
-    return TimeSeriesPanel(data, labels, dt)
-
-
-def save_panel(panel: TimeSeriesPanel, path: str | Path, fmt: str = "bin") -> Path:
-    path = Path(path)
-    if fmt == "csv":
-        save_panel_csv(panel, path)
-    elif fmt == "bin":
-        save_panel_binary(panel, path)
-    else:
-        raise DataError(f"unknown panel format {fmt!r}")
-    return path
-
-
-def load_panel(path: str | Path) -> TimeSeriesPanel:
-    path = Path(path)
-    with path.open("rb") as fh:
-        magic = fh.read(4)
-    if magic == PANEL_MAGIC:
-        return load_panel_binary(path)
-    return load_panel_csv(path)
+    return TimeSeriesPanel(data, labels)

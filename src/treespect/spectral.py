@@ -267,16 +267,3 @@ def load_spectra_binary(path: str | Path) -> SpectralMatrix:
         values = values.reshape(f, n, n)
     return SpectralMatrix(FrequencyGrid(freqs.copy()), values.copy(), labels, flagged)
 
-
-def save_magnitude_phase_csv(s: SpectralMatrix, path: str | Path) -> None:
-    """Plot-ready long format: omega, node_i, node_j, magnitude, phase."""
-    with Path(path).open("w") as fh:
-        fh.write("omega,node_i,node_j,magnitude,phase\n")
-        for fi, w in enumerate(s.grid.frequencies):
-            for i in range(s.n_nodes):
-                for j in range(i, s.n_nodes):
-                    v = s.values[fi, i, j]
-                    fh.write(
-                        f"{float(w)!r},{s.labels[i]},{s.labels[j]},"
-                        f"{float(abs(v))!r},{float(np.angle(v))!r}\n"
-                    )

@@ -1,4 +1,5 @@
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,7 @@ from treespect.cli import main
 from treespect.config import bundled_config_path, config_from_dict, load_config
 from treespect.instances import chain7_model
 from treespect.ltisim import model_to_dict
-from treespect.panel import TimeSeriesPanel, load_panel, save_panel
+from treespect.panel import TimeSeriesPanel, save_panel
 
 from conftest import two_sided
 
@@ -21,8 +22,8 @@ TINY = {
     "burn_in": 2_000,
     "welch": {"segment_length": 128},
     "decision": {"magnitude_threshold": 0.12, "phase_threshold": 0.3},
-    "outputs": {"panel_format": "bin", "spectra_csv": False},
 }
+CORRUPTION = {"node": "4", "kind": "random_delay", "p": 0.7, "t1": -2, "t2": 0}
 
 CHAIN_EDGES = sorted([[str(i), str(i + 1)] for i in range(1, 7)])
 
@@ -88,27 +89,14 @@ def test_seed_override_changes_data(tmp_path):
     assert (a / "panel_clean.bin").read_bytes() != (b / "panel_clean.bin").read_bytes()
 
 
-def test_csv_format_flag(tmp_path):
+def test_format_flag_exits_2(tmp_path, capsys):
     cfg = write_tiny(tmp_path, trajectory_length=20_000, burn_in=100)
     out = tmp_path / "run"
-    assert main(["simulate", "--config", str(cfg), "--out", str(out), "--format", "csv"]) == 0
-    panel = load_panel(out / "panel_clean.csv")
-    assert panel.labels == tuple(str(i + 1) for i in range(7))
-    assert panel.n_samples == 20_000
-
-
-def test_spectra_csv_output_option(tmp_path):
-    cfg = write_tiny(
-        tmp_path,
-        trajectory_length=20_000,
-        burn_in=100,
-        outputs={"panel_format": "bin", "spectra_csv": True},
-    )
-    out = tmp_path / "run"
-    for stage in ("simulate", "corrupt", "spectra"):
-        assert main([stage, "--config", str(cfg), "--out", str(out)]) == 0
-    header = (out / "spectra_corrupt_magphase.csv").read_text().splitlines()[0]
-    assert header == "omega,node_i,node_j,magnitude,phase"
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--config", str(cfg), "--out", str(out), "--format", "bin"])
+    assert exc.value.code == 2
+    assert "--format" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_missing_config_exits_2(tmp_path, capsys):
@@ -124,13 +112,32 @@ def test_invalid_config_exits_2(tmp_path):
     assert main(["pipeline", "--config", str(short), "--out", str(tmp_path)]) == 2
 
 
+def misspelt(entry: dict, key: str, typo: str) -> dict:
+    return {typo if k == key else k: v for k, v in entry.items()}
+
+
+MODEL = TINY["model"]
+MISSPELT_MODEL = misspelt(MODEL, "noise_variance", "nosie_variance")
+
+
 @pytest.mark.parametrize("overrides, key", [
     ({"ridge": 0.0}, "ridge"),
     ({"welch": {"window": "hann"}}, "window"),
-    ({"outputs": {"panel_format": "bin", "dot": True}}, "dot"),
-], ids=["ridge", "welch-window", "outputs-dot"])
+    ({"outputs": {"panel_format": "bin"}}, "outputs"),
+    ({"model": MISSPELT_MODEL}, "nosie_variance"),
+    ({"model": MISSPELT_MODEL, "model_path": "model.json"}, "nosie_variance"),
+    ({"model": {**MODEL, "edges": [misspelt(MODEL["edges"][0], "ab", "abb")]}}, "abb"),
+    ({"corruption": [misspelt(CORRUPTION, "p", "probability")]}, "probability"),
+], ids=[
+    "ridge", "welch-window", "outputs", "model-noise-variance",
+    "model-file-noise-variance", "edge-ab", "corruption-p",
+])
 def test_unknown_config_key_exits_2(tmp_path, capsys, overrides, key):
-    cfg = write_tiny(tmp_path, **overrides)
+    payload = {**TINY, **overrides}
+    if "model_path" in payload:  # the model block comes from its own file
+        (tmp_path / payload["model_path"]).write_text(json.dumps(payload.pop("model")))
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(payload))
     out = tmp_path / "run"
     assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 2
     assert f"'{key}'" in capsys.readouterr().err
@@ -229,6 +236,26 @@ def test_trailing_bytes_exit_3(tmp_path, capsys):
         assert "trailing bytes" in capsys.readouterr().err
 
 
+def test_malformed_panel_header_exits_3(tmp_path, capsys):
+    cfg = write_tiny(tmp_path, trajectory_length=20_000, burn_in=100)
+    out = tmp_path / "run"
+    for stage in ("simulate", "corrupt"):
+        assert main([stage, "--config", str(cfg), "--out", str(out)]) == 0
+    clean, corrupt = out / "panel_clean.bin", out / "panel_corrupt.bin"
+    good_clean, good = clean.read_bytes(), corrupt.read_bytes()
+    # bytes 20..28 of an RTSP header hold the sample interval, always 1.0
+    assert struct.unpack("<d", good[20:28]) == (1.0,)
+    for path, blob, stage, message in (
+        (clean, flipped(good_clean, 0), "corrupt", "bad magic"),
+        (corrupt, flipped(good, 0), "spectra", "bad magic"),
+        (corrupt, b"1,2,3,4,5,6,7\n0,0,0,0,0,0,0\n", "spectra", "bad magic"),
+        (corrupt, good[:20] + struct.pack("<d", 0.5) + good[28:], "spectra", "interval"),
+    ):
+        path.write_bytes(blob)
+        assert main([stage, "--config", str(cfg), "--out", str(out)]) == 3
+        assert message in capsys.readouterr().err
+
+
 def test_malformed_detection_report_exits_3(tmp_path):
     cfg = write_tiny(tmp_path, trajectory_length=20_000, burn_in=100)
     out = tmp_path / "run"
@@ -255,7 +282,7 @@ def test_degenerate_data_exits_4(tmp_path):
         np.zeros((7, 20_000)) + np.arange(7)[:, None],
         tuple(str(i + 1) for i in range(7)),
     )
-    save_panel(flat, out / "panel_corrupt.bin", "bin")
+    save_panel(flat, out / "panel_corrupt.bin")
     assert main(["spectra", "--config", str(cfg), "--out", str(out)]) == 0
     assert main(["detect", "--config", str(cfg), "--out", str(out)]) == 4
 
@@ -356,11 +383,21 @@ def test_sweep_invalid_decision_block_exits_2(tmp_path):
 
 def test_sweep_unknown_key_exits_2(tmp_path, capsys):
     sweep_cfg = tmp_path / "sweep.json"
-    sweep_cfg.write_text(json.dumps({"instance": 2, "seed": 4}))
     out = tmp_path / "sweep"
-    assert main(["sweep", "--config", str(sweep_cfg), "--out", str(out)]) == 2
-    assert "'instance'" in capsys.readouterr().err
-    assert not (out / "sweep_summary.csv").exists()
+    for payload, key in (
+        ({"instance": 2, "seed": 4}, "instance"),
+        ({"instances": "x"}, "instances"),
+        ({"instances": 1, "nodes": [7]}, "nodes"),
+        # a 7-node tree hosts one corrupt node at most
+        ({"instances": 1, "nodes": [7, 7], "corrupt": [2, 3]}, "corrupt"),
+        # checked before any row runs, so no pool worker fails on it
+        ({"instances": 1, "trajectories": ["1e5"]}, "trajectories"),
+    ):
+        sweep_cfg.write_text(json.dumps(payload))
+        argv = ["sweep", "--config", str(sweep_cfg), "--out", str(out), "--threads", "2"]
+        assert main(argv) == 2
+        assert f"'{key}'" in capsys.readouterr().err
+        assert not (out / "sweep_summary.csv").exists()
 
 
 def test_sweep_negative_controls_reported_not_crashed(tmp_path):

@@ -9,7 +9,6 @@ from treespect.ltisim import (
     GenerativeModel,
     analytic_inverse_psd,
     analytic_psd,
-    load_model,
     model_from_dict,
     model_to_dict,
     simulate,
@@ -278,7 +277,7 @@ def test_model_roundtrip(tmp_path):
     m = random_stable_model(rng, n=5, ar=True)
     path = tmp_path / "model.json"
     path.write_text(json.dumps(model_to_dict(m)))
-    back = load_model(path)
+    back = model_from_dict(json.loads(path.read_text()))
     assert back.topology.edges == m.topology.edges
     assert back.coupling == m.coupling
     assert back.self_dynamics == m.self_dynamics

@@ -7,13 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from treespect.errors import DataError
-from treespect.panel import (
-    TimeSeriesPanel,
-    load_panel,
-    load_panel_binary,
-    save_panel,
-    save_panel_binary,
-)
+from treespect.panel import TimeSeriesPanel, load_panel, save_panel
 
 
 def make_panel(n=3, t=50, seed=0):
@@ -30,10 +24,9 @@ def test_validation():
         TimeSeriesPanel(np.zeros((2, 4)), ["a", "a"])
 
 
-@pytest.mark.parametrize("fmt", ["csv", "bin"])
-def test_roundtrip(tmp_path, fmt):
+def test_roundtrip(tmp_path):
     panel = make_panel()
-    path = save_panel(panel, tmp_path / f"p.{fmt}", fmt)
+    path = save_panel(panel, tmp_path / "p.bin")
     back = load_panel(path)
     assert back.labels == panel.labels
     np.testing.assert_allclose(back.data, panel.data, rtol=0, atol=0)
@@ -50,15 +43,9 @@ def test_roundtrip(tmp_path, fmt):
 def test_binary_roundtrip_bit_exact(tmp_path_factory, data):
     panel = TimeSeriesPanel(data, [f"c{i}" for i in range(data.shape[0])])
     path = tmp_path_factory.mktemp("panels") / "p.bin"
-    save_panel(panel, path, "bin")
+    save_panel(panel, path)
     back = load_panel(path)
     assert np.array_equal(back.data, panel.data)
-
-
-def test_csv_size_limit(tmp_path):
-    big = TimeSeriesPanel(np.zeros((2, 6 * 10**6)), ["a", "b"])
-    with pytest.raises(DataError):
-        save_panel(big, tmp_path / "p.csv", "csv")
 
 
 def test_binary_io_copies_at_most_once(tmp_path):
@@ -68,10 +55,10 @@ def test_binary_io_copies_at_most_once(tmp_path):
     path = tmp_path / "p.bin"
     tracemalloc.start()
     try:
-        save_panel_binary(panel, path)
+        save_panel(panel, path)
         save_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
-        back = load_panel_binary(path)
+        back = load_panel(path)
         load_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

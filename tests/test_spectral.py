@@ -323,14 +323,3 @@ def test_spectra_binary_roundtrip(tmp_path):
     assert np.array_equal(back.values, s.values)
     assert np.array_equal(back.grid.frequencies, s.grid.frequencies)
 
-
-def test_spectra_csv_exports(tmp_path):
-    from treespect.spectral import save_magnitude_phase_csv
-
-    s = estimate_cpsd(white_panel(n=2, t=20_000), WelchParams(segment_length=64))
-    mp_path = tmp_path / "magphase.csv"
-    save_magnitude_phase_csv(s, mp_path)
-    rows = mp_path.read_text().strip().splitlines()
-    assert rows[0] == "omega,node_i,node_j,magnitude,phase"
-    _, _, _, mag, _ = rows[1].split(",")
-    assert float(mag) == abs(s.values[0, 0, 0])
