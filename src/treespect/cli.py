@@ -3,8 +3,12 @@ pipeline | sweep.
 
 Every stage consumes the experiment config plus the previous stage's files
 from the output directory, writes its own artifacts, and records a
-manifest with parameter echo and input/output hashes.  Exit codes: 0 ok,
-2 config, 3 data, 4 numerical, 5 assumption violation.
+manifest with parameter echo and input/output SHA-256 hashes.  A panel's
+input hash is of the file as read from disk and its output hash is of the
+bytes `save_panel` writes; both run on the stage's one helper thread,
+overlapping the stage's own work.  Spectra and reports are hashed from
+their files.  Exit codes: 0 ok, 2 config, 3 data, 4 numerical, 5
+assumption violation.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import datetime
 import json
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -24,9 +28,12 @@ import numpy as np
 from . import __version__
 from .config import (
     ExperimentConfig,
+    is_count,
     load_config,
+    read_chunks,
     refuse_unknown_keys,
     sha256_file,
+    sha256_parts,
     welch_and_decision,
 )
 from .corruption import apply_corruption
@@ -41,7 +48,7 @@ from .errors import ConfigError, DataError, TreespectError
 from .instances import adversarial_instance, random_instance
 from .ltisim import simulate
 from .oracles import analytic_corrupted_psd, analytic_signatures
-from .panel import load_panel, save_panel
+from .panel import load_panel, panel_bytes, save_panel
 from .reconstruction import estimate_to_dot, estimate_to_json, hide_and_learn
 from .spectral import (
     FrequencyGrid,
@@ -60,14 +67,21 @@ TOPOLOGY_JSON = "topology.json"
 TOPOLOGY_DOT = "topology.dot"
 
 
+def _digests(paths) -> dict[str, str]:
+    """File name -> SHA-256 of each file, hashed on the calling thread; for
+    the small spectra and report files."""
+    return {p.name: sha256_file(p) for p in paths}
+
+
 def _write_manifest(out: Path, stage: str, cfg: ExperimentConfig, inputs, outputs, extra=None):
+    """`inputs` and `outputs` map file names to their SHA-256 digests."""
     manifest = {
         "stage": stage,
         "version": __version__,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "config": cfg.to_dict(),
-        "inputs": {str(p.name): sha256_file(p) for p in inputs},
-        "outputs": {str(p.name): sha256_file(p) for p in outputs},
+        "inputs": inputs,
+        "outputs": outputs,
     }
     manifest.update(extra or {})
     path = out / f"manifest_{stage}.json"
@@ -81,29 +95,43 @@ def _require(path: Path, hint: str) -> Path:
     return path
 
 
+# Panel hashes run on one helper thread per stage: hashlib and file I/O
+# release the GIL, so they overlap the stage's own work.  The helper calls
+# sha256_parts, never sha256_file: the benchmark's tracer wraps this
+# module's sha256_file, and its span stack is the main thread's.
+
 def stage_simulate(cfg: ExperimentConfig, out: Path) -> list[Path]:
     panel = simulate(cfg.model, cfg.trajectory_length, cfg.seed, burn_in=cfg.burn_in)
-    path = save_panel(panel, out / PANEL_CLEAN)
-    _write_manifest(out, "simulate", cfg, [], [path])
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        digest = helper.submit(sha256_parts, panel_bytes(panel))
+        path = save_panel(panel, out / PANEL_CLEAN)
+    _write_manifest(out, "simulate", cfg, {}, {path.name: digest.result()})
     return [path]
 
 
 def stage_corrupt(cfg: ExperimentConfig, out: Path) -> list[Path]:
     src = _require(out / PANEL_CLEAN, "treespect simulate")
-    panel = load_panel(src)
-    corrupted = apply_corruption(panel, list(cfg.corruption), cfg.seed)
-    path = save_panel(corrupted, out / PANEL_CORRUPT)
-    _write_manifest(out, "corrupt", cfg, [src], [path])
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        src_digest = helper.submit(sha256_parts, read_chunks(src))
+        panel = load_panel(src)
+        corrupted = apply_corruption(panel, list(cfg.corruption), cfg.seed)
+        digest = helper.submit(sha256_parts, panel_bytes(corrupted))
+        path = save_panel(corrupted, out / PANEL_CORRUPT)
+    _write_manifest(
+        out, "corrupt", cfg, {src.name: src_digest.result()}, {path.name: digest.result()}
+    )
     return [path]
 
 
 def stage_spectra(cfg: ExperimentConfig, out: Path) -> list[Path]:
     src = _require(out / PANEL_CORRUPT, "treespect corrupt")
-    panel = load_panel(src)
-    spectra = estimate_cpsd(panel, cfg.welch)
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        src_digest = helper.submit(sha256_parts, read_chunks(src))
+        panel = load_panel(src)
+        spectra = estimate_cpsd(panel, cfg.welch)
     path = out / SPECTRA
     save_spectra_binary(spectra, path)
-    _write_manifest(out, "spectra", cfg, [src], [path])
+    _write_manifest(out, "spectra", cfg, {src.name: src_digest.result()}, _digests([path]))
     return [path]
 
 
@@ -117,7 +145,7 @@ def stage_detect(cfg: ExperimentConfig, out: Path) -> list[Path]:
     dpath = out / DETECTION_DOT
     dpath.write_text(report_to_dot(report))
     _write_manifest(
-        out, "detect", cfg, [src], [jpath, dpath],
+        out, "detect", cfg, _digests([src]), _digests([jpath, dpath]),
         extra={"flagged_frequencies": int(inverse.flagged.sum())},
     )
     return [jpath, dpath]
@@ -137,7 +165,7 @@ def stage_learn(cfg: ExperimentConfig, out: Path) -> list[Path]:
     jpath.write_text(estimate_to_json(estimate))
     dpath = out / TOPOLOGY_DOT
     dpath.write_text(estimate_to_dot(estimate))
-    _write_manifest(out, "learn", cfg, [spath, rpath], [jpath, dpath])
+    _write_manifest(out, "learn", cfg, _digests([spath, rpath]), _digests([jpath, dpath]))
     return [jpath, dpath]
 
 
@@ -169,16 +197,12 @@ SWEEP_KEYS = frozenset({
 })
 
 
-def _is_count(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool) and v >= 0
-
-
 def _is_range(v) -> bool:
-    return isinstance(v, list) and len(v) == 2 and all(map(_is_count, v)) and v[0] <= v[1]
+    return isinstance(v, list) and len(v) == 2 and all(map(is_count, v)) and v[0] <= v[1]
 
 
 def _is_trajectory(v) -> bool:
-    return v == "analytic" or (_is_count(v) and v > 0)
+    return v == "analytic" or (is_count(v) and v > 0)
 
 
 def _sweep_value(payload: dict, key: str, default, valid, expected: str):
@@ -260,7 +284,7 @@ def cmd_sweep(args) -> int:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
     refuse_unknown_keys(payload, SWEEP_KEYS, "sweep config")
-    count = _sweep_value(payload, "instances", 0, _is_count, "an integer >= 0")
+    count = _sweep_value(payload, "instances", 0, is_count, "an integer >= 0")
     pair = "a [low, high] pair of integers >= 0"
     lo_n, hi_n = _sweep_value(payload, "nodes", [7, 15], _is_range, pair)
     lo_k, hi_k = _sweep_value(payload, "corrupt", [1, 3], _is_range, pair)
@@ -273,13 +297,17 @@ def cmd_sweep(args) -> int:
         lambda v: isinstance(v, list) and all(map(_is_trajectory, v)),
         'a list of "analytic" or sample counts >= 1',
     )
-    seed = _sweep_value(payload, "seed", 0, _is_count, "an integer >= 0")
+    seed = _sweep_value(payload, "seed", 0, is_count, "an integer >= 0")
+    if args.seed is not None:
+        if not is_count(args.seed):
+            raise ConfigError(f"--seed must be an integer >= 0, got {args.seed}")
+        seed = args.seed
     violate = _sweep_value(
         payload, "violate_assumption", False, lambda v: isinstance(v, bool), "true or false"
     )
     welch, decision = welch_and_decision(payload)
     cfg_payload = {
-        "seed": seed if args.seed is None else args.seed,
+        "seed": seed,
         "welch": welch,
         "decision": decision,
     }

@@ -21,6 +21,12 @@ EXPERIMENT_KEYS = frozenset({
 MODEL_KEYS = frozenset({"labels", "edges", "self_dynamics", "noise_variance"})
 EDGE_KEYS = frozenset({"a", "b", "ab", "ba"})
 CORRUPTION_KEYS = frozenset(f.name for f in fields(CorruptionSpec))
+HASH_CHUNK = 1 << 20  # bytes per read when a file is hashed
+
+
+def is_count(value) -> bool:
+    """True for an integer >= 0 that is not a bool: a count or a seed."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
 @dataclass(frozen=True)
@@ -36,6 +42,8 @@ class ExperimentConfig:
     decision: EdgeDecisionParams = EdgeDecisionParams()
 
     def __post_init__(self):
+        if not is_count(self.seed):
+            raise ConfigError(f"seed must be an integer >= 0, got {self.seed!r}")
         if self.trajectory_length < 1:
             raise ConfigError("trajectory_length must be >= 1")
         if self.burn_in < 0:
@@ -93,6 +101,8 @@ def _checked_model(payload: dict) -> GenerativeModel:
 def config_from_dict(payload: dict, base_dir: Path | None = None) -> ExperimentConfig:
     try:
         refuse_unknown_keys(payload, EXPERIMENT_KEYS, "config")
+        if "model" in payload and "model_path" in payload:
+            raise ConfigError("config gives both 'model' and 'model_path'; give one")
         if "model" in payload:
             model = _checked_model(payload["model"])
         elif "model_path" in payload:
@@ -113,7 +123,7 @@ def config_from_dict(payload: dict, base_dir: Path | None = None) -> ExperimentC
             model=model,
             corruption=corruption,
             trajectory_length=int(payload["trajectory_length"]),
-            seed=int(payload.get("seed", 0)),
+            seed=payload.get("seed", 0),
             burn_in=int(payload.get("burn_in", 10_000)),
             welch=welch,
             decision=decision,
@@ -146,9 +156,23 @@ def bundled_config_path(name: str) -> Path:
         return Path(path)
 
 
-def sha256_file(path: str | Path) -> str:
+def read_chunks(path: str | Path):
+    """Yield a file's bytes in order through one reused HASH_CHUNK buffer;
+    each chunk is valid only until the next one is read."""
+    buf = bytearray(HASH_CHUNK)
+    view = memoryview(buf)
+    with Path(path).open("rb", buffering=0) as fh:
+        while size := fh.readinto(buf):
+            yield view[:size]
+
+
+def sha256_parts(parts) -> str:
+    """Hex SHA-256 of the concatenation of the byte buffers in `parts`."""
     digest = hashlib.sha256()
-    with Path(path).open("rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
+    for part in parts:
+        digest.update(part)
     return digest.hexdigest()
+
+
+def sha256_file(path: str | Path) -> str:
+    return sha256_parts(read_chunks(path))

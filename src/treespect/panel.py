@@ -88,19 +88,24 @@ def read_labels(fh: BinaryIO, size: int, path: str | Path) -> list[str]:
     return labels
 
 
-def save_panel(panel: TimeSeriesPanel, path: str | Path) -> Path:
-    """Write an RTSP file: magic, shape, the sample interval (always 1.0),
-    JSON label blob, little-endian float64 samples row-major (one row per
-    channel).  Returns the path."""
-    path = Path(path)
+def panel_bytes(panel: TimeSeriesPanel) -> tuple[bytes, memoryview]:
+    """The RTSP file of `panel` in two parts: the header (magic, shape, the
+    sample interval, always 1.0, and the JSON label blob), then a view of
+    the little-endian float64 samples row-major (one row per channel).
+    `save_panel` writes exactly these parts, so their SHA-256 is the
+    file's."""
     blob = json.dumps(list(panel.labels)).encode()
+    shape = struct.pack("<QQdI", panel.n_channels, panel.n_samples, SAMPLE_INTERVAL, len(blob))
     data = np.ascontiguousarray(panel.data, dtype="<f8")
+    return PANEL_MAGIC + shape + blob, memoryview(data).cast("B")
+
+
+def save_panel(panel: TimeSeriesPanel, path: str | Path) -> Path:
+    """Write `panel` as an RTSP file (see `panel_bytes`).  Returns the path."""
+    path = Path(path)
     with path.open("wb") as fh:
-        fh.write(PANEL_MAGIC)
-        header = (panel.n_channels, panel.n_samples, SAMPLE_INTERVAL, len(blob))
-        fh.write(struct.pack("<QQdI", *header))
-        fh.write(blob)
-        fh.write(memoryview(data).cast("B"))
+        for part in panel_bytes(panel):
+            fh.write(part)
     return path
 
 

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import shutil
 import struct
 from pathlib import Path
 
@@ -87,6 +89,77 @@ def test_seed_override_changes_data(tmp_path):
     assert main(["simulate", "--config", str(cfg), "--out", str(a)]) == 0
     assert main(["simulate", "--config", str(cfg), "--out", str(b), "--seed", "99"]) == 0
     assert (a / "panel_clean.bin").read_bytes() != (b / "panel_clean.bin").read_bytes()
+
+
+STAGE_FILES = {
+    "simulate": ([], ["panel_clean.bin"]),
+    "corrupt": (["panel_clean.bin"], ["panel_corrupt.bin"]),
+    "spectra": (["panel_corrupt.bin"], ["spectra_corrupt.rtsm"]),
+    "detect": (["spectra_corrupt.rtsm"], ["detection.dot", "detection.json"]),
+    "learn": (["detection.json", "spectra_corrupt.rtsm"], ["topology.dot", "topology.json"]),
+}
+
+
+def file_sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_manifest_hashes_are_file_hashes(tmp_path):
+    cfg = write_tiny(tmp_path, corruption=[CORRUPTION])
+    out = tmp_path / "run"
+    assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 0
+    for stage, (inputs, outputs) in STAGE_FILES.items():
+        manifest = json.loads((out / f"manifest_{stage}.json").read_text())
+        assert sorted(manifest["inputs"]) == inputs, stage
+        assert sorted(manifest["outputs"]) == outputs, stage
+        for name, digest in {**manifest["inputs"], **manifest["outputs"]}.items():
+            assert digest == file_sha256(out / name), (stage, name)
+
+
+def test_corrupt_hashes_the_panel_it_reads(tmp_path):
+    # a digest carried forward from manifest_simulate.json would miss the swap
+    cfg = write_tiny(tmp_path, trajectory_length=20_000, burn_in=100)
+    out, other = tmp_path / "run", tmp_path / "other"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    assert main(["simulate", "--config", str(cfg), "--out", str(other), "--seed", "6"]) == 0
+    shutil.copyfile(other / "panel_clean.bin", out / "panel_clean.bin")
+    assert main(["corrupt", "--config", str(cfg), "--out", str(out)]) == 0
+    simulated = json.loads((out / "manifest_simulate.json").read_text())
+    corrupt = json.loads((out / "manifest_corrupt.json").read_text())
+    swapped = file_sha256(other / "panel_clean.bin")
+    assert corrupt["inputs"] == {"panel_clean.bin": swapped}
+    assert simulated["outputs"]["panel_clean.bin"] != swapped
+
+
+@pytest.mark.parametrize("seed", [-3, True, 1.5, "3"])
+def test_config_seed_not_a_count_exits_2(tmp_path, capsys, seed):
+    cfg = write_tiny(tmp_path, seed=seed)
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"seed must be an integer >= 0, got {seed!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "pipeline", "sweep"])
+def test_negative_seed_override_exits_2(tmp_path, capsys, command):
+    if command == "sweep":
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps({"instances": 1, "nodes": [7, 7], "corrupt": [1, 1]}))
+    else:
+        cfg = write_tiny(tmp_path)
+    out = tmp_path / "run"
+    assert main([command, "--config", str(cfg), "--out", str(out), "--seed", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert "seed must be an integer >= 0, got -1" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_model_and_model_path_exits_2(tmp_path, capsys):
+    cfg = write_tiny(tmp_path, model_path="/nonexistent/model.json")
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert "'model'" in err and "'model_path'" in err
 
 
 def test_format_flag_exits_2(tmp_path, capsys):

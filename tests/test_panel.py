@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -6,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from treespect.config import HASH_CHUNK, sha256_file, sha256_parts
 from treespect.errors import DataError
-from treespect.panel import TimeSeriesPanel, load_panel, save_panel
+from treespect.panel import TimeSeriesPanel, load_panel, panel_bytes, save_panel
 
 
 def make_panel(n=3, t=50, seed=0):
@@ -65,3 +67,28 @@ def test_binary_io_copies_at_most_once(tmp_path):
     assert np.array_equal(back.data, panel.data)
     assert save_peak < 0.25 * panel.data.nbytes
     assert load_peak < 1.25 * panel.data.nbytes
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_panel_bytes_are_the_file(tmp_path, order):
+    # a Fortran-ordered panel is laid out row-major on the way out
+    panel = make_panel(n=4, t=1000)
+    panel = TimeSeriesPanel(np.asarray(panel.data, order=order), panel.labels)
+    blob = save_panel(panel, tmp_path / "p.bin").read_bytes()
+    assert b"".join(panel_bytes(panel)) == blob
+    assert sha256_parts(panel_bytes(panel)) == hashlib.sha256(blob).hexdigest()
+
+
+def test_sha256_file_reads_through_one_buffer(tmp_path):
+    # a size that is not a whole number of chunks, hashed in ~1 chunk of memory
+    blob = np.random.default_rng(0).bytes(5 * HASH_CHUNK + 12345)
+    path = tmp_path / "blob.bin"
+    path.write_bytes(blob)
+    tracemalloc.start()
+    try:
+        digest = sha256_file(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert digest == hashlib.sha256(blob).hexdigest()
+    assert peak < 1.5 * HASH_CHUNK
