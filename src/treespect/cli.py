@@ -17,6 +17,7 @@ import argparse
 import csv
 import datetime
 import json
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
@@ -302,6 +303,8 @@ def cmd_sweep(args) -> int:
         if not is_count(args.seed):
             raise ConfigError(f"--seed must be an integer >= 0, got {args.seed}")
         seed = args.seed
+    if args.threads < 1:
+        raise ConfigError(f"--threads must be an integer >= 1, got {args.threads}")
     violate = _sweep_value(
         payload, "violate_assumption", False, lambda v: isinstance(v, bool), "true or false"
     )
@@ -320,8 +323,11 @@ def cmd_sweep(args) -> int:
         for trajectory in trajectories:
             tasks.append((idx, n, k, trajectory, cfg_payload, violate))
 
-    if args.threads > 1 and tasks:
-        with ProcessPoolExecutor(max_workers=args.threads) as pool:
+    # the pool forks all its workers at the first submit, so never ask for
+    # more than there are rows or cores
+    workers = min(args.threads, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_row, tasks))
     else:
         rows = [_sweep_row(t) for t in tasks]

@@ -11,7 +11,7 @@ from pathlib import Path
 from .corruption import CorruptionSpec
 from .detection import EdgeDecisionParams
 from .errors import ConfigError, DataError, NumericalError
-from .ltisim import GenerativeModel, model_from_dict, model_to_dict
+from .ltisim import DEFAULT_BURN_IN, GenerativeModel, model_from_dict, model_to_dict
 from .spectral import WelchParams
 
 EXPERIMENT_KEYS = frozenset({
@@ -37,17 +37,19 @@ class ExperimentConfig:
     corruption: tuple[CorruptionSpec, ...]
     trajectory_length: int
     seed: int
-    burn_in: int = 10_000
+    burn_in: int = DEFAULT_BURN_IN
     welch: WelchParams = WelchParams()
     decision: EdgeDecisionParams = EdgeDecisionParams()
 
     def __post_init__(self):
         if not is_count(self.seed):
             raise ConfigError(f"seed must be an integer >= 0, got {self.seed!r}")
-        if self.trajectory_length < 1:
-            raise ConfigError("trajectory_length must be >= 1")
-        if self.burn_in < 0:
-            raise ConfigError("burn_in must be >= 0")
+        if not is_count(self.trajectory_length) or self.trajectory_length < 1:
+            raise ConfigError(
+                f"trajectory_length must be an integer >= 1, got {self.trajectory_length!r}"
+            )
+        if not is_count(self.burn_in):
+            raise ConfigError(f"burn_in must be an integer >= 0, got {self.burn_in!r}")
         if self.welch.segment_count(self.trajectory_length) < 8:
             raise ConfigError(
                 f"trajectory_length {self.trajectory_length} too short for "
@@ -122,9 +124,9 @@ def config_from_dict(payload: dict, base_dir: Path | None = None) -> ExperimentC
         return ExperimentConfig(
             model=model,
             corruption=corruption,
-            trajectory_length=int(payload["trajectory_length"]),
+            trajectory_length=payload["trajectory_length"],
             seed=payload.get("seed", 0),
-            burn_in=int(payload.get("burn_in", 10_000)),
+            burn_in=payload.get("burn_in", DEFAULT_BURN_IN),
             welch=welch,
             decision=decision,
         )

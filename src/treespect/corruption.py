@@ -45,8 +45,11 @@ class CorruptionSpec:
         if self.kind == "random_delay":
             if self.p is None or not 0 < self.p <= 1:
                 raise DataError("random_delay needs probability 0 < p <= 1")
-            if self.t1 is None or self.t2 is None:
-                raise DataError("random_delay needs integer shifts t1, t2")
+            shifts = (self.t1, self.t2)
+            if not all(isinstance(t, int) and not isinstance(t, bool) for t in shifts):
+                raise DataError(
+                    f"random_delay needs integer shifts t1, t2, got {self.t1!r}, {self.t2!r}"
+                )
             if self.t1 == 0 and self.t2 == 0:
                 raise DataError("random_delay needs a nonzero shift")
         elif self.kind == "packet_drop":

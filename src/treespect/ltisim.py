@@ -7,8 +7,14 @@ Each node i obeys, in transfer-function form,
 
 with monic S_i(z) = z^m - a_1 z^(m-1) - ... - a_m, couplings b_ij nonzero
 exactly on the topology edges (both directions), and independent white
-noise w_i of variance sigma_i^2.  Equivalently x = G(z) x + e with
-G_ij = b_ij / S_i and e_i = w_i / S_i.
+noise w_i of variance sigma_i^2.  At each frequency omega this is one
+system A x = w with A(omega) = diag(S_i(e^{j omega})) - B, so with
+Sigma = diag(sigma^2) the exact spectra are
+
+    Phi = A^-1 Sigma A^-*,    Phi^-1 = A* Sigma^-1 A.
+
+A is nonzero only on the diagonal and the edges, so Phi^-1 is exactly
+zero between nodes more than two hops apart.
 """
 
 from __future__ import annotations
@@ -127,27 +133,6 @@ class GenerativeModel:
         P.setflags(write=False)
         return P
 
-    def self_response(self, grid: FrequencyGrid) -> np.ndarray:
-        """S_i(e^{j w}) for every node, shape (n_freq, N)."""
-        z = np.exp(1j * grid.frequencies)
-        out = np.empty((grid.size, self.n_nodes), dtype=np.complex128)
-        for i, coeffs in enumerate(self.self_dynamics):
-            m = len(coeffs)
-            s = z**m
-            for k, a in enumerate(coeffs, start=1):
-                s = s - a * z ** (m - k)
-            out[:, i] = s
-        return out
-
-    def transfer_matrix(self, grid: FrequencyGrid) -> np.ndarray:
-        """G(e^{j w}) with G_ij = b_ij / S_i, shape (n_freq, N, N)."""
-        n = self.n_nodes
-        S = self.self_response(grid)
-        B = np.zeros((n, n))
-        for (i, j), b in self.coupling.items():
-            B[i, j] = b
-        return B[None, :, :] / S[:, :, None]
-
 
 # ---------------------------------------------------------------------------
 # simulation
@@ -240,58 +225,44 @@ def simulate(
 # ---------------------------------------------------------------------------
 # analytic spectra
 
-def analytic_psd(model: GenerativeModel, grid: FrequencyGrid) -> SpectralMatrix:
-    """Exact PSD (I-G)^-1 Phi_e (I-G)^-* on the grid."""
+def _system_matrix(model: GenerativeModel, grid: FrequencyGrid) -> np.ndarray:
+    """A(omega) = diag(S_i(e^{j omega})) - B on the grid, shape (n_freq, N, N)."""
     n = model.n_nodes
-    S = model.self_response(grid)
-    G = model.transfer_matrix(grid)
-    M = np.eye(n)[None, :, :] - G
-    phi_e = model.noise_variance[None, :] / np.abs(S) ** 2
+    z = np.exp(1j * grid.frequencies)
+    A = np.zeros((grid.size, n, n), dtype=np.complex128)
+    for (i, j), b in model.coupling.items():
+        A[:, i, j] = -b
+    for i, coeffs in enumerate(model.self_dynamics):
+        m = len(coeffs)
+        s = z**m
+        for k, a in enumerate(coeffs, start=1):
+            s = s - a * z ** (m - k)
+        A[:, i, i] = s
+    return A
+
+
+def analytic_psd(model: GenerativeModel, grid: FrequencyGrid) -> SpectralMatrix:
+    """Exact PSD A^-1 Sigma A^-* on the grid."""
     try:
-        Minv = np.linalg.inv(M)
+        Ainv = np.linalg.inv(_system_matrix(model, grid))
     except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"I - G singular on the grid: {exc}") from exc
-    vals = (Minv * phi_e[:, None, :]) @ np.conj(np.swapaxes(Minv, 1, 2))
+        raise NumericalError(f"A = diag(S) - B singular on the grid: {exc}") from exc
+    vals = (Ainv * model.noise_variance) @ np.conj(np.swapaxes(Ainv, 1, 2))
     vals = 0.5 * (vals + np.conj(np.swapaxes(vals, 1, 2)))
     return SpectralMatrix(grid, vals, model.labels)
 
 
 def analytic_inverse_psd(model: GenerativeModel, grid: FrequencyGrid) -> SpectralMatrix:
-    """Exact inverse PSD assembled entrywise, never by matrix inversion.
+    """Exact inverse PSD A* Sigma^-1 A, a product with no inversion.
 
-    Expanding (I-G)* Phi_e^-1 (I-G) gives, per frequency:
-
-      (i,i):  |S_i|^2/sigma_i^2 + sum_{k~i} b_ki^2/sigma_k^2
-      (i,j):  -b_ij conj(S_i)/sigma_i^2 - b_ji S_j/sigma_j^2   for edges i-j
-              + sum over common neighbors k of b_ki b_kj/sigma_k^2
-      zero for pairs more than two hops apart.
-
-    On a tree this is exactly the four-case 1-hop/2-hop/diagonal/zero form;
-    the common-neighbor sum also covers non-tree sparsity patterns.
+    Entry (i, j) sums conj(A_ki) A_kj / sigma_k^2 over k; every term of a
+    pair more than two hops apart has an exact-zero factor, so the entry is
+    exactly 0.
     """
-    n = model.n_nodes
-    S = model.self_response(grid)
-    sig = model.noise_variance
-    adj = model.topology.adjacency()
-    vals = np.zeros((grid.size, n, n), dtype=np.complex128)
-    for i in range(n):
-        vals[:, i, i] = np.abs(S[:, i]) ** 2 / sig[i] + sum(
-            model.coupling[(k, i)] ** 2 / sig[k] for k in adj[i]
-        )
-    for i in range(n):
-        for j in range(i + 1, n):
-            entry = np.zeros(grid.size, dtype=np.complex128)
-            if j in adj[i]:
-                entry = entry - model.coupling[(i, j)] * np.conj(S[:, i]) / sig[i]
-                entry = entry - model.coupling[(j, i)] * S[:, j] / sig[j]
-            common = sum(
-                model.coupling[(k, i)] * model.coupling[(k, j)] / sig[k]
-                for k in adj[i] & adj[j]
-            )
-            entry = entry + common
-            vals[:, i, j] = entry
-            vals[:, j, i] = np.conj(entry)
-    return SpectralMatrix(grid, vals, model.labels)
+    A = _system_matrix(model, grid)
+    Ah = np.conj(np.swapaxes(A, 1, 2))
+    A /= model.noise_variance[:, None]
+    return SpectralMatrix(grid, Ah @ A, model.labels)
 
 
 def stationary_autocovariance(model: GenerativeModel, lags: Sequence[int]) -> dict[int, np.ndarray]:

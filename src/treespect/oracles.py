@@ -4,7 +4,7 @@ Given per-node signatures (h, d), the corrupted PSD is
 
     Phi_uu = H Phi_xx H* + diag(d),   H = diag(h).
 
-Its inverse is built without any dense inversion: rescale the entrywise
+Its inverse is built without any dense inversion: rescale the exact
 clean inverse by 1/(conj(h_i) h_j), then absorb each node's additive term
 with one Woodbury rank-one downdate, in place.  The detection proofs
 reason about the intermediate inverses; a zero additive term makes its
@@ -68,7 +68,7 @@ def woodbury_chain_inverse(
 ) -> tuple[SpectralMatrix, tuple[int, ...]]:
     """Inverse corrupted PSD via the rank-one update chain.
 
-    Step 0 rescales the entrywise clean inverse by the multiplicative
+    Step 0 rescales the exact clean inverse by the multiplicative
     responses; every signature node, in sorted order, then contributes one
     downdate
 

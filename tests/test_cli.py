@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import shutil
 import struct
 from pathlib import Path
@@ -137,6 +138,37 @@ def test_config_seed_not_a_count_exits_2(tmp_path, capsys, seed):
     out = tmp_path / "run"
     assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
     assert f"seed must be an integer >= 0, got {seed!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "key, value, low",
+    [
+        ("trajectory_length", 1000000.7, 1),
+        ("trajectory_length", "1000000", 1),
+        ("trajectory_length", True, 1),
+        ("trajectory_length", 0, 1),
+        ("burn_in", True, 0),
+        ("burn_in", 2.5, 0),
+        ("burn_in", -1, 0),
+    ],
+)
+def test_config_length_not_a_count_exits_2(tmp_path, capsys, key, value, low):
+    cfg = write_tiny(tmp_path, **{key: value})
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"{key} must be an integer >= {low}, got {value!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("shift", [{"t1": -2.5}, {"t2": True}, {"t1": "-2"}])
+def test_non_integer_delay_shift_exits_2(tmp_path, capsys, shift):
+    cfg = write_tiny(tmp_path, corruption=[{**CORRUPTION, **shift}])
+    out = tmp_path / "run"
+    assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "integer shifts t1, t2" in err
+    assert "Traceback" not in err
     assert not out.exists()
 
 
@@ -471,6 +503,59 @@ def test_sweep_unknown_key_exits_2(tmp_path, capsys):
         assert main(argv) == 2
         assert f"'{key}'" in capsys.readouterr().err
         assert not (out / "sweep_summary.csv").exists()
+
+
+def fake_process_pool(monkeypatch, cpus):
+    """Replace the sweep's process pool with one that records its
+    `max_workers` and maps in this process, so no worker is ever forked."""
+    sizes = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr("treespect.cli.ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    return sizes
+
+
+@pytest.mark.parametrize(
+    "threads, cpus, sizes",
+    [(5000, 64, [2]), (5000, 1, []), (2, 64, [2]), (1, 64, [])],
+)
+def test_sweep_pool_sized_by_rows_and_cores(tmp_path, monkeypatch, threads, cpus, sizes):
+    made = fake_process_pool(monkeypatch, cpus)
+    sweep_cfg = tmp_path / "sweep.json"
+    sweep_cfg.write_text(json.dumps({"instances": 2, "nodes": [7, 8], "corrupt": [1, 1]}))
+    out = tmp_path / "sweep"
+    argv = ["sweep", "--config", str(sweep_cfg), "--out", str(out), "--threads", str(threads)]
+    assert main(argv) == 0
+    assert made == sizes
+    assert len((out / "sweep_summary.csv").read_text().strip().splitlines()) == 3
+
+
+@pytest.mark.parametrize("threads", [0, -3])
+def test_sweep_threads_below_one_exits_2(tmp_path, monkeypatch, capsys, threads):
+    made = fake_process_pool(monkeypatch, 64)
+    sweep_cfg = tmp_path / "sweep.json"
+    sweep_cfg.write_text(json.dumps({"instances": 2, "nodes": [7, 8], "corrupt": [1, 1]}))
+    out = tmp_path / "sweep"
+    argv = ["sweep", "--config", str(sweep_cfg), "--out", str(out), "--threads", str(threads)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"--threads must be an integer >= 1, got {threads}" in err
+    assert "Traceback" not in err
+    assert made == []
+    assert not out.exists()
 
 
 def test_sweep_negative_controls_reported_not_crashed(tmp_path):

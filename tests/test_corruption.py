@@ -29,6 +29,9 @@ def test_spec_validation():
         CorruptionSpec(node=0, kind="bogus")
     with pytest.raises(DataError):
         CorruptionSpec(node=0, kind="random_delay", p=0.5, t1=0, t2=0)
+    for t1, t2 in ((-2.5, 0), (-2, None), (True, 0), ("-2", 0), (-2, 0.0)):
+        with pytest.raises(DataError, match="integer shifts"):
+            CorruptionSpec(node=0, kind="random_delay", p=0.5, t1=t1, t2=t2)
     with pytest.raises(DataError):
         CorruptionSpec(node=0, kind="packet_drop", p=0.0)
     with pytest.raises(DataError):

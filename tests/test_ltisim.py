@@ -234,6 +234,46 @@ def test_inverse_times_psd_is_identity():
         assert rel < 1e-9
 
 
+def test_inverse_psd_matches_four_case_closed_form():
+    # Expanding (I-G)* Phi_e^-1 (I-G) entrywise, per frequency:
+    #   (i,i):   |S_i|^2/sigma_i^2 + sum_{k~i} b_ki^2/sigma_k^2
+    #   (i,j):   -b_ij conj(S_i)/sigma_i^2 - b_ji S_j/sigma_j^2  for edges i-j
+    #   (i,j):   b_ki b_kj/sigma_k^2  for i, j two hops apart through k
+    #   (i,j):   exactly 0 beyond two hops
+    # Asymmetric couplings and unequal variances make a sign or transpose
+    # slip in B show.
+    tree = UndirectedGraph.from_edges(7, [(0, 1), (1, 2), (2, 3), (1, 4), (4, 5), (2, 6)])
+    rng = np.random.default_rng(29)
+    coupling = {}
+    for a, b in tree.edges:
+        coupling[(a, b)] = float(rng.uniform(0.1, 0.3))
+        coupling[(b, a)] = -float(rng.uniform(0.1, 0.3))
+    dyn = tuple((float(a),) for a in rng.uniform(-0.4, 0.4, size=7))
+    sig = rng.uniform(0.5, 2.0, size=7)
+    m = GenerativeModel(tree, coupling, dyn, sig)
+    grid = FrequencyGrid.welch_bins(32)
+    z = np.exp(1j * grid.frequencies)
+    S = [z - c[0] for c in dyn]
+    b = coupling
+    inv = analytic_inverse_psd(m, grid)
+    for i in range(7):
+        dist = bfs_distances(tree, i)
+        for j in range(7):
+            if i == j:
+                want = np.abs(S[i]) ** 2 / sig[i] + sum(
+                    b[(k, i)] ** 2 / sig[k] for k in tree.neighbors(i)
+                )
+            elif dist[j] == 1:
+                want = -b[(i, j)] * np.conj(S[i]) / sig[i] - b[(j, i)] * S[j] / sig[j]
+            elif dist[j] == 2:
+                (k,) = tree.neighbors(i) & tree.neighbors(j)
+                want = np.full(grid.size, b[(k, i)] * b[(k, j)] / sig[k])
+            else:
+                assert np.all(inv.entry(i, j) == 0.0)
+                continue
+            np.testing.assert_allclose(inv.entry(i, j), want, rtol=0, atol=1e-13)
+
+
 def test_inverse_psd_support_is_moral_graph():
     from treespect.graphs import moral_graph
 
