@@ -14,17 +14,16 @@ import sys
 import time
 from pathlib import Path
 
-from treespect.corruption import apply_corruption
 from treespect.detection import EdgeDecisionParams, detect, report_to_dot, report_to_json
 from treespect.errors import TreespectError
 from treespect.instances import chain7_corruption, chain7_model
-from treespect.ltisim import simulate
 from treespect.reconstruction import (
     estimate_to_dot,
     estimate_to_json,
     hide_and_learn,
 )
 from treespect.spectral import WelchParams, estimate_cpsd, invert_spectrum
+from treespect.streams import apply_corruption, simulate
 
 
 def edge_names(labels, edges):

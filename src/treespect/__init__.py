@@ -15,7 +15,6 @@ from .corruption import (
     CorruptionSignature,
     CorruptionSpec,
     analytic_signature,
-    apply_corruption,
     estimate_signature,
 )
 from .detection import (
@@ -48,7 +47,6 @@ from .ltisim import (
     GenerativeModel,
     analytic_inverse_psd,
     analytic_psd,
-    simulate,
     stationary_autocovariance,
 )
 from .oracles import analytic_corrupted_psd, analytic_signatures, woodbury_chain_inverse
@@ -68,3 +66,14 @@ from .spectral import (
     invert_spectrum,
     marginal_inverse_psd,
 )
+
+
+def __getattr__(name):
+    # The time-series functions live in `streams`, the one module that
+    # imports scipy.signal; they load on first access so the analytic path
+    # never pays for it.
+    if name in ("apply_corruption", "simulate"):
+        from . import streams
+
+        return getattr(streams, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -37,7 +37,6 @@ from .config import (
     sha256_parts,
     welch_and_decision,
 )
-from .corruption import apply_corruption
 from .detection import (
     ANALYTIC_DECISION,
     detect,
@@ -47,7 +46,6 @@ from .detection import (
 )
 from .errors import ConfigError, DataError, TreespectError
 from .instances import adversarial_instance, random_instance
-from .ltisim import simulate
 from .oracles import analytic_corrupted_psd, analytic_signatures
 from .panel import load_panel, panel_bytes, save_panel
 from .reconstruction import estimate_to_dot, estimate_to_json, hide_and_learn
@@ -58,6 +56,7 @@ from .spectral import (
     load_spectra_binary,
     save_spectra_binary,
 )
+from .streams import apply_corruption, simulate
 
 PANEL_CLEAN = "panel_clean.bin"
 PANEL_CORRUPT = "panel_corrupt.bin"

@@ -1,4 +1,5 @@
-"""Stochastic data-stream corruption models and their spectral signatures.
+"""Stochastic data-stream corruption models and their spectral signatures
+(`streams.apply_corruption` applies them to a panel).
 
 Every supported model leaves a corrupted stream u whose cross- and auto-
 spectra relative to the clean stream x factor as
@@ -15,7 +16,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .errors import DataError, NumericalError
 from .ltisim import GenerativeModel, stationary_autocovariance
@@ -85,49 +85,6 @@ class CorruptionSpec:
             taps=tuple(payload["taps"]) if "taps" in payload else None,
             noise_variance=payload.get("noise_variance"),
         )
-
-
-def _corrupt_channel(x: np.ndarray, spec: CorruptionSpec, rng: np.random.Generator) -> np.ndarray:
-    t = x.size
-    if spec.kind == "none":
-        return x.copy()
-    if spec.kind == "random_delay":
-        shifts = np.where(rng.random(t) < spec.p, spec.t1, spec.t2)
-        idx = np.clip(np.arange(t) + shifts, 0, t - 1)  # boundary samples clamp
-        return x[idx]
-    if spec.kind == "packet_drop":
-        kept = rng.random(t) < spec.p
-        kept[0] = True  # recursion base case u[0] = x[0]
-        idx = np.maximum.accumulate(np.where(kept, np.arange(t), 0))
-        return x[idx]
-    if spec.kind == "noisy_filter":
-        out = lfilter(np.asarray(spec.taps), [1.0], x)
-        if spec.noise_variance > 0:
-            out = out + np.sqrt(spec.noise_variance) * rng.standard_normal(t)
-        return out
-    raise DataError(f"unknown corruption kind {spec.kind!r}")
-
-
-def apply_corruption(
-    panel: TimeSeriesPanel, specs: Sequence[CorruptionSpec], seed: int
-) -> TimeSeriesPanel:
-    """Replace the listed channels with their corrupted versions.
-
-    Randomness is drawn from independent per-node streams keyed by
-    (seed, node), so adding or removing one spec never reshuffles the
-    others.
-    """
-    nodes = [s.node for s in specs]
-    if len(set(nodes)) != len(nodes):
-        raise DataError("at most one corruption spec per node")
-    for s in specs:
-        if not 0 <= s.node < panel.n_channels:
-            raise DataError(f"corruption spec references invalid node {s.node}")
-    data = panel.data.copy()
-    for s in specs:
-        rng = np.random.default_rng([seed, s.node])
-        data[s.node] = _corrupt_channel(panel.data[s.node], s, rng)
-    return panel.with_channels(data)
 
 
 # ---------------------------------------------------------------------------

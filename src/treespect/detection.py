@@ -13,6 +13,7 @@ one means leaf, and that single edge is a true edge of the tree.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -36,8 +37,14 @@ class EdgeDecisionParams:
     phase_threshold: float = 0.1
 
     def __post_init__(self):
-        if self.magnitude_threshold <= 0 or self.phase_threshold <= 0:
-            raise DataError("decision thresholds must be positive")
+        for name in ("magnitude_threshold", "phase_threshold"):
+            v = getattr(self, name)
+            if (
+                isinstance(v, bool)
+                or not isinstance(v, (int, float))
+                or not (math.isfinite(v) and v > 0)
+            ):
+                raise DataError(f"{name} must be a finite number > 0, got {v!r}")
 
 
 # For exactly-computed spectra: structurally-zero entries are floating-point

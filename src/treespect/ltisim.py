@@ -1,5 +1,6 @@
-"""Bidirectional linear network dynamics: model definition, trajectory
-simulation, and exact analytic PSD / inverse-PSD of the clean system.
+"""Bidirectional linear network dynamics: model definition and exact
+analytic PSD / inverse-PSD of the clean system (trajectories are drawn by
+`streams.simulate`).
 
 Each node i obeys, in transfer-function form,
 
@@ -25,11 +26,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 from scipy.linalg import solve_discrete_lyapunov
-from scipy.signal import lfilter
 
 from .errors import DataError, NumericalError
 from .graphs import UndirectedGraph
-from .panel import TimeSeriesPanel
 from .spectral import FrequencyGrid, SpectralMatrix
 
 STABILITY_MARGIN = 1e-3
@@ -97,8 +96,8 @@ class GenerativeModel:
 
         if len(labels) != n or len(set(labels)) != n:
             raise DataError("need one unique label per node")
-        if sig.shape != (n,) or np.any(sig <= 0):
-            raise DataError("noise variances must be positive, one per node")
+        if sig.shape != (n,) or not np.all(np.isfinite(sig) & (sig > 0)):
+            raise DataError("noise variances must be finite and positive, one per node")
         if len(self.self_dynamics) != n or any(len(c) < 1 for c in self.self_dynamics):
             raise DataError("each node needs self-dynamics coefficients (degree >= 1)")
         expected = set()
@@ -132,94 +131,6 @@ class GenerativeModel:
         P = solve_discrete_lyapunov(C, Q)
         P.setflags(write=False)
         return P
-
-
-# ---------------------------------------------------------------------------
-# simulation
-
-def _step_block(C, state, w_block):
-    n, m = w_block.shape
-    out = np.empty((n, m))
-    for t in range(m):
-        state = C @ state
-        state[:n] += w_block[:, t]
-        out[:, t] = state[:n]
-    return out, state
-
-
-def simulate(
-    model: GenerativeModel,
-    length: int,
-    seed: int,
-    burn_in: int = DEFAULT_BURN_IN,
-    block: int = 250_000,
-    force_loop: bool = False,
-) -> TimeSeriesPanel:
-    """Draw one trajectory of the network with Gaussian innovations.
-
-    The companion-form recursion is run through its eigenbasis so each mode
-    is a scalar first-order filter; this is exact and fast for long records.
-    Real modes are filtered in real arithmetic.  Complex modes come in
-    conjugate pairs whose outputs are conjugate, so only the member with
-    positive imaginary part is filtered and contributes twice its real part.
-    A direct stepping loop (`force_loop`, also the automatic fallback when
-    the eigenbasis is ill-conditioned) runs the recursion verbatim.  Both
-    paths consume the identical noise stream, drawn in blocks of `block`
-    samples.  The first `burn_in` samples are run to reach stationarity but
-    never stored, so the returned panel is contiguous and holds exactly
-    `length` samples; output is bit-reproducible for a fixed (model,
-    length, seed).
-    """
-    if length < 1:
-        raise DataError("trajectory length must be >= 1")
-    n = model.n_nodes
-    C = model.companion_matrix()
-    total = burn_in + length
-    rng = np.random.default_rng(seed)
-    sigma = np.sqrt(model.noise_variance)
-
-    lam, V = np.linalg.eig(C)
-    cond = np.linalg.cond(V)
-    use_eigen = not force_loop and np.isfinite(cond) and cond < 1e8
-    if use_eigen:
-        Vin = np.linalg.inv(V)[:, :n]  # noise enters the top N state rows
-        real = np.flatnonzero(lam.imag == 0)
-        pair = np.flatnonzero(lam.imag > 0)
-        lam_r, lam_c = lam[real].real, lam[pair]
-        Vin_r, Vin_c = Vin[real].real, Vin[pair]
-        Vout_r, Vout_c = V[:n, real].real, 2.0 * V[:n, pair]
-        zi_r = np.zeros((real.size, 1))
-        zi_c = np.zeros((pair.size, 1), dtype=np.complex128)
-    else:
-        state = np.zeros(C.shape[0])
-
-    x = np.empty((n, length))
-    done = 0
-    while done < total:
-        m = min(block, total - done)
-        w = rng.standard_normal((n, m))
-        w *= sigma[:, None]
-        lo, hi = max(done - burn_in, 0), max(done + m - burn_in, 0)
-        skip = m - (hi - lo)  # leading block columns still in burn-in
-        dest = x[:, lo:hi]
-        if use_eigen:
-            u = Vin_r @ w
-            for k in range(real.size):
-                u[k], zi_r[k] = lfilter([1.0], [1.0, -lam_r[k]], u[k], zi=zi_r[k])
-            np.matmul(Vout_r, u[:, skip:], out=dest)
-            if pair.size:
-                u = Vin_c @ w
-                for k in range(pair.size):
-                    u[k], zi_c[k] = lfilter([1.0], [1.0, -lam_c[k]], u[k], zi=zi_c[k])
-                dest += (Vout_c @ u[:, skip:]).real
-        else:
-            out, state = _step_block(C, state, w)
-            dest[:] = out[:, skip:]
-        done += m
-
-    if not np.all(np.isfinite(x)):
-        raise NumericalError("simulation produced non-finite samples")
-    return TimeSeriesPanel(x, model.labels)
 
 
 # ---------------------------------------------------------------------------

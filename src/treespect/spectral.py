@@ -19,13 +19,11 @@ from typing import Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.signal import get_window
 
 from .errors import DataError, NumericalError
 from .panel import TimeSeriesPanel, expect_payload, read_exact, read_labels
 
 SPECTRA_MAGIC = b"RTSM"
-WELCH_WINDOW = "hann"  # Welch taper; segments overlap by half, so the hop is L/2
 BAND_EDGE_BINS = 2  # bins this many spacings from omega = 0 or pi are not interior
 COND_CAP = 1e12  # inversion flags a bin whose 2-norm condition number exceeds this
 
@@ -133,19 +131,25 @@ class SpectralMatrix:
 
 @dataclass(frozen=True)
 class WelchParams:
-    """Welch segment length L; segments are Hann-windowed (`WELCH_WINDOW`)
-    and overlap by 50 %, so `hop` is L/2."""
+    """Welch segment length L; segments are Hann-windowed and overlap by
+    50 %, so `hop` is L/2."""
 
     segment_length: int = 1024
 
     def __post_init__(self):
         L = self.segment_length
-        if L < 16 or (L & (L - 1)) != 0:
-            raise DataError("segment_length must be a power of two >= 16")
+        if isinstance(L, bool) or not isinstance(L, int) or L < 16 or (L & (L - 1)) != 0:
+            raise DataError(f"segment_length must be a power of two >= 16, got {L!r}")
 
     @property
     def hop(self) -> int:
         return self.segment_length // 2
+
+    @property
+    def window(self) -> np.ndarray:
+        """The periodic Hann taper of length L (scipy's `get_window("hann", L)`)."""
+        L = self.segment_length
+        return 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, L + 1)[:-1])
 
     def segment_count(self, n_samples: int) -> int:
         if n_samples < self.segment_length:
@@ -169,7 +173,7 @@ def estimate_cpsd(panel: TimeSeriesPanel, params: WelchParams) -> SpectralMatrix
         raise DataError(
             f"{t} samples give {n_seg} Welch segments of length {L}; need >= 8"
         )
-    window = get_window(WELCH_WINDOW, L)
+    window = params.window
     scale = 1.0 / (n_seg * np.sum(window**2))
     mean = panel.data.mean(axis=1)[:, None, None]
     segments = sliding_window_view(panel.data, L, axis=1)[:, ::params.hop]

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from treespect.cli import main
-from treespect.corruption import CorruptionSpec, apply_corruption, estimate_signature
+from treespect.corruption import CorruptionSpec, estimate_signature
 from treespect.detection import (
     ANALYTIC_DECISION,
     EdgeDecisionParams,
@@ -32,7 +32,7 @@ from treespect.instances import (
     random_instance,
     tree_with_deep_nodes,
 )
-from treespect.ltisim import analytic_inverse_psd, analytic_psd, simulate
+from treespect.ltisim import analytic_inverse_psd, analytic_psd
 from treespect.oracles import (
     analytic_corrupted_psd,
     analytic_signatures,
@@ -44,6 +44,7 @@ from treespect.reconstruction import (
     true_edges_by_separation,
 )
 from treespect.spectral import FrequencyGrid, WelchParams, estimate_cpsd, invert_spectrum
+from treespect.streams import apply_corruption, simulate
 
 from conftest import one_step_inverse
 

@@ -172,6 +172,49 @@ def test_non_integer_delay_shift_exits_2(tmp_path, capsys, shift):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("magnitude_threshold", float("nan")),
+        ("magnitude_threshold", float("inf")),
+        ("magnitude_threshold", "0.05"),
+        ("magnitude_threshold", None),
+        ("phase_threshold", True),
+        ("phase_threshold", -0.1),
+    ],
+)
+def test_decision_threshold_not_a_positive_number_exits_2(tmp_path, capsys, key, value):
+    cfg = write_tiny(tmp_path, decision={**TINY["decision"], key: value})
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{key} must be a finite number > 0, got {value!r}" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [1024.0, 1e3, "1024", True, 1000])
+def test_segment_length_not_a_power_of_two_int_exits_2(tmp_path, capsys, value):
+    cfg = write_tiny(tmp_path, welch={"segment_length": value})
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"segment_length must be a power of two >= 16, got {value!r}" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_noise_variance_exits_2_at_load(tmp_path, capsys, value):
+    model = TINY["model"]
+    variances = {**model["noise_variance"], "3": value}
+    cfg = write_tiny(tmp_path, model={**model, "noise_variance": variances})
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "noise variances must be finite and positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["simulate", "pipeline", "sweep"])
 def test_negative_seed_override_exits_2(tmp_path, capsys, command):
     if command == "sweep":

@@ -5,13 +5,12 @@ from treespect.corruption import (
     CorruptionSpec,
     CorruptionSignature,
     analytic_signature,
-    apply_corruption,
     estimate_signature,
 )
 from treespect.errors import DataError
 from treespect.instances import chain7_corruption, chain7_model
-from treespect.ltisim import simulate
 from treespect.spectral import FrequencyGrid, WelchParams
+from treespect.streams import apply_corruption, simulate
 
 WELCH = WelchParams(segment_length=256)
 

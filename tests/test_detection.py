@@ -3,7 +3,6 @@ import json
 import numpy as np
 import pytest
 
-from treespect.corruption import apply_corruption
 from treespect.detection import (
     ANALYTIC_DECISION,
     MAGNITUDE_FLOOR_QUANTILE,
@@ -18,7 +17,7 @@ from treespect.detection import (
 from treespect.errors import DataError
 from treespect.graphs import UndirectedGraph, moral_graph, perturbed_graph
 from treespect.instances import chain7_corruption, chain7_model, random_instance
-from treespect.ltisim import GenerativeModel, analytic_inverse_psd, simulate
+from treespect.ltisim import GenerativeModel, analytic_inverse_psd
 from treespect.oracles import analytic_corrupted_psd, analytic_signatures
 from treespect.spectral import (
     BAND_EDGE_BINS,
@@ -28,6 +27,7 @@ from treespect.spectral import (
     estimate_cpsd,
     invert_spectrum,
 )
+from treespect.streams import apply_corruption, simulate
 
 from conftest import two_sided
 

@@ -11,11 +11,11 @@ from treespect.ltisim import (
     analytic_psd,
     model_from_dict,
     model_to_dict,
-    simulate,
     spectral_radius,
     stationary_autocovariance,
 )
 from treespect.spectral import FrequencyGrid
+from treespect.streams import simulate
 
 from conftest import random_tree
 
@@ -122,7 +122,7 @@ def test_eigen_path_real_and_conjugate_modes(monkeypatch, b21, dynamics, complex
     def no_loop(*args):
         raise AssertionError("the stepping loop ran instead of the eigen path")
 
-    monkeypatch.setattr("treespect.ltisim._step_block", no_loop)
+    monkeypatch.setattr("treespect.streams._step_block", no_loop)
     fast = simulate(m, 3_000, seed=4, burn_in=900, block=701)
     assert fast.data.flags.c_contiguous and fast.data.shape == (2, 3_000)
     np.testing.assert_allclose(fast.data, slow.data, rtol=0, atol=1e-9)

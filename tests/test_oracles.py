@@ -3,11 +3,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from treespect.corruption import CorruptionSignature, apply_corruption
+from treespect.corruption import CorruptionSignature
 from treespect.detection import phase_nonconstancy_score
 from treespect.graphs import bfs_distances
 from treespect.instances import chain7_corruption, chain7_model, random_instance
-from treespect.ltisim import analytic_inverse_psd, analytic_psd, simulate
+from treespect.ltisim import analytic_inverse_psd, analytic_psd
 from treespect.oracles import (
     analytic_corrupted_psd,
     analytic_signatures,
@@ -19,6 +19,7 @@ from treespect.spectral import (
     estimate_cpsd,
     invert_spectrum,
 )
+from treespect.streams import apply_corruption, simulate
 
 from conftest import one_step_inverse
 

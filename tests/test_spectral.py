@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
-from scipy.signal import csd
+from scipy.signal import csd, get_window
 
 from treespect.errors import DataError, NumericalError
 from treespect.graphs import UndirectedGraph
-from treespect.ltisim import GenerativeModel, analytic_psd, simulate
+from treespect.ltisim import GenerativeModel, analytic_psd
 from treespect.panel import TimeSeriesPanel
 from treespect.spectral import (
     COND_CAP,
@@ -17,6 +17,7 @@ from treespect.spectral import (
     marginal_inverse_psd,
     save_spectra_binary,
 )
+from treespect.streams import simulate
 
 
 def white_panel(n=3, t=60_000, seed=5, sigma=2.0):
@@ -149,6 +150,11 @@ def test_matches_scipy_csd_across_chunks():
             np.testing.assert_allclose(
                 pxy / mine.grid.multiplicity, mine.entry(i, j), rtol=0, atol=tol
             )
+
+
+@pytest.mark.parametrize("L", [16, 256, 1024, 4096])
+def test_welch_window_is_scipy_hann_bit_for_bit(L):
+    assert WelchParams(segment_length=L).window.tobytes() == get_window("hann", L).tobytes()
 
 
 def test_too_short_panel_rejected():
