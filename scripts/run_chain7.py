@@ -52,6 +52,9 @@ def main() -> None:
     inv = invert_spectrum(psd)
 
     report = detect(inv, params)
+    # written before reconstruction, so a run that fails there keeps its evidence
+    (args.out / "detection.json").write_text(report_to_json(report))
+    (args.out / "detection.dot").write_text(report_to_dot(report))
     print(f"\nsupport graph edges: {edge_names(labels, report.support_graph.edges)}")
     print(f"clique-neighborhood candidates: {sorted(labels[i] for i in report.candidates)}")
     print(f"corrupt nodes: {sorted(labels[i] for i in report.corrupt)}")
@@ -67,8 +70,6 @@ def main() -> None:
     print(f"is a tree: {estimate.is_tree()}   diagnostics: {len(estimate.diagnostics)}")
     print(f"elapsed: {time.perf_counter() - t0:.1f}s")
 
-    (args.out / "detection.json").write_text(report_to_json(report))
-    (args.out / "detection.dot").write_text(report_to_dot(report))
     (args.out / "topology.json").write_text(estimate_to_json(estimate))
     (args.out / "topology.dot").write_text(estimate_to_dot(estimate))
     print(f"artifacts in {args.out}/")

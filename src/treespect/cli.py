@@ -235,22 +235,7 @@ def _sweep_row(task) -> dict:
         "error": "",
     }
     try:
-        if violate:
-            inst = adversarial_instance(rng, n)
-        else:
-            # prefer systems whose weakest edge clears the detection
-            # threshold with room for estimation noise, so finite-sample
-            # rates reflect the method rather than unidentifiable-in-practice
-            # coefficients; densely corrupted trees may not admit such
-            # coefficients, in which case fall back to the permissive floor
-            try:
-                inst = random_instance(
-                    rng, n, k,
-                    edge_floor=1.5 * decision.magnitude_threshold,
-                    max_tries=400,
-                )
-            except DataError:
-                inst = random_instance(rng, n, k, max_tries=400)
+        inst = adversarial_instance(rng, n) if violate else random_instance(rng, n, k)
         row["n_corrupt"] = len(inst.corrupt)
         if trajectory == "analytic":
             grid_params = ANALYTIC_DECISION

@@ -12,6 +12,7 @@ signature; estimating it from data never needs the model internals.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -23,6 +24,11 @@ from .panel import TimeSeriesPanel
 from .spectral import FrequencyGrid, WelchParams, estimate_cpsd
 
 KINDS = ("none", "random_delay", "packet_drop", "noisy_filter")
+
+
+def _is_finite_number(v) -> bool:
+    """A finite int or float; booleans are refused."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
 
 
 @dataclass(frozen=True)
@@ -42,9 +48,11 @@ class CorruptionSpec:
             raise DataError(f"unknown corruption kind {self.kind!r}")
         if self.taps is not None:
             object.__setattr__(self, "taps", tuple(float(v) for v in self.taps))
+        if self.kind in ("random_delay", "packet_drop") and not (
+            _is_finite_number(self.p) and 0 < self.p <= 1
+        ):
+            raise DataError(f"{self.kind} needs probability 0 < p <= 1, got p={self.p!r}")
         if self.kind == "random_delay":
-            if self.p is None or not 0 < self.p <= 1:
-                raise DataError("random_delay needs probability 0 < p <= 1")
             shifts = (self.t1, self.t2)
             if not all(isinstance(t, int) and not isinstance(t, bool) for t in shifts):
                 raise DataError(
@@ -52,14 +60,14 @@ class CorruptionSpec:
                 )
             if self.t1 == 0 and self.t2 == 0:
                 raise DataError("random_delay needs a nonzero shift")
-        elif self.kind == "packet_drop":
-            if self.p is None or not 0 < self.p <= 1:
-                raise DataError("packet_drop needs reception probability 0 < p <= 1")
         elif self.kind == "noisy_filter":
             if not self.taps:
                 raise DataError("noisy_filter needs FIR taps")
-            if self.noise_variance is None or self.noise_variance < 0:
-                raise DataError("noisy_filter needs noise_variance >= 0")
+            if not all(map(math.isfinite, self.taps)):
+                raise DataError(f"noisy_filter needs finite taps, got {list(self.taps)!r}")
+            v = self.noise_variance
+            if not (_is_finite_number(v) and v >= 0):
+                raise DataError(f"noisy_filter needs a finite noise_variance >= 0, got {v!r}")
 
     def to_dict(self, labels: Sequence[str] | None = None) -> dict:
         out: dict = {"node": labels[self.node] if labels else self.node, "kind": self.kind}

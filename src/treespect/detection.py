@@ -47,9 +47,21 @@ class EdgeDecisionParams:
                 raise DataError(f"{name} must be a finite number > 0, got {v!r}")
 
 
-# For exactly-computed spectra: structurally-zero entries are floating-point
-# zeros, so the magnitude cut only needs to sit above rounding noise.
-ANALYTIC_DECISION = EdgeDecisionParams(magnitude_threshold=1e-6)
+# For exactly-computed spectra both cuts only need to clear rounding noise.
+# Structurally-zero entries are floating-point zeros, so the magnitude cut
+# sits at 1e-6.  A constant-phase entry has resultant R = 1 in exact
+# arithmetic.  Rounding leaves each of R's two sums over the F bins (terms of
+# one sign) a relative error of at most F*eps, so R >= 1 - 2F*eps and the
+# score sqrt(-2 ln R) is at most sqrt(4F*eps): 3.4e-7 for the F = 129 bins of
+# welch_bins(256), the largest grid the analytic paths use (fewer bins lower
+# the floor).  The phase cut is that floor times 100, two decades of room for
+# the entries' own per-bin rounding: 3.4e-5.  The weakest non-constant exact
+# entry measured scores 3.6e-3, two decades above it.
+_ANALYTIC_BINS = 256 // 2 + 1
+ANALYTIC_DECISION = EdgeDecisionParams(
+    magnitude_threshold=1e-6,
+    phase_threshold=100 * math.sqrt(4 * _ANALYTIC_BINS * np.finfo(np.float64).eps),
+)
 
 
 @dataclass(frozen=True)

@@ -5,10 +5,7 @@ The sampler is constructive: corrupt nodes are laid out on a backbone path
 with gaps of at least three hops and at least three hops of slack before
 the first and after the last, then the remaining nodes are attached as
 pendant chains long enough that no new leaf lands within two hops of a
-corrupt node.  Coefficient draws are rejected when any decision margin
-(edge magnitude or phase constancy separation) is too thin: those are
-exactly the measure-zero-in-theory parameter sets where the support /
-phase dichotomies degenerate, fattened by the finite thresholds.
+corrupt node.
 """
 
 from __future__ import annotations
@@ -18,22 +15,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corruption import CorruptionSpec
-from .detection import normalized_magnitude_scores, phase_nonconstancy_score
 from .errors import DataError
-from .graphs import (
-    UndirectedGraph,
-    bfs_distances,
-    moral_graph,
-    perturbed_graph,
-)
+from .graphs import UndirectedGraph, bfs_distances
 from .ltisim import GenerativeModel, spectral_radius
-# analytic_corrupted_psd stays importable here: benchmark/layers.py wraps it
+
+# Unused here, but benchmark/layers.py wraps these five names in this module.
+from .detection import phase_nonconstancy_score  # noqa: F401
 from .oracles import (  # noqa: F401
     analytic_corrupted_psd,
     analytic_signatures,
     woodbury_chain_inverse,
 )
-from .spectral import FrequencyGrid, marginal_inverse_psd
+from .spectral import marginal_inverse_psd  # noqa: F401
 
 TARGET_RADIUS = 0.8
 
@@ -134,87 +127,15 @@ def draw_delay_spec(rng: np.random.Generator, node: int) -> CorruptionSpec:
     )
 
 
-# margin floors separating structural zeros / constant phases from live
-# entries on exactly-computed spectra
-EDGE_FLOOR = 1e-4
-ZERO_CEIL = 1e-8
-CONSTANT_CEIL = 1e-6
-NONCONSTANT_FLOOR = 0.15
-
-
-def _margins_ok(
-    instance: Instance,
-    grid: FrequencyGrid,
-    edge_floor: float = EDGE_FLOOR,
-) -> bool:
-    """Reject coefficient draws whose analytic decision margins are thin.
-
-    Perturbed-graph edges (full and marginal) must sit well above rounding
-    noise while absent entries stay at it, and every edge entry must be
-    either analytically real (constant phase, scores ~1e-8) or clearly
-    non-constant.  Near-misses are the fattened version of the pathological
-    parameter cancellations excluded by the identifiability theory.
-    """
-    model = instance.model
-    n = model.n_nodes
-    sigs = analytic_signatures(model, instance.specs, grid)
-    inv, _ = woodbury_chain_inverse(model, sigs, grid)
-    truth = perturbed_graph(moral_graph(model.topology), instance.corrupt)
-    scores = normalized_magnitude_scores(inv)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if truth.has_edge(i, j):
-                if scores[i, j] < edge_floor:
-                    return False
-            elif scores[i, j] > ZERO_CEIL:
-                return False
-    for i, j in truth.edges:
-        entry = inv.entry(i, j)
-        is_real = np.abs(entry.imag).max() <= 1e-10 * np.abs(entry).max()
-        score = phase_nonconstancy_score(inv, i, j)
-        if is_real:
-            if score > CONSTANT_CEIL:
-                return False
-        elif score < NONCONSTANT_FLOOR:
-            return False
-    if instance.corrupt:
-        observed = sorted(set(range(n)) - instance.corrupt)
-        marg = marginal_inverse_psd(inv, observed)
-        mscores = normalized_magnitude_scores(marg)
-        for a in range(len(observed)):
-            for b in range(a + 1, len(observed)):
-                if truth.has_edge(observed[a], observed[b]):
-                    if mscores[a, b] < edge_floor:
-                        return False
-                elif mscores[a, b] > ZERO_CEIL:
-                    return False
-    return True
-
-
 def random_instance(
-    rng: np.random.Generator,
-    n: int,
-    k: int,
-    grid: FrequencyGrid | None = None,
-    ar: bool = False,
-    max_tries: int = 200,
-    edge_floor: float = EDGE_FLOOR,
+    rng: np.random.Generator, n: int, k: int, ar: bool = False
 ) -> Instance:
-    """Assumption-satisfying instance with comfortable decision margins.
-
-    `edge_floor` sets the weakest normalized edge magnitude accepted; the
-    permissive default suits exact-spectra studies, while finite-sample
-    sweeps should pass a floor above their detection threshold.
-    """
-    grid = grid or FrequencyGrid.welch_bins(256)
-    for attempt in range(max_tries):
-        tree, marked = tree_with_deep_nodes(rng, n, k)
-        model = draw_model(rng, tree, ar=ar)
-        specs = tuple(draw_delay_spec(rng, v) for v in marked)
-        inst = Instance(model, specs)
-        if _margins_ok(inst, grid, edge_floor):
-            return inst
-    raise DataError(f"no acceptable coefficient draw after {max_tries} tries")
+    """Assumption-satisfying instance from one draw: a tree with k corrupt
+    nodes at least three hops from the leaves and from each other, random
+    coefficients on it, and a random delay on each corrupt node."""
+    tree, marked = tree_with_deep_nodes(rng, n, k)
+    model = draw_model(rng, tree, ar=ar)
+    return Instance(model, tuple(draw_delay_spec(rng, v) for v in marked))
 
 
 def adversarial_instance(rng: np.random.Generator, n: int) -> Instance:

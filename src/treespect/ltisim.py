@@ -20,6 +20,7 @@ zero between nodes more than two hops apart.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Sequence
@@ -100,13 +101,21 @@ class GenerativeModel:
             raise DataError("noise variances must be finite and positive, one per node")
         if len(self.self_dynamics) != n or any(len(c) < 1 for c in self.self_dynamics):
             raise DataError("each node needs self-dynamics coefficients (degree >= 1)")
+        for i, coeffs in enumerate(self.self_dynamics):
+            if not all(map(math.isfinite, coeffs)):
+                raise DataError(
+                    f"self_dynamics of node {labels[i]} must be finite, got {list(coeffs)!r}"
+                )
         expected = set()
         for a, b in self.topology.edges:
             expected.update([(a, b), (b, a)])
         if set(self.coupling) != expected:
             raise DataError("coupling keys must be exactly the directed edge pairs")
-        if any(v == 0.0 for v in self.coupling.values()):
-            raise DataError("couplings on edges must be nonzero")
+        for (a, b), v in self.coupling.items():
+            if not (math.isfinite(v) and v != 0.0):
+                raise DataError(
+                    f"coupling {labels[a]}->{labels[b]} must be finite and nonzero, got {v!r}"
+                )
         rho = spectral_radius(self.topology, self.coupling, self.self_dynamics)
         if rho > 1.0 - STABILITY_MARGIN:
             raise NumericalError(

@@ -71,7 +71,7 @@ def _instance_pool(count, seed, n_range=(7, 15), k_max=3):
     for _ in range(count):
         n = int(rng.integers(n_range[0], n_range[1] + 1))
         k = int(rng.integers(1, min(k_max, (n - 4) // 3) + 1))
-        pool.append(random_instance(rng, n, k, GRID, ar=bool(rng.integers(0, 2))))
+        pool.append(random_instance(rng, n, k, ar=bool(rng.integers(0, 2))))
     return pool
 
 
@@ -174,7 +174,7 @@ def test_criterion_2b_woodbury_vs_dense():
     for _ in range(50):
         n = int(rng.integers(7, 13))
         k = int(rng.integers(1, min(3, (n - 4) // 3) + 1))
-        inst = random_instance(rng, n, k, GRID)
+        inst = random_instance(rng, n, k)
         sigs = analytic_signatures(inst.model, inst.specs, GRID)
         dense = invert_spectrum(analytic_corrupted_psd(inst.model, sigs, GRID))
         wood, _ = woodbury_chain_inverse(inst.model, sigs, GRID)
@@ -201,7 +201,7 @@ def test_criterion_2c_far_pair_locality():
     for _ in range(50):
         n = int(rng.integers(7, 13))
         k = int(rng.integers(1, min(3, (n - 4) // 3) + 1))
-        inst = random_instance(rng, n, k, GRID)
+        inst = random_instance(rng, n, k)
         sigs = analytic_signatures(inst.model, inst.specs, GRID)
         full, _ = woodbury_chain_inverse(inst.model, sigs, GRID)
         scale = np.abs(full.values).max()
@@ -260,7 +260,8 @@ def test_criterion_4_classification_and_phase_table(analytic_pool):
                     for pair in [(p, s), (p, r), (q, s), (q, r)]
                 }
                 if scores[(p, s)] >= 1e-6 or any(
-                    scores[pair] <= 0.1 for pair in [(p, r), (q, s), (q, r)]
+                    scores[pair] < ANALYTIC_DECISION.phase_threshold
+                    for pair in [(p, r), (q, s), (q, r)]
                 ):
                     table_violations += 1
     report(

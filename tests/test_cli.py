@@ -172,6 +172,60 @@ def test_non_integer_delay_shift_exits_2(tmp_path, capsys, shift):
     assert not out.exists()
 
 
+def edited_quick_config(tmp_path, edit) -> Path:
+    """The bundled chain7_quick config with `edit` applied to its payload."""
+    payload = json.loads(bundled_config_path("chain7_quick").read_text())
+    edit(payload)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(payload))
+    return path
+
+
+NOISY_FILTER = {"node": "4", "kind": "noisy_filter", "taps": [1.0, -0.45], "noise_variance": 0.25}
+
+
+@pytest.mark.parametrize("entry, message", [
+    ({**NOISY_FILTER, "noise_variance": float("nan")}, "finite noise_variance >= 0, got nan"),
+    ({**NOISY_FILTER, "taps": [1.0, float("nan")]}, "finite taps, got [1.0, nan]"),
+    ({**NOISY_FILTER, "taps": [float("inf"), 0.5]}, "finite taps, got [inf, 0.5]"),
+    ({**CORRUPTION, "p": True}, "random_delay needs probability 0 < p <= 1, got p=True"),
+    ({"node": "4", "kind": "packet_drop", "p": True},
+     "packet_drop needs probability 0 < p <= 1, got p=True"),
+], ids=["filter-nan-variance", "filter-nan-tap", "filter-inf-tap", "delay-bool-p", "drop-bool-p"])
+def test_bad_corruption_value_exits_2_at_load(tmp_path, capsys, entry, message):
+    cfg = edited_quick_config(tmp_path, lambda payload: payload.update(corruption=[entry]))
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def _set_first_coupling(value):
+    return lambda payload: payload["model"]["edges"][0].update(ab=value)
+
+
+def _set_first_self_dynamics(value):
+    return lambda payload: payload["model"]["self_dynamics"].update({"1": [value]})
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_set_first_coupling(float("nan")), "coupling 1->2 must be finite and nonzero, got nan"),
+    (_set_first_coupling(float("-inf")), "coupling 1->2 must be finite and nonzero, got -inf"),
+    (_set_first_self_dynamics(float("nan")), "self_dynamics of node 1 must be finite, got [nan]"),
+    (_set_first_self_dynamics(float("inf")), "self_dynamics of node 1 must be finite, got [inf]"),
+], ids=["coupling-nan", "coupling-inf", "self-dynamics-nan", "self-dynamics-inf"])
+def test_non_finite_model_coefficient_exits_2_naming_it(tmp_path, capsys, edit, message):
+    cfg = edited_quick_config(tmp_path, edit)
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "NaNs" not in err  # numpy's eigenvalue error never reaches the user
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "key, value",
     [

@@ -81,7 +81,7 @@ def test_support_matches_graph_construction_on_random_instances():
     for _ in range(10):
         n = int(rng.integers(7, 16))
         k = int(rng.integers(1, min(3, (n - 4) // 3) + 1))
-        inst = random_instance(rng, n, k, GRID)
+        inst = random_instance(rng, n, k)
         sigs = analytic_signatures(inst.model, inst.specs, GRID)
         inv = invert_spectrum(analytic_corrupted_psd(inst.model, sigs, GRID))
         support = infer_support_graph(inv, ANALYTIC_DECISION)
@@ -195,7 +195,7 @@ def test_detect_recovers_corrupt_and_leaves_on_random_instances():
     for _ in range(10):
         n = int(rng.integers(7, 16))
         k = int(rng.integers(1, min(3, (n - 4) // 3) + 1))
-        inst = random_instance(rng, n, k, GRID)
+        inst = random_instance(rng, n, k)
         sigs = analytic_signatures(inst.model, inst.specs, GRID)
         inv = invert_spectrum(analytic_corrupted_psd(inst.model, sigs, GRID))
         report = detect(inv, ANALYTIC_DECISION)

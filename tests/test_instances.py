@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from treespect import instances
 from treespect.errors import DataError
 from treespect.graphs import bfs_distances, is_tree
 from treespect.instances import (
@@ -65,6 +66,20 @@ def test_random_instance_contract(rng):
         assert spec.kind == "random_delay"
         assert (spec.t1, spec.t2) != (0, 0)
         assert 0.5 < spec.p <= 1.0
+
+
+def test_random_instance_draws_coefficients_once(monkeypatch):
+    draws = []
+
+    def counted(*args, **kwargs):
+        draws.append(1)
+        return draw_model(*args, **kwargs)
+
+    monkeypatch.setattr(instances, "draw_model", counted)
+    rng = np.random.default_rng(0)
+    for _ in range(12):
+        random_instance(rng, 40, 8)
+    assert len(draws) == 12
 
 
 def test_adversarial_instance_violates_spacing(rng):

@@ -131,7 +131,7 @@ def test_chain_inverse_matches_dense_on_random_instances(seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(8, 13))
     k = int(rng.integers(1, min(3, (n - 4) // 3) + 1))
-    inst = random_instance(rng, n, k, GRID)
+    inst = random_instance(rng, n, k)
     sigs = analytic_signatures(inst.model, inst.specs, GRID)
     dense = invert_spectrum(analytic_corrupted_psd(inst.model, sigs, GRID))
     wood, _ = woodbury_chain_inverse(inst.model, sigs, GRID)
@@ -142,7 +142,7 @@ def test_zero_additive_terms_leave_the_rescaled_clean_inverse():
     # the property one_step_inverse relies on: a d = 0 downdate is a no-op,
     # so only the multiplicative rescaling of the clean inverse remains
     rng = np.random.default_rng(29)
-    inst = random_instance(rng, 13, 2, GRID)
+    inst = random_instance(rng, 13, 2)
     sigs = analytic_signatures(inst.model, inst.specs, GRID)
     zeroed = {
         v: CorruptionSignature(GRID, sig.h, np.zeros(GRID.size)) for v, sig in sigs.items()
@@ -175,7 +175,7 @@ def test_candidate_rows_settle_after_one_update():
     # for leaves and corrupt nodes, the full inverse equals the one-step
     # inverse whose first update is the nearest corrupt node
     rng = np.random.default_rng(17)
-    inst = random_instance(rng, 13, 2, GRID)
+    inst = random_instance(rng, 13, 2)
     model = inst.model
     sigs = analytic_signatures(model, inst.specs, GRID)
     full, _ = woodbury_chain_inverse(model, sigs, GRID)
@@ -192,7 +192,7 @@ def test_far_pair_locality_around_each_corrupt_node():
     # entries between the two sides of a corrupt node depend only on that
     # node's update: p-q-l-r-s configurations settle after one step
     rng = np.random.default_rng(23)
-    inst = random_instance(rng, 13, 2, GRID)
+    inst = random_instance(rng, 13, 2)
     model = inst.model
     sigs = analytic_signatures(model, inst.specs, GRID)
     full, _ = woodbury_chain_inverse(model, sigs, GRID)

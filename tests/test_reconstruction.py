@@ -1,8 +1,10 @@
+import csv
 import json
 
 import numpy as np
 import pytest
 
+from treespect.cli import main
 from treespect.detection import ANALYTIC_DECISION, detect
 from treespect.errors import AssumptionViolation
 from treespect.graphs import UndirectedGraph, moral_graph
@@ -77,7 +79,7 @@ def test_marginal_support_within_four_hops():
 
     rng = np.random.default_rng(3)
     for _ in range(5):
-        inst = random_instance(rng, 12, 2, GRID)
+        inst = random_instance(rng, 12, 2)
         sigs = analytic_signatures(inst.model, inst.specs, GRID)
         psd = analytic_corrupted_psd(inst.model, sigs, GRID)
         t_m = observed_support_graph(invert_spectrum(psd), inst.corrupt, ANALYTIC_DECISION)
@@ -227,7 +229,7 @@ def test_random_instances_recover_exactly():
     for _ in range(10):
         n = int(rng.integers(7, 16))
         k = int(rng.integers(1, min(3, (n - 4) // 3) + 1))
-        inst = random_instance(rng, n, k, GRID)
+        inst = random_instance(rng, n, k)
         sigs = analytic_signatures(inst.model, inst.specs, GRID)
         psd = analytic_corrupted_psd(inst.model, sigs, GRID)
         report = detect(invert_spectrum(psd), ANALYTIC_DECISION)
@@ -241,6 +243,30 @@ def test_random_instances_recover_exactly():
         for (a, b), prov in est.provenance.items():
             if prov == "placement_edge":
                 assert a in inst.corrupt or b in inst.corrupt
+
+
+def test_unfiltered_draws_recover_and_violations_stay_loud(tmp_path):
+    # one draw per instance and no margin filter: every draw must recover
+    for n, k, seeds in ((40, 8, range(12)), (100, 20, range(3))):
+        for seed in seeds:
+            inst = random_instance(np.random.default_rng(seed), n, k)
+            sigs = analytic_signatures(inst.model, inst.specs, GRID)
+            psd = analytic_corrupted_psd(inst.model, sigs, GRID)
+            report = detect(invert_spectrum(psd), ANALYTIC_DECISION)
+            est = hide_and_learn(psd, report, ANALYTIC_DECISION)
+            assert est.graph.edges == inst.topology.edges, (n, k, seed)
+            assert est.diagnostics == (), (n, k, seed)
+    # at the same thresholds, corrupt nodes two hops apart end in a diagnostic
+    cfg = tmp_path / "negative.json"
+    cfg.write_text(json.dumps({
+        "instances": 12, "nodes": [9, 15], "trajectories": ["analytic"], "seed": 3,
+        "violate_assumption": True,
+    }))
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    with (tmp_path / "sweep_summary.csv").open() as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 12
+    assert all(int(r["n_diagnostics"]) > 0 and r["recovered"] == "False" for r in rows)
 
 
 def test_hide_and_learn_permutation_equivariant(chain_setup):

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import treespect
+from treespect.errors import AssumptionViolation
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -22,6 +23,22 @@ def test_run_chain7_failure_exits_with_its_code(tmp_path):
     assert proc.returncode == 3
     assert proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr
+
+
+def test_run_chain7_keeps_detection_when_reconstruction_fails(tmp_path, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssumptionViolation("only 0 observed nodes remain")
+
+    monkeypatch.setattr("treespect.reconstruction.hide_and_learn", refuse)
+    monkeypatch.setattr(sys, "argv", ["run_chain7.py", "--samples", "20000",
+                                      "--segment", "256", "--out", str(tmp_path)])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(SCRIPTS / "run_chain7.py"), run_name="__main__")
+    assert exc.value.code == 5
+    assert "error: only 0 observed nodes remain" in capsys.readouterr().err
+    assert (tmp_path / "detection.json").exists()
+    assert (tmp_path / "detection.dot").exists()
+    assert not (tmp_path / "topology.json").exists()
 
 
 @pytest.mark.parametrize(
