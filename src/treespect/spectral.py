@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import struct
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -165,6 +166,16 @@ def estimate_cpsd(panel: TimeSeriesPanel, params: WelchParams) -> SpectralMatrix
     outer products F_k F_k^H, so the estimate is Hermitian by construction.
     The real FFT gives bins k = 0..L/2, which is the whole spectrum: the
     bins at -omega are the conjugates.
+
+    Each chunk runs on two threads, in two phases. First each thread
+    demeans, windows and transforms half of the chunk's segments into a
+    bin-major workspace F of shape (L/2+1, N, chunk). Then each thread
+    takes half of the bins and adds F_k conj(F_k)^T into the accumulator;
+    with the segment axis contiguous, that product is one BLAS call per
+    bin. The three workspaces are allocated once per call. The chunk length depends only on N and L, and the chunks are
+    summed in order, so every FFT line and every bin's product sees the
+    same operands as a serial loop would, and the estimate does not depend
+    on how the work is split.
     """
     n, t = panel.data.shape
     L = params.segment_length
@@ -178,15 +189,29 @@ def estimate_cpsd(panel: TimeSeriesPanel, params: WelchParams) -> SpectralMatrix
     mean = panel.data.mean(axis=1)[:, None, None]
     segments = sliding_window_view(panel.data, L, axis=1)[:, ::params.hop]
 
-    half = L // 2
-    acc = np.zeros((half + 1, n, n), dtype=np.complex128)
-    # bound the FFT workspace to ~64 MB regardless of trajectory length
-    chunk = max(8, int(2**22 / max(1, n * (half + 1))))
-    for lo in range(0, n_seg, chunk):
-        seg = segments[:, lo:lo + chunk] - mean
-        seg *= window
-        F = np.fft.rfft(seg, axis=-1).transpose(2, 0, 1)
-        acc += F @ np.conj(F).transpose(0, 2, 1)
+    bins = L // 2 + 1
+    acc = np.zeros((bins, n, n), dtype=np.complex128)
+    # bound each workspace to ~64 MB regardless of trajectory length
+    chunk = max(8, 2**22 // (n * bins))
+    width = min(chunk, n_seg)
+    seg = np.empty((n, width, L))
+    F = np.empty((bins, n, width), dtype=np.complex128)
+    G = np.empty_like(F)
+
+    def transform(lo, a, b):
+        np.subtract(segments[:, lo + a:lo + b], mean, out=seg[:, a:b])
+        seg[:, a:b] *= window
+        np.fft.rfft(seg[:, a:b], axis=-1, out=F[:, :, a:b].transpose(1, 2, 0))
+
+    def accumulate(m, k0, k1):
+        np.conjugate(F[k0:k1, :, :m], out=G[k0:k1, :, :m])
+        acc[k0:k1] += F[k0:k1, :, :m] @ G[k0:k1, :, :m].transpose(0, 2, 1)
+
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        for lo in range(0, n_seg, chunk):
+            m = min(chunk, n_seg - lo)
+            list(pool.map(transform, (lo, lo), (0, m // 2), (m // 2, m)))
+            list(pool.map(accumulate, (m, m), (0, bins // 2), (bins // 2, bins)))
     acc *= scale
     return SpectralMatrix(FrequencyGrid.welch_bins(L), acc, panel.labels)
 

@@ -114,13 +114,15 @@ def _corrupt_channel(x: np.ndarray, spec: CorruptionSpec, rng: np.random.Generat
     if spec.kind == "none":
         return x.copy()
     if spec.kind == "random_delay":
-        shifts = np.where(rng.random(t) < spec.p, spec.t1, spec.t2)
-        idx = np.clip(np.arange(t) + shifts, 0, t - 1)  # boundary samples clamp
+        idx = np.where(rng.random(t) < spec.p, spec.t1, spec.t2)
+        idx += np.arange(t)
+        np.clip(idx, 0, t - 1, out=idx)  # boundary samples clamp
         return x[idx]
     if spec.kind == "packet_drop":
         kept = rng.random(t) < spec.p
         kept[0] = True  # recursion base case u[0] = x[0]
-        idx = np.maximum.accumulate(np.where(kept, np.arange(t), 0))
+        idx = np.where(kept, np.arange(t), 0)
+        np.maximum.accumulate(idx, out=idx)
         return x[idx]
     if spec.kind == "noisy_filter":
         out = lfilter(np.asarray(spec.taps), [1.0], x)

@@ -1,7 +1,12 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.signal import csd, get_window
 
+from treespect import spectral
 from treespect.errors import DataError, NumericalError
 from treespect.graphs import UndirectedGraph
 from treespect.ltisim import GenerativeModel, analytic_psd
@@ -150,6 +155,61 @@ def test_matches_scipy_csd_across_chunks():
             np.testing.assert_allclose(
                 pxy / mine.grid.multiplicity, mine.entry(i, j), rtol=0, atol=tol
             )
+
+
+def serial_chunk_loop(panel, params):
+    """The Welch sum on one thread: same chunks, same bin-major operands."""
+    n, t = panel.data.shape
+    L, bins = params.segment_length, params.segment_length // 2 + 1
+    n_seg = params.segment_count(t)
+    segments = sliding_window_view(panel.data, L, axis=1)[:, ::params.hop]
+    mean = panel.data.mean(axis=1)[:, None, None]
+    chunk = max(8, 2**22 // (n * bins))
+    acc = np.zeros((bins, n, n), dtype=np.complex128)
+    for lo in range(0, n_seg, chunk):
+        seg = segments[:, lo:lo + chunk] - mean
+        seg *= params.window
+        F = np.ascontiguousarray(np.fft.rfft(seg, axis=-1).transpose(2, 0, 1))
+        acc += F @ np.conj(F).transpose(0, 2, 1)
+    acc *= 1.0 / (n_seg * np.sum(params.window**2))
+    return acc, chunk
+
+
+@pytest.mark.parametrize(
+    "n, L, n_seg, chunks",
+    [
+        (2, 64, 155, [155]),  # one chunk
+        (7, 16384, 147, [73, 73, 1]),  # a one-segment last chunk leaves one half empty
+        (3, 4096, 781, [682, 99]),  # an odd segment count in a chunk
+    ],
+    ids=["one-chunk", "one-segment-tail", "odd-chunk"],
+)
+def test_estimate_cpsd_matches_serial_chunk_loop(n, L, n_seg, chunks):
+    params = WelchParams(segment_length=L)
+    t = L + (n_seg - 1) * params.hop
+    panel = white_panel(n=n, t=t, seed=n)
+    ref, chunk = serial_chunk_loop(panel, params)
+    assert [min(chunk, n_seg - lo) for lo in range(0, n_seg, chunk)] == chunks
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # hand the interpreter lock between workers often
+    try:
+        mine = estimate_cpsd(panel, params).values
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(mine, ref)
+
+
+def test_estimate_cpsd_joins_its_threads_and_checks_before_starting(monkeypatch):
+    before = threading.active_count()
+    estimate_cpsd(white_panel(t=20_000), WelchParams(segment_length=128))
+    assert threading.active_count() == before
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a thread pool started before the input check")
+
+    monkeypatch.setattr(spectral, "ThreadPoolExecutor", no_pool)
+    with pytest.raises(DataError, match="need >= 8"):
+        estimate_cpsd(white_panel(t=900), WelchParams(segment_length=256))
 
 
 @pytest.mark.parametrize("L", [16, 256, 1024, 4096])
