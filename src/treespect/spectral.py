@@ -167,15 +167,15 @@ def estimate_cpsd(panel: TimeSeriesPanel, params: WelchParams) -> SpectralMatrix
     The real FFT gives bins k = 0..L/2, which is the whole spectrum: the
     bins at -omega are the conjugates.
 
-    Each chunk runs on two threads, in two phases. First each thread
-    demeans, windows and transforms half of the chunk's segments into a
-    bin-major workspace F of shape (L/2+1, N, chunk). Then each thread
-    takes half of the bins and adds F_k conj(F_k)^T into the accumulator;
-    with the segment axis contiguous, that product is one BLAS call per
-    bin. The three workspaces are allocated once per call. The chunk length depends only on N and L, and the chunks are
-    summed in order, so every FFT line and every bin's product sees the
-    same operands as a serial loop would, and the estimate does not depend
-    on how the work is split.
+    Two threads demean, window and transform half of each chunk's
+    segments each, writing the real FFT straight into a bin-major
+    workspace F of shape (L/2+1, N, chunk). The main thread then adds
+    F_k conj(F_k)^T into the accumulator; with the segment axis
+    contiguous, that product is one BLAS call per bin. The three
+    workspaces are allocated once per call. The chunk length depends only
+    on N and L, and the chunks are summed in order, so every FFT line and
+    every bin's product sees the same operands as a serial loop would,
+    and the estimate does not depend on how the work is split.
     """
     n, t = panel.data.shape
     L = params.segment_length
@@ -203,15 +203,12 @@ def estimate_cpsd(panel: TimeSeriesPanel, params: WelchParams) -> SpectralMatrix
         seg[:, a:b] *= window
         np.fft.rfft(seg[:, a:b], axis=-1, out=F[:, :, a:b].transpose(1, 2, 0))
 
-    def accumulate(m, k0, k1):
-        np.conjugate(F[k0:k1, :, :m], out=G[k0:k1, :, :m])
-        acc[k0:k1] += F[k0:k1, :, :m] @ G[k0:k1, :, :m].transpose(0, 2, 1)
-
     with ThreadPoolExecutor(max_workers=2) as pool:
         for lo in range(0, n_seg, chunk):
             m = min(chunk, n_seg - lo)
             list(pool.map(transform, (lo, lo), (0, m // 2), (m // 2, m)))
-            list(pool.map(accumulate, (m, m), (0, bins // 2), (bins // 2, bins)))
+            np.conjugate(F[..., :m], out=G[..., :m])
+            acc += F[..., :m] @ G[..., :m].transpose(0, 2, 1)
     acc *= scale
     return SpectralMatrix(FrequencyGrid.welch_bins(L), acc, panel.labels)
 
