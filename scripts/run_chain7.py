@@ -46,9 +46,9 @@ def main() -> None:
 
     print(f"simulating {args.samples:.1e} samples of the 7-node chain ...")
     panel = simulate(model, args.samples, seed=args.seed)
-    corrupted = apply_corruption(panel, list(chain7_corruption()), seed=args.seed)
+    panel = apply_corruption(panel, list(chain7_corruption()), seed=args.seed)
     print("estimating cross-spectra ...")
-    psd = estimate_cpsd(corrupted, WelchParams(segment_length=args.segment))
+    psd = estimate_cpsd(panel, WelchParams(segment_length=args.segment))
     inv = invert_spectrum(psd)
 
     report = detect(inv, params)

@@ -1,14 +1,16 @@
 """Command-line pipeline: simulate | corrupt | spectra | detect | learn |
 pipeline | sweep.
 
-Every stage consumes the experiment config plus the previous stage's files
-from the output directory, writes its own artifacts, and records a
-manifest with parameter echo and input/output SHA-256 hashes.  A panel's
-input hash is of the file as read from disk and its output hash is of the
-bytes `save_panel` writes; both run on the stage's one helper thread,
-overlapping the stage's own work.  Spectra and reports are hashed from
-their files.  Exit codes: 0 ok, 2 config, 3 data, 4 numerical, 5
-assumption violation.
+Every stage reads the experiment config plus its input files from the
+output directory, writes its own artifacts, and records a manifest with
+parameter echo and input/output SHA-256 hashes.  Within one `pipeline`
+run, the corrupt and spectra stages take their input panel in memory from
+the stage that wrote it, and its input hash is that stage's output digest,
+the same value as the file's hash; a stage run alone loads and hashes the
+file.  A panel's output hash is of the bytes `save_panel` writes; panel
+hashes run on the stage's one helper thread, overlapping the stage's own
+work.  Spectra and reports are hashed from their files.  Exit codes: 0 ok,
+2 config, 3 data, 4 numerical, 5 assumption violation.
 """
 
 from __future__ import annotations
@@ -99,35 +101,55 @@ def _require(path: Path, hint: str) -> Path:
 # release the GIL, so they overlap the stage's own work.  The helper calls
 # sha256_parts, never sha256_file: the benchmark's tracer wraps this
 # module's sha256_file, and its span stack is the main thread's.
+#
+# `handoff` maps a panel file name to (panel, future of its SHA-256) for a
+# panel an earlier stage of the same run wrote; the stage that reads it
+# pops the entry, so no panel outlives its reader.
 
-def stage_simulate(cfg: ExperimentConfig, out: Path) -> list[Path]:
+def _input_panel(handoff: dict, path: Path, hint: str, helper: ThreadPoolExecutor):
+    """The panel stored at `path` and a future of its SHA-256: the upstream
+    stage's in-memory panel and output digest if it ran in this process,
+    else the file, loaded here and hashed on `helper`."""
+    if path.name in handoff:
+        return handoff.pop(path.name)
+    _require(path, hint)
+    digest = helper.submit(sha256_parts, read_chunks(path))
+    return load_panel(path), digest
+
+
+def _output_panel(handoff: dict, panel, path: Path, helper: ThreadPoolExecutor):
+    """Save `panel` to `path`, hashing the bytes written on `helper`, and
+    hand both to the next stage.  Returns the path and the digest future."""
+    digest = helper.submit(sha256_parts, panel_bytes(panel))
+    path = save_panel(panel, path)
+    handoff[path.name] = panel, digest
+    return path, digest
+
+
+def stage_simulate(cfg: ExperimentConfig, out: Path, handoff: dict) -> list[Path]:
     panel = simulate(cfg.model, cfg.trajectory_length, cfg.seed, burn_in=cfg.burn_in)
     with ThreadPoolExecutor(max_workers=1) as helper:
-        digest = helper.submit(sha256_parts, panel_bytes(panel))
-        path = save_panel(panel, out / PANEL_CLEAN)
+        path, digest = _output_panel(handoff, panel, out / PANEL_CLEAN, helper)
     _write_manifest(out, "simulate", cfg, {}, {path.name: digest.result()})
     return [path]
 
 
-def stage_corrupt(cfg: ExperimentConfig, out: Path) -> list[Path]:
-    src = _require(out / PANEL_CLEAN, "treespect simulate")
+def stage_corrupt(cfg: ExperimentConfig, out: Path, handoff: dict) -> list[Path]:
+    src = out / PANEL_CLEAN
     with ThreadPoolExecutor(max_workers=1) as helper:
-        src_digest = helper.submit(sha256_parts, read_chunks(src))
-        panel = load_panel(src)
-        corrupted = apply_corruption(panel, list(cfg.corruption), cfg.seed)
-        digest = helper.submit(sha256_parts, panel_bytes(corrupted))
-        path = save_panel(corrupted, out / PANEL_CORRUPT)
+        panel, src_digest = _input_panel(handoff, src, "treespect simulate", helper)
+        panel = apply_corruption(panel, list(cfg.corruption), cfg.seed)
+        path, digest = _output_panel(handoff, panel, out / PANEL_CORRUPT, helper)
     _write_manifest(
         out, "corrupt", cfg, {src.name: src_digest.result()}, {path.name: digest.result()}
     )
     return [path]
 
 
-def stage_spectra(cfg: ExperimentConfig, out: Path) -> list[Path]:
-    src = _require(out / PANEL_CORRUPT, "treespect corrupt")
+def stage_spectra(cfg: ExperimentConfig, out: Path, handoff: dict) -> list[Path]:
+    src = out / PANEL_CORRUPT
     with ThreadPoolExecutor(max_workers=1) as helper:
-        src_digest = helper.submit(sha256_parts, read_chunks(src))
-        panel = load_panel(src)
+        panel, src_digest = _input_panel(handoff, src, "treespect corrupt", helper)
         spectra = estimate_cpsd(panel, cfg.welch)
     path = out / SPECTRA
     save_spectra_binary(spectra, path)
@@ -135,7 +157,7 @@ def stage_spectra(cfg: ExperimentConfig, out: Path) -> list[Path]:
     return [path]
 
 
-def stage_detect(cfg: ExperimentConfig, out: Path) -> list[Path]:
+def stage_detect(cfg: ExperimentConfig, out: Path, handoff: dict) -> list[Path]:
     src = _require(out / SPECTRA, "treespect spectra")
     spectra = load_spectra_binary(src)
     inverse = invert_spectrum(spectra)
@@ -151,7 +173,7 @@ def stage_detect(cfg: ExperimentConfig, out: Path) -> list[Path]:
     return [jpath, dpath]
 
 
-def stage_learn(cfg: ExperimentConfig, out: Path) -> list[Path]:
+def stage_learn(cfg: ExperimentConfig, out: Path, handoff: dict) -> list[Path]:
     spath = _require(out / SPECTRA, "treespect spectra")
     rpath = _require(out / DETECTION_JSON, "treespect detect")
     spectra = load_spectra_binary(spath)
@@ -180,9 +202,10 @@ STAGES = {
 
 def run_stages(names, cfg: ExperimentConfig, out: Path) -> None:
     out.mkdir(parents=True, exist_ok=True)
+    handoff: dict = {}
     for name in names:
         t0 = time.perf_counter()
-        written = STAGES[name](cfg, out)
+        written = STAGES[name](cfg, out, handoff)
         dt = time.perf_counter() - t0
         files = ", ".join(p.name for p in written)
         print(f"[{name}] {dt:.1f}s -> {files}")
@@ -245,8 +268,8 @@ def _sweep_row(task) -> dict:
         else:
             grid_params = decision
             panel = simulate(inst.model, trajectory, seed=int(rng.integers(2**31)))
-            corrupted = apply_corruption(panel, list(inst.specs), seed=int(rng.integers(2**31)))
-            psd = estimate_cpsd(corrupted, welch)
+            panel = apply_corruption(panel, list(inst.specs), seed=int(rng.integers(2**31)))
+            psd = estimate_cpsd(panel, welch)
         report = detect(invert_spectrum(psd), grid_params)
         estimate = hide_and_learn(psd, report, grid_params)
         diags = list(report.diagnostics) + list(estimate.diagnostics)

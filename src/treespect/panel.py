@@ -49,9 +49,6 @@ class TimeSeriesPanel:
     def n_samples(self) -> int:
         return self.data.shape[1]
 
-    def with_channels(self, data: np.ndarray) -> "TimeSeriesPanel":
-        return TimeSeriesPanel(data, self.labels)
-
 
 def _bytes_left(fh: BinaryIO) -> int:
     return os.fstat(fh.fileno()).st_size - fh.tell()

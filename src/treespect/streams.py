@@ -112,7 +112,7 @@ def simulate(
 def _corrupt_channel(x: np.ndarray, spec: CorruptionSpec, rng: np.random.Generator) -> np.ndarray:
     t = x.size
     if spec.kind == "none":
-        return x.copy()
+        return x
     if spec.kind == "random_delay":
         idx = np.where(rng.random(t) < spec.p, spec.t1, spec.t2)
         idx += np.arange(t)
@@ -135,11 +135,15 @@ def _corrupt_channel(x: np.ndarray, spec: CorruptionSpec, rng: np.random.Generat
 def apply_corruption(
     panel: TimeSeriesPanel, specs: Sequence[CorruptionSpec], seed: int
 ) -> TimeSeriesPanel:
-    """Replace the listed channels with their corrupted versions.
+    """Rewrite the listed channels of `panel.data` in place with their
+    corrupted versions and return the same panel; a caller that still needs
+    the clean samples passes a copy.
 
-    Randomness is drawn from independent per-node streams keyed by
-    (seed, node), so adding or removing one spec never reshuffles the
-    others.
+    Every spec is checked before any channel is written.  A corrupted
+    channel is checked for finite samples before it is written, so the
+    panel never holds a non-finite one.  Randomness is drawn from
+    independent per-node streams keyed by (seed, node), so adding or
+    removing one spec never reshuffles the others.
     """
     nodes = [s.node for s in specs]
     if len(set(nodes)) != len(nodes):
@@ -147,8 +151,10 @@ def apply_corruption(
     for s in specs:
         if not 0 <= s.node < panel.n_channels:
             raise DataError(f"corruption spec references invalid node {s.node}")
-    data = panel.data.copy()
     for s in specs:
         rng = np.random.default_rng([seed, s.node])
-        data[s.node] = _corrupt_channel(panel.data[s.node], s, rng)
-    return panel.with_channels(data)
+        channel = _corrupt_channel(panel.data[s.node], s, rng)
+        if not np.all(np.isfinite(channel)):
+            raise DataError("panel contains non-finite samples")
+        panel.data[s.node] = channel
+    return panel

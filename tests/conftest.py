@@ -4,6 +4,7 @@ import pytest
 from treespect.corruption import CorruptionSignature
 from treespect.graphs import UndirectedGraph
 from treespect.oracles import woodbury_chain_inverse
+from treespect.panel import TimeSeriesPanel
 
 
 def prufer_tree(seq: list[int], n: int) -> UndirectedGraph:
@@ -48,6 +49,12 @@ def one_step_inverse(model, sigs, node, grid):
         for v, sig in sigs.items()
     }
     return woodbury_chain_inverse(model, zeroed, grid)[0]
+
+
+def panel_copy(panel: TimeSeriesPanel) -> TimeSeriesPanel:
+    """`panel` with its own copy of the samples, for a test that reads the
+    clean samples after `apply_corruption` rewrites channels in place."""
+    return TimeSeriesPanel(panel.data.copy(), panel.labels)
 
 
 def two_sided(s):

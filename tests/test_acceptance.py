@@ -46,7 +46,7 @@ from treespect.reconstruction import (
 from treespect.spectral import FrequencyGrid, WelchParams, estimate_cpsd, invert_spectrum
 from treespect.streams import apply_corruption, simulate
 
-from conftest import one_step_inverse
+from conftest import one_step_inverse, panel_copy
 
 GRID = FrequencyGrid.welch_bins(256)
 
@@ -331,7 +331,7 @@ def test_criterion_6_signatures():
         CorruptionSpec(node=1, kind="packet_drop", p=0.8),
         CorruptionSpec(node=5, kind="noisy_filter", taps=(1.0, -0.45, 0.15), noise_variance=0.25),
     ]
-    corrupted = apply_corruption(panel, specs, seed=607)
+    corrupted = apply_corruption(panel_copy(panel), specs, seed=607)
     welch = WelchParams(segment_length=256)
     d_ok = True
     for spec in specs:

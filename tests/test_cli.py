@@ -58,8 +58,9 @@ def test_pipeline_tiny_clean_recovers_chain(tmp_path):
         assert (out / f"manifest_{stage}.json").exists()
 
 
-def test_pipeline_equals_stage_composition(tmp_path):
-    cfg = write_tiny(tmp_path)
+@pytest.mark.parametrize("corruption", [[], [CORRUPTION]], ids=["clean", "corrupted"])
+def test_pipeline_equals_stage_composition(tmp_path, corruption):
+    cfg = write_tiny(tmp_path, corruption=corruption)
     a, b = tmp_path / "a", tmp_path / "b"
     assert main(["pipeline", "--config", str(cfg), "--out", str(a)]) == 0
     for stage in ("simulate", "corrupt", "spectra", "detect", "learn"):
@@ -105,16 +106,20 @@ def file_sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def test_manifest_hashes_are_file_hashes(tmp_path):
-    cfg = write_tiny(tmp_path, corruption=[CORRUPTION])
-    out = tmp_path / "run"
-    assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 0
+def assert_manifests_hash_files(out: Path):
     for stage, (inputs, outputs) in STAGE_FILES.items():
         manifest = json.loads((out / f"manifest_{stage}.json").read_text())
         assert sorted(manifest["inputs"]) == inputs, stage
         assert sorted(manifest["outputs"]) == outputs, stage
         for name, digest in {**manifest["inputs"], **manifest["outputs"]}.items():
             assert digest == file_sha256(out / name), (stage, name)
+
+
+def test_manifest_hashes_are_file_hashes(tmp_path):
+    cfg = write_tiny(tmp_path, corruption=[CORRUPTION])
+    out = tmp_path / "run"
+    assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 0
+    assert_manifests_hash_files(out)
 
 
 def test_corrupt_hashes_the_panel_it_reads(tmp_path):
@@ -130,6 +135,35 @@ def test_corrupt_hashes_the_panel_it_reads(tmp_path):
     swapped = file_sha256(other / "panel_clean.bin")
     assert corrupt["inputs"] == {"panel_clean.bin": swapped}
     assert simulated["outputs"]["panel_clean.bin"] != swapped
+
+
+def test_spectra_hashes_the_panel_it_reads(tmp_path):
+    cfg = write_tiny(tmp_path, trajectory_length=20_000, burn_in=100, corruption=[CORRUPTION])
+    out, other = tmp_path / "run", tmp_path / "other"
+    for stage in ("simulate", "corrupt"):
+        assert main([stage, "--config", str(cfg), "--out", str(out)]) == 0
+        assert main([stage, "--config", str(cfg), "--out", str(other), "--seed", "6"]) == 0
+    shutil.copyfile(other / "panel_corrupt.bin", out / "panel_corrupt.bin")
+    assert main(["spectra", "--config", str(cfg), "--out", str(out)]) == 0
+    corrupted = json.loads((out / "manifest_corrupt.json").read_text())
+    spectra = json.loads((out / "manifest_spectra.json").read_text())
+    swapped = file_sha256(other / "panel_corrupt.bin")
+    assert spectra["inputs"] == {"panel_corrupt.bin": swapped}
+    assert corrupted["outputs"]["panel_corrupt.bin"] != swapped
+
+
+def test_pipeline_hands_panels_over_in_memory(tmp_path, monkeypatch):
+    # within one run no stage reads back a panel file, yet every manifest
+    # still records the hash of the file on disk
+    def refuse(path, *args, **kwargs):
+        raise AssertionError(f"read {path}")
+
+    monkeypatch.setattr("treespect.cli.load_panel", refuse)
+    monkeypatch.setattr("treespect.cli.read_chunks", refuse)
+    cfg = write_tiny(tmp_path, corruption=[CORRUPTION])
+    out = tmp_path / "run"
+    assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 0
+    assert_manifests_hash_files(out)
 
 
 @pytest.mark.parametrize("seed", [-3, True, 1.5, "3"])

@@ -12,6 +12,8 @@ from treespect.instances import chain7_corruption, chain7_model
 from treespect.spectral import FrequencyGrid, WelchParams
 from treespect.streams import apply_corruption, simulate
 
+from conftest import panel_copy
+
 WELCH = WelchParams(segment_length=256)
 
 
@@ -50,17 +52,17 @@ def test_spec_dict_roundtrip():
 
 def test_none_and_degenerate_drop_are_identity(chain_panel):
     specs = [CorruptionSpec(node=i, kind="none") for i in range(3)]
-    out = apply_corruption(chain_panel, specs, seed=5)
+    out = apply_corruption(panel_copy(chain_panel), specs, seed=5)
     np.testing.assert_array_equal(out.data, chain_panel.data)
     out = apply_corruption(
-        chain_panel, [CorruptionSpec(node=2, kind="packet_drop", p=1.0)], seed=5
+        panel_copy(chain_panel), [CorruptionSpec(node=2, kind="packet_drop", p=1.0)], seed=5
     )
     np.testing.assert_array_equal(out.data, chain_panel.data)
 
 
 def test_delay_realizes_shift_mixture(chain_panel):
     spec = chain7_corruption()[0]
-    out = apply_corruption(chain_panel, [spec], seed=7)
+    out = apply_corruption(panel_copy(chain_panel), [spec], seed=7)
     x, u = chain_panel.data[3], out.data[3]
     t = np.arange(2, x.size)
     shifted = np.isclose(u[t], x[t - 2])
@@ -71,7 +73,7 @@ def test_delay_realizes_shift_mixture(chain_panel):
 
 def test_packet_drop_holds_last_value(chain_panel):
     spec = CorruptionSpec(node=1, kind="packet_drop", p=0.5)
-    out = apply_corruption(chain_panel, [spec], seed=13)
+    out = apply_corruption(panel_copy(chain_panel), [spec], seed=13)
     x, u = chain_panel.data[1], out.data[1]
     assert u[0] == x[0]
     held_or_fresh = np.isclose(u[1:], x[1:]) | np.isclose(u[1:], u[:-1])
@@ -79,7 +81,7 @@ def test_packet_drop_holds_last_value(chain_panel):
 
 
 def test_uncorrupted_channels_untouched(chain_panel):
-    out = apply_corruption(chain_panel, list(chain7_corruption()), seed=3)
+    out = apply_corruption(panel_copy(chain_panel), list(chain7_corruption()), seed=3)
     for i in range(7):
         if i != 3:
             np.testing.assert_array_equal(out.data[i], chain_panel.data[i])
@@ -90,11 +92,11 @@ def test_corruption_deterministic_and_per_node_streams(chain_panel):
         CorruptionSpec(node=1, kind="packet_drop", p=0.8),
         CorruptionSpec(node=3, kind="random_delay", p=0.7, t1=-2, t2=0),
     ]
-    a = apply_corruption(chain_panel, specs, seed=21)
-    b = apply_corruption(chain_panel, specs, seed=21)
+    a = apply_corruption(panel_copy(chain_panel), specs, seed=21)
+    b = apply_corruption(panel_copy(chain_panel), specs, seed=21)
     np.testing.assert_array_equal(a.data, b.data)
     # dropping one spec must not change the other node's stream
-    c = apply_corruption(chain_panel, specs[1:], seed=21)
+    c = apply_corruption(panel_copy(chain_panel), specs[1:], seed=21)
     np.testing.assert_array_equal(c.data[3], a.data[3])
 
 
@@ -107,6 +109,36 @@ def test_apply_rejects_bad_nodes(chain_panel):
             [CorruptionSpec(node=1, kind="none"), CorruptionSpec(node=1, kind="none")],
             seed=0,
         )
+
+
+def test_apply_rewrites_listed_channels_in_place(chain_panel):
+    panel = panel_copy(chain_panel)
+    specs = [CorruptionSpec(node=1, kind="packet_drop", p=0.8), chain7_corruption()[0]]
+    assert apply_corruption(panel, specs, seed=3) is panel
+    for i in range(7):
+        same = panel.data[i].tobytes() == chain_panel.data[i].tobytes()
+        assert same == (i not in (1, 3)), i
+
+
+@pytest.mark.parametrize("bad", [
+    CorruptionSpec(node=7, kind="none"),
+    CorruptionSpec(node=1, kind="random_delay", p=0.7, t1=-2, t2=0),
+], ids=["out-of-range", "duplicate"])
+def test_rejected_specs_leave_the_panel_unchanged(chain_panel, bad):
+    # the valid spec comes first: no channel may be written before every
+    # spec is checked
+    panel = panel_copy(chain_panel)
+    with pytest.raises(DataError):
+        apply_corruption(panel, [CorruptionSpec(node=1, kind="packet_drop", p=0.8), bad], seed=0)
+    assert panel.data.tobytes() == chain_panel.data.tobytes()
+
+
+def test_overflowing_filter_raises(chain_panel):
+    spec = CorruptionSpec(node=2, kind="noisy_filter", taps=(1e308, 1e308), noise_variance=0.0)
+    panel = panel_copy(chain_panel)
+    with pytest.raises(DataError, match="non-finite"):
+        apply_corruption(panel, [spec], seed=0)
+    assert np.all(np.isfinite(panel.data))
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +154,7 @@ def test_delay_signature_matches_monte_carlo(chain_panel):
     # the analytic mixture response is validated against the empirical
     # estimate, which is the ground truth here
     spec = chain7_corruption()[0]
-    out = apply_corruption(chain_panel, [spec], seed=31)
+    out = apply_corruption(panel_copy(chain_panel), [spec], seed=31)
     est = estimate_signature(chain_panel.data[3], out.data[3], WELCH)
     ana = analytic_signature(spec, est.grid, chain7_model())
     assert np.abs(est.h - ana.h).max() < 0.12
@@ -135,7 +167,7 @@ def test_filter_signature_matches_fir_response(chain_panel):
     spec = CorruptionSpec(
         node=2, kind="noisy_filter", taps=(1.0, -0.4, 0.2), noise_variance=0.3
     )
-    out = apply_corruption(chain_panel, [spec], seed=17)
+    out = apply_corruption(panel_copy(chain_panel), [spec], seed=17)
     est = estimate_signature(chain_panel.data[2], out.data[2], WELCH)
     ana = analytic_signature(spec, est.grid)
     assert (np.abs(est.h - ana.h) / np.abs(ana.h)).max() < 0.05
@@ -148,7 +180,7 @@ def test_estimated_d_nonnegative_for_all_kinds(chain_panel):
         CorruptionSpec(node=3, kind="random_delay", p=0.7, t1=-2, t2=0),
         CorruptionSpec(node=5, kind="noisy_filter", taps=(0.9, 0.3), noise_variance=0.2),
     ]
-    out = apply_corruption(chain_panel, specs, seed=41)
+    out = apply_corruption(panel_copy(chain_panel), specs, seed=41)
     for spec in specs:
         sig = estimate_signature(chain_panel.data[spec.node], out.data[spec.node], WELCH)
         assert sig.d.min() >= 0.0
@@ -156,8 +188,8 @@ def test_estimated_d_nonnegative_for_all_kinds(chain_panel):
 
 def test_different_seeds_same_signature(chain_panel):
     spec = chain7_corruption()[0]
-    a = apply_corruption(chain_panel, [spec], seed=1)
-    b = apply_corruption(chain_panel, [spec], seed=2)
+    a = apply_corruption(panel_copy(chain_panel), [spec], seed=1)
+    b = apply_corruption(panel_copy(chain_panel), [spec], seed=2)
     assert not np.array_equal(a.data[3], b.data[3])
     sa = estimate_signature(chain_panel.data[3], a.data[3], WELCH)
     sb = estimate_signature(chain_panel.data[3], b.data[3], WELCH)

@@ -142,7 +142,7 @@ def test_matches_scipy_csd_across_chunks():
     assert params.segment_count(t) == 800
     panel = white_panel(n=n, t=t, seed=13)
     offset = np.array([[-3.0], [0.5], [7.0]])  # one mean per record, not per chunk
-    panel = panel.with_channels(panel.data + offset)
+    panel = TimeSeriesPanel(panel.data + offset, panel.labels)
     mine = estimate_cpsd(panel, params)
     x = panel.data - panel.data.mean(axis=1, keepdims=True)
     tol = 1e-12 * np.abs(mine.values).max()
