@@ -168,14 +168,17 @@ def estimate_cpsd(panel: TimeSeriesPanel, params: WelchParams) -> SpectralMatrix
     bins at -omega are the conjugates.
 
     Two threads demean, window and transform half of each chunk's
-    segments each, writing the real FFT straight into a bin-major
-    workspace F of shape (L/2+1, N, chunk). The main thread then adds
-    F_k conj(F_k)^T into the accumulator; with the segment axis
-    contiguous, that product is one BLAS call per bin. The three
-    workspaces are allocated once per call. The chunk length depends only
-    on N and L, and the chunks are summed in order, so every FFT line and
-    every bin's product sees the same operands as a serial loop would,
-    and the estimate does not depend on how the work is split.
+    segments each, a tile of a few segments at a time in a ~2 MB scratch
+    buffer of their own, writing the real FFT straight into a bin-major
+    workspace F of shape (L/2+1, N, chunk). The main thread then
+    conjugates a ~2 MB group of F's bins at a time into a small buffer
+    and adds F_k conj(F_k)^T into the accumulator; with the segment axis
+    contiguous, that product is one BLAS call per bin. F is the only
+    chunk-sized workspace and is allocated once per call; the tiles and
+    the group stay in cache. The chunk length depends only on N and L,
+    and the chunks are summed in order, so every FFT line and every bin's
+    product sees the same operands as a serial loop would, and the
+    estimate does not depend on how the work is split.
     """
     n, t = panel.data.shape
     L = params.segment_length
@@ -191,24 +194,32 @@ def estimate_cpsd(panel: TimeSeriesPanel, params: WelchParams) -> SpectralMatrix
 
     bins = L // 2 + 1
     acc = np.zeros((bins, n, n), dtype=np.complex128)
-    # bound each workspace to ~64 MB regardless of trajectory length
+    # bound F to ~64 MB regardless of trajectory length; tiles and groups to ~2 MB
     chunk = max(8, 2**22 // (n * bins))
     width = min(chunk, n_seg)
-    seg = np.empty((n, width, L))
+    tile = min(width, max(1, 2**18 // (n * L)))
+    group = min(bins, max(1, 2**17 // (n * width)))
     F = np.empty((bins, n, width), dtype=np.complex128)
-    G = np.empty_like(F)
+    g = np.empty((group, n, width), dtype=np.complex128)
 
     def transform(lo, a, b):
-        np.subtract(segments[:, lo + a:lo + b], mean, out=seg[:, a:b])
-        seg[:, a:b] *= window
-        np.fft.rfft(seg[:, a:b], axis=-1, out=F[:, :, a:b].transpose(1, 2, 0))
+        seg = np.empty((n, tile, L))
+        for c in range(a, b, tile):
+            d = min(c + tile, b)
+            x = seg[:, :d - c]
+            np.subtract(segments[:, lo + c:lo + d], mean, out=x)
+            x *= window
+            np.fft.rfft(x, axis=-1, out=F[:, :, c:d].transpose(1, 2, 0))
 
     with ThreadPoolExecutor(max_workers=2) as pool:
         for lo in range(0, n_seg, chunk):
             m = min(chunk, n_seg - lo)
             list(pool.map(transform, (lo, lo), (0, m // 2), (m // 2, m)))
-            np.conjugate(F[..., :m], out=G[..., :m])
-            acc += F[..., :m] @ G[..., :m].transpose(0, 2, 1)
+            for k0 in range(0, bins, group):
+                k1 = min(k0 + group, bins)
+                h = g[:k1 - k0, :, :m]
+                np.conjugate(F[k0:k1, :, :m], out=h)
+                acc[k0:k1] += F[k0:k1, :, :m] @ h.transpose(0, 2, 1)
     acc *= scale
     return SpectralMatrix(FrequencyGrid.welch_bins(L), acc, panel.labels)
 

@@ -1,5 +1,6 @@
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -181,8 +182,11 @@ def serial_chunk_loop(panel, params):
         (2, 64, 155, [155]),  # one chunk
         (7, 16384, 147, [73, 73, 1]),  # a one-segment last chunk leaves one half empty
         (3, 4096, 781, [682, 99]),  # an odd segment count in a chunk
+        (7, 1024, 1169, [1168, 1]),  # the chain7 benchmark's shape
+        # halves of 500 and 501 segments in tiles of 204, 129 bins in groups of 26
+        (5, 256, 1001, [1001]),
     ],
-    ids=["one-chunk", "one-segment-tail", "odd-chunk"],
+    ids=["one-chunk", "one-segment-tail", "odd-chunk", "benchmark-shape", "ragged-tiles"],
 )
 def test_estimate_cpsd_matches_serial_chunk_loop(n, L, n_seg, chunks):
     params = WelchParams(segment_length=L)
@@ -197,6 +201,23 @@ def test_estimate_cpsd_matches_serial_chunk_loop(n, L, n_seg, chunks):
     finally:
         sys.setswitchinterval(interval)
     assert np.array_equal(mine, ref)
+
+
+def test_estimate_cpsd_keeps_one_chunk_workspace():
+    # F (bins, n, chunk) is the only chunk-sized buffer; a segment copy of
+    # the chunk or a conjugated copy of F would each add about as much again
+    n, L = 7, 1024
+    params = WelchParams(segment_length=L)
+    panel = white_panel(n=n, t=L + 1168 * params.hop, seed=7)
+    bins, chunk = L // 2 + 1, 1168
+    assert params.segment_count(panel.data.shape[1]) > chunk
+    tracemalloc.start()
+    try:
+        estimate_cpsd(panel, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * bins * n * chunk * np.dtype(np.complex128).itemsize
 
 
 def test_estimate_cpsd_joins_its_threads_and_checks_before_starting(monkeypatch):
