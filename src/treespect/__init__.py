@@ -11,12 +11,7 @@ generative tree by hiding the corrupt nodes and splicing them back.
 __version__ = "0.1.0"
 
 from .config import ExperimentConfig, bundled_config_path, load_config
-from .corruption import (
-    CorruptionSignature,
-    CorruptionSpec,
-    analytic_signature,
-    estimate_signature,
-)
+from .corruption import CorruptionSignature, CorruptionSpec, analytic_signature
 from .detection import (
     ANALYTIC_DECISION,
     DetectionReport,

@@ -18,10 +18,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DataError, NumericalError
+from .errors import DataError
 from .ltisim import GenerativeModel, stationary_autocovariance
-from .panel import TimeSeriesPanel
-from .spectral import FrequencyGrid, WelchParams, estimate_cpsd
+from .spectral import FrequencyGrid
 
 KINDS = ("none", "random_delay", "packet_drop", "noisy_filter")
 
@@ -119,30 +118,6 @@ class CorruptionSignature:
     @classmethod
     def trivial(cls, grid: FrequencyGrid) -> "CorruptionSignature":
         return cls(grid, np.ones(grid.size, dtype=complex), np.zeros(grid.size))
-
-
-def estimate_signature(
-    clean: np.ndarray, corrupt: np.ndarray, params: WelchParams
-) -> CorruptionSignature:
-    """Estimate (h, d) of one corrupted channel from paired observations.
-
-    h = est Phi_ux / est Phi_xx, and d = est Phi_uu - |h|^2 est Phi_xx
-    floored at zero (the theory guarantees d >= 0; only estimation noise
-    can push it below).
-    """
-    clean = np.asarray(clean, dtype=float)
-    corrupt = np.asarray(corrupt, dtype=float)
-    if clean.shape != corrupt.shape or clean.ndim != 1:
-        raise DataError("clean and corrupt channels must be equal-length 1-D series")
-    pair = TimeSeriesPanel(np.vstack([clean, corrupt]), ["x", "u"])
-    spec = estimate_cpsd(pair, params)
-    phi_xx = spec.entry(0, 0).real
-    floor = 1e-12 * float(np.max(np.abs(phi_xx)))
-    if np.any(phi_xx <= floor):
-        raise NumericalError("clean-channel spectrum vanishes on the grid")
-    h = spec.entry(1, 0) / phi_xx
-    d = np.maximum(spec.entry(1, 1).real - np.abs(h) ** 2 * phi_xx, 0.0)
-    return CorruptionSignature(spec.grid, h, d)
 
 
 def analytic_signature(

@@ -30,7 +30,7 @@ from scipy.linalg import solve_discrete_lyapunov
 
 from .errors import DataError, NumericalError
 from .graphs import UndirectedGraph
-from .spectral import FrequencyGrid, SpectralMatrix
+from .spectral import FrequencyGrid, SpectralMatrix, hermitize
 
 STABILITY_MARGIN = 1e-3
 DEFAULT_BURN_IN = 10_000
@@ -167,9 +167,11 @@ def analytic_psd(model: GenerativeModel, grid: FrequencyGrid) -> SpectralMatrix:
         Ainv = np.linalg.inv(_system_matrix(model, grid))
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"A = diag(S) - B singular on the grid: {exc}") from exc
-    vals = (Ainv * model.noise_variance) @ np.conj(np.swapaxes(Ainv, 1, 2))
-    vals = 0.5 * (vals + np.conj(np.swapaxes(vals, 1, 2)))
-    return SpectralMatrix(grid, vals, model.labels)
+    Ah = np.conj(np.swapaxes(Ainv, 1, 2))
+    Ainv *= model.noise_variance
+    vals = Ainv @ Ah
+    del Ainv, Ah  # Hermitize with only vals and one temporary alive
+    return SpectralMatrix(grid, hermitize(vals), model.labels)
 
 
 def analytic_inverse_psd(model: GenerativeModel, grid: FrequencyGrid) -> SpectralMatrix:

@@ -247,17 +247,18 @@ def hide_and_learn(
     report: DetectionReport,
     params: EdgeDecisionParams,
 ) -> TopologyEstimate:
-    """Full reconstruction from the corrupted PSD and a detection report."""
-    n = psd.n_nodes
-    corrupt = report.corrupt
-    observed = frozenset(range(n)) - corrupt
+    """Full reconstruction from the corrupted PSD and a detection report.
+
+    The inverse comes from `invert_spectrum(psd)`, so a caller that ran
+    `detect(invert_spectrum(psd))` has already paid for it."""
+    if psd.labels != report.labels:
+        raise DataError("spectrum and detection report disagree on node labels")
+    corrupt, observed = report.corrupt, report.observed
     if len(observed) < 2:
         raise AssumptionViolation(
             f"only {len(observed)} observed nodes remain after hiding "
             f"{len(corrupt)} corrupt ones"
         )
-    if psd.labels != report.labels:
-        raise DataError("spectrum and detection report disagree on node labels")
     inv_full = invert_spectrum(psd)
     t_m = observed_support_graph(inv_full, corrupt, params)
     etree = true_edges_by_separation(t_m, observed, report.leaves, report.leaf_edges)

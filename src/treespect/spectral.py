@@ -15,6 +15,7 @@ import json
 import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
@@ -129,6 +130,34 @@ class SpectralMatrix:
             self.grid, vals, [self.labels[i] for i in idx], self.flagged.copy()
         )
 
+    @cached_property
+    def inverse(self) -> "SpectralMatrix":
+        """Per-frequency inverse of M, Hermitized on both sides, computed
+        on first access and shared by every later one.
+
+        Frequencies whose condition number exceeds `COND_CAP` (1e12) are
+        flagged and excluded from downstream decision rules rather than
+        aborting the run.  The singular values of a Hermitian matrix are
+        its eigenvalue magnitudes, so the 2-norm condition number comes
+        from `eigvalsh` instead of an SVD.  Once inverted, this spectrum's
+        `values` and `flagged` and those of the inverse are read-only, so
+        the shared inverse cannot go stale.
+        """
+        n = self.n_nodes
+        mats = hermitize(self.values.copy())
+        lam = np.abs(np.linalg.eigvalsh(mats))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cond = lam.max(axis=1) / lam.min(axis=1)
+        flagged = self.flagged | ~np.isfinite(cond) | (cond > COND_CAP)
+        if flagged.all():
+            raise NumericalError("all frequencies singular")
+        mats[flagged] = np.eye(n)
+        inv = hermitize(np.linalg.inv(mats))
+        inv[flagged] = np.nan
+        for a in (self.values, self.flagged, inv, flagged):
+            a.flags.writeable = False
+        return SpectralMatrix(self.grid, inv, self.labels, flagged)
+
 
 @dataclass(frozen=True)
 class WelchParams:
@@ -224,28 +253,16 @@ def estimate_cpsd(panel: TimeSeriesPanel, params: WelchParams) -> SpectralMatrix
     return SpectralMatrix(FrequencyGrid.welch_bins(L), acc, panel.labels)
 
 
-def invert_spectrum(s: SpectralMatrix) -> SpectralMatrix:
-    """Per-frequency inverse of M, Hermitized on both sides.
+def hermitize(m: np.ndarray) -> np.ndarray:
+    """(M + M^H) / 2 per frequency, in place; returns `m`."""
+    m += np.conj(np.swapaxes(m, 1, 2))
+    m *= 0.5
+    return m
 
-    Frequencies whose condition number exceeds `COND_CAP` (1e12) are
-    flagged and excluded from downstream decision rules rather than
-    aborting the run.  The singular values of a Hermitian matrix are its
-    eigenvalue magnitudes, so the 2-norm condition number comes from
-    `eigvalsh` instead of an SVD.
-    """
-    n = s.n_nodes
-    mats = 0.5 * (s.values + np.conj(np.swapaxes(s.values, 1, 2)))
-    lam = np.abs(np.linalg.eigvalsh(mats))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cond = lam.max(axis=1) / lam.min(axis=1)
-    flagged = s.flagged | ~np.isfinite(cond) | (cond > COND_CAP)
-    if flagged.all():
-        raise NumericalError("all frequencies singular")
-    mats[flagged] = np.eye(n)
-    inv = np.linalg.inv(mats)
-    inv = 0.5 * (inv + np.conj(np.swapaxes(inv, 1, 2)))
-    inv[flagged] = np.nan
-    return SpectralMatrix(s.grid, inv, s.labels, flagged)
+
+def invert_spectrum(s: SpectralMatrix) -> SpectralMatrix:
+    """`s.inverse`: the per-frequency inverse, computed once per spectrum."""
+    return s.inverse
 
 
 def marginal_inverse_psd(inv: SpectralMatrix, observed: Sequence[int]) -> SpectralMatrix:
@@ -271,7 +288,7 @@ def marginal_inverse_psd(inv: SpectralMatrix, observed: Sequence[int]) -> Spectr
             marg[ok] -= k_oh @ np.linalg.solve(k_hh, k_ho)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"hidden block of the inverse is singular: {exc}") from exc
-        marg = 0.5 * (marg + np.conj(np.swapaxes(marg, 1, 2)))
+        hermitize(marg)
     marg[flagged] = np.nan
     return SpectralMatrix(inv.grid, marg, [inv.labels[i] for i in obs], flagged)
 

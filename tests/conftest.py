@@ -5,6 +5,7 @@ from treespect.corruption import CorruptionSignature
 from treespect.graphs import UndirectedGraph
 from treespect.oracles import woodbury_chain_inverse
 from treespect.panel import TimeSeriesPanel
+from treespect.spectral import WelchParams, estimate_cpsd
 
 
 def prufer_tree(seq: list[int], n: int) -> UndirectedGraph:
@@ -55,6 +56,24 @@ def panel_copy(panel: TimeSeriesPanel) -> TimeSeriesPanel:
     """`panel` with its own copy of the samples, for a test that reads the
     clean samples after `apply_corruption` rewrites channels in place."""
     return TimeSeriesPanel(panel.data.copy(), panel.labels)
+
+
+def estimate_signature(
+    clean: np.ndarray, corrupt: np.ndarray, params: WelchParams
+) -> CorruptionSignature:
+    """Estimate (h, d) of one corrupted channel from paired observations.
+
+    h = est Phi_ux / est Phi_xx, and d = est Phi_uu - |h|^2 est Phi_xx
+    floored at zero (the theory guarantees d >= 0; only estimation noise
+    can push it below).
+    """
+    pair = TimeSeriesPanel(np.vstack([clean, corrupt]), ["x", "u"])
+    spec = estimate_cpsd(pair, params)
+    phi_xx = spec.entry(0, 0).real
+    assert phi_xx.min() > 1e-12 * phi_xx.max(), "clean-channel spectrum vanishes"
+    h = spec.entry(1, 0) / phi_xx
+    d = np.maximum(spec.entry(1, 1).real - np.abs(h) ** 2 * phi_xx, 0.0)
+    return CorruptionSignature(spec.grid, h, d)
 
 
 def two_sided(s):

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from treespect.cli import main
-from treespect.corruption import CorruptionSpec, estimate_signature
+from treespect.corruption import CorruptionSpec
 from treespect.detection import (
     ANALYTIC_DECISION,
     EdgeDecisionParams,
@@ -46,7 +46,7 @@ from treespect.reconstruction import (
 from treespect.spectral import FrequencyGrid, WelchParams, estimate_cpsd, invert_spectrum
 from treespect.streams import apply_corruption, simulate
 
-from conftest import one_step_inverse, panel_copy
+from conftest import estimate_signature, one_step_inverse, panel_copy
 
 GRID = FrequencyGrid.welch_bins(256)
 

@@ -1,18 +1,13 @@
 import numpy as np
 import pytest
 
-from treespect.corruption import (
-    CorruptionSpec,
-    CorruptionSignature,
-    analytic_signature,
-    estimate_signature,
-)
+from treespect.corruption import CorruptionSpec, CorruptionSignature, analytic_signature
 from treespect.errors import DataError
 from treespect.instances import chain7_corruption, chain7_model
 from treespect.spectral import FrequencyGrid, WelchParams
 from treespect.streams import apply_corruption, simulate
 
-from conftest import panel_copy
+from conftest import estimate_signature, panel_copy
 
 WELCH = WelchParams(segment_length=256)
 

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -181,6 +182,22 @@ def test_decoupled_psd_diagonal():
         psd.values[:, 0, 0].real, 2.0 / np.abs(z - 0.5) ** 2, atol=1e-12
     )
     np.testing.assert_allclose(psd.values[:, 0, 1], 0, atol=1e-14)
+
+
+def test_analytic_psd_memory_stays_three_arrays():
+    # A^-1, its conjugate transpose and the product; the Hermitization
+    # runs in place once the two factors are freed
+    grid = FrequencyGrid.welch_bins(256)
+    model = random_stable_model(np.random.default_rng(40), n=40)
+    array_bytes = grid.size * 40 * 40 * np.dtype(np.complex128).itemsize
+    tracemalloc.start()
+    try:
+        psd = analytic_psd(model, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert psd.values.shape == (grid.size, 40, 40)
+    assert peak < 3.5 * array_bytes
 
 
 def test_psd_conjugate_symmetric_and_positive():

@@ -200,6 +200,19 @@ def test_hide_and_learn_recovers_chain(chain_setup):
     assert est.provenance[(3, 4)] == "placement_edge"
 
 
+def test_detect_then_hide_and_learn_inverts_once(monkeypatch):
+    # eigvalsh runs once per computed inversion and nowhere else on this path
+    model = chain7_model()
+    psd = analytic_corrupted_psd(model, analytic_signatures(model, chain7_corruption(), GRID), GRID)
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
+    report = detect(invert_spectrum(psd), ANALYTIC_DECISION)
+    est = hide_and_learn(psd, report, ANALYTIC_DECISION)
+    assert est.graph.edges == CHAIN7_EDGES
+    assert calls == [(GRID.size, 7, 7)]
+
+
 def test_two_node_system_trivial_recovery():
     model = GenerativeModel(
         UndirectedGraph.from_edges(2, [(0, 1)]),

@@ -338,6 +338,40 @@ def test_conditioning_flags_match_svd_reference():
     assert inv.flagged[14] and inv.flagged[15]
 
 
+def test_inverse_is_computed_once_per_spectrum():
+    s = analytic_psd(chain3_model(), FrequencyGrid.welch_bins(32))
+    inv = invert_spectrum(s)
+    assert invert_spectrum(s) is inv
+    assert s.inverse is inv
+
+
+def test_inverted_spectrum_is_read_only():
+    # the cached inverse would go stale if the spectrum could change under it
+    s = analytic_psd(chain3_model(), FrequencyGrid.welch_bins(32))
+    s.values[0, 0, 0] += 1.0  # writable until first inverted
+    inv = invert_spectrum(s)
+    for arr in (s.values, s.flagged, inv.values, inv.flagged):
+        with pytest.raises(ValueError):
+            arr[0] = arr[1]
+
+
+def test_rebuilt_spectrum_gets_its_own_inverse():
+    grid = FrequencyGrid.welch_bins(32)
+    s = analytic_psd(chain3_model(), grid)
+    inv = invert_spectrum(s)
+    pre = np.zeros(grid.size, dtype=bool)
+    pre[[3, 7]] = True
+    rebuilt = SpectralMatrix(grid, s.values, s.labels, pre)
+    assert rebuilt.values is s.values
+    rinv = invert_spectrum(rebuilt)
+    assert rinv is not inv
+    np.testing.assert_array_equal(rinv.flagged, pre)
+    assert not inv.flagged.any()
+    ok = ~pre
+    np.testing.assert_array_equal(rinv.values[ok], inv.values[ok])
+    assert np.isnan(rinv.values[pre]).all()
+
+
 # ---------------------------------------------------------------------------
 # marginalization
 
