@@ -7,9 +7,11 @@ parameter echo and input/output SHA-256 hashes.  Within one `pipeline`
 run, the corrupt and spectra stages take their input panel in memory from
 the stage that wrote it, and its input hash is that stage's output digest,
 the same value as the file's hash; a stage run alone loads and hashes the
-file.  A panel's output hash is of the bytes `save_panel` writes; panel
-hashes run on the stage's one helper thread, overlapping the stage's own
-work.  Spectra and reports are hashed from their files.  Exit codes: 0 ok,
+file.  Likewise detect and learn take the spectra stage's `SpectralMatrix`
+in memory, so a `pipeline` run inverts its spectrum once; they still hash
+the spectra file for their manifests.  A panel's output hash is of the
+bytes `save_panel` writes; panel hashes run on the stage's one helper
+thread, overlapping the stage's own work.  Spectra and reports are hashed from their files.  Exit codes: 0 ok,
 2 config, 3 data, 4 numerical, 5 assumption violation.
 """
 
@@ -104,7 +106,8 @@ def _require(path: Path, hint: str) -> Path:
 #
 # `handoff` maps a panel file name to (panel, future of its SHA-256) for a
 # panel an earlier stage of the same run wrote; the stage that reads it
-# pops the entry, so no panel outlives its reader.
+# pops the entry, so no panel outlives its reader.  Under `SPECTRA` it
+# holds the spectra stage's estimate, which detect reads and learn pops.
 
 def _input_panel(handoff: dict, path: Path, hint: str, helper: ThreadPoolExecutor):
     """The panel stored at `path` and a future of its SHA-256: the upstream
@@ -153,13 +156,14 @@ def stage_spectra(cfg: ExperimentConfig, out: Path, handoff: dict) -> list[Path]
         spectra = estimate_cpsd(panel, cfg.welch)
     path = out / SPECTRA
     save_spectra_binary(spectra, path)
+    handoff[SPECTRA] = spectra
     _write_manifest(out, "spectra", cfg, {src.name: src_digest.result()}, _digests([path]))
     return [path]
 
 
 def stage_detect(cfg: ExperimentConfig, out: Path, handoff: dict) -> list[Path]:
     src = _require(out / SPECTRA, "treespect spectra")
-    spectra = load_spectra_binary(src)
+    spectra = handoff.get(SPECTRA) or load_spectra_binary(src)
     inverse = invert_spectrum(spectra)
     report = detect(inverse, cfg.decision)
     jpath = out / DETECTION_JSON
@@ -176,7 +180,7 @@ def stage_detect(cfg: ExperimentConfig, out: Path, handoff: dict) -> list[Path]:
 def stage_learn(cfg: ExperimentConfig, out: Path, handoff: dict) -> list[Path]:
     spath = _require(out / SPECTRA, "treespect spectra")
     rpath = _require(out / DETECTION_JSON, "treespect detect")
-    spectra = load_spectra_binary(spath)
+    spectra = handoff.pop(SPECTRA, None) or load_spectra_binary(spath)
     try:
         payload = json.loads(rpath.read_text())
     except json.JSONDecodeError as exc:

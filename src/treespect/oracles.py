@@ -6,7 +6,10 @@ Given per-node signatures (h, d), the corrupted PSD is
 
 Its inverse is built without any dense inversion: rescale the exact
 clean inverse by 1/(conj(h_i) h_j), then absorb each node's additive term
-with one Woodbury rank-one downdate, in place.  The detection proofs
+with one Woodbury rank-one downdate, in place.  A downdate at v changes
+only entries whose row and column both lie where column v or row v of the
+working inverse is nonzero; on a tree that is v's two-hop ball, so each
+downdate is written on that block alone.  The detection proofs
 reason about the intermediate inverses; a zero additive term makes its
 downdate a no-op, so the inverse after absorbing only node v is the chain
 run on signatures whose d is zero everywhere except at v.
@@ -74,8 +77,12 @@ def woodbury_chain_inverse(
 
         inv <- inv - inv e_v e_v^T inv * d_v / (1 + d_v inv(v,v)),
 
-    written in the form that stays finite when d_v = 0.  Frequencies where
-    a response vanishes or the downdate denominator hits zero are flagged.
+    written in the form that stays finite when d_v = 0.  It is applied
+    only on idx x idx, idx being the nodes where the column or row v of an
+    unflagged bin is nonzero: every other entry would have ±0 subtracted,
+    so the values do not change (only the sign of a zero may), with or
+    without three hops between corrupt nodes.  Frequencies where a
+    response vanishes or the downdate denominator hits zero are flagged.
     Returns the final inverse and the nodes absorbed, in order.
     """
     n = model.n_nodes
@@ -97,7 +104,8 @@ def woodbury_chain_inverse(
             denom = np.where(bad, 1.0, denom)
         gain = d[:, v] / denom
         col = np.where(flagged[:, None], 0.0, gain[:, None] * inv[:, :, v])
-        inv -= col[:, :, None] * inv[:, None, v, :]
+        idx = np.flatnonzero((col != 0).any(axis=0) | (inv[~flagged, v] != 0).any(axis=0))
+        inv[:, idx[:, None], idx] -= col[:, idx, None] * inv[:, None, v, idx]
     if flagged.all():
         raise NumericalError("corrupted inverse undefined on the whole grid")
     return SpectralMatrix(grid, inv, model.labels, flagged), order

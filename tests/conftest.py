@@ -3,9 +3,10 @@ import pytest
 
 from treespect.corruption import CorruptionSignature
 from treespect.graphs import UndirectedGraph
-from treespect.oracles import woodbury_chain_inverse
+from treespect.ltisim import analytic_inverse_psd
+from treespect.oracles import H_FLOOR, woodbury_chain_inverse
 from treespect.panel import TimeSeriesPanel
-from treespect.spectral import WelchParams, estimate_cpsd
+from treespect.spectral import COND_CAP, WelchParams, estimate_cpsd, hermitize
 
 
 def prufer_tree(seq: list[int], n: int) -> UndirectedGraph:
@@ -50,6 +51,44 @@ def one_step_inverse(model, sigs, node, grid):
         for v, sig in sigs.items()
     }
     return woodbury_chain_inverse(model, zeroed, grid)[0]
+
+
+def reference_inverse(s):
+    """Values and flags of `s.inverse` with `eigvalsh` on every bin: flag a
+    2-norm condition number over `COND_CAP` or not finite, invert with the
+    identity in the flagged bins, Hermitize, and NaN the flagged bins."""
+    mats = hermitize(s.values.copy())
+    lam = np.abs(np.linalg.eigvalsh(mats))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond = lam.max(axis=1) / lam.min(axis=1)
+    flagged = s.flagged | ~np.isfinite(cond) | (cond > COND_CAP)
+    mats[flagged] = np.eye(s.n_nodes)
+    inv = hermitize(np.linalg.inv(mats))
+    inv[flagged] = np.nan
+    return inv, flagged
+
+
+def reference_woodbury(model, signatures, grid):
+    """Values and flags of `woodbury_chain_inverse` with every downdate
+    written over the whole N x N matrix of every bin."""
+    h = np.ones((grid.size, model.n_nodes), dtype=np.complex128)
+    d = np.zeros((grid.size, model.n_nodes))
+    for v, sig in signatures.items():
+        h[:, v], d[:, v] = sig.h, sig.d
+    flagged = np.abs(h).min(axis=1) < H_FLOOR
+    h_safe = np.where(np.abs(h) < H_FLOOR, 1.0, h)
+    inv = analytic_inverse_psd(model, grid).values
+    inv /= np.conj(h_safe[:, :, None]) * h_safe[:, None, :]
+    inv[flagged] = np.nan
+    for v in sorted(signatures):
+        denom = 1.0 + d[:, v] * np.where(flagged, 0.0, inv[:, v, v])
+        bad = np.abs(denom) < 1e-12
+        flagged = flagged | bad
+        inv[bad] = np.nan
+        gain = d[:, v] / np.where(bad, 1.0, denom)
+        col = np.where(flagged[:, None], 0.0, gain[:, None] * inv[:, :, v])
+        inv -= col[:, :, None] * inv[:, None, v, :]
+    return inv, flagged
 
 
 def panel_copy(panel: TimeSeriesPanel) -> TimeSeriesPanel:

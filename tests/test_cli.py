@@ -166,6 +166,19 @@ def test_pipeline_hands_panels_over_in_memory(tmp_path, monkeypatch):
     assert_manifests_hash_files(out)
 
 
+def test_pipeline_hands_spectra_over_in_memory(tmp_path, monkeypatch):
+    # detect and learn take the spectra stage's estimate, so one run
+    # inverts it once; their manifests still hash the spectra file
+    def refuse(path, *args, **kwargs):
+        raise AssertionError(f"read {path}")
+
+    monkeypatch.setattr("treespect.cli.load_spectra_binary", refuse)
+    cfg = write_tiny(tmp_path, corruption=[CORRUPTION])
+    out = tmp_path / "run"
+    assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 0
+    assert_manifests_hash_files(out)
+
+
 @pytest.mark.parametrize("seed", [-3, True, 1.5, "3"])
 def test_config_seed_not_a_count_exits_2(tmp_path, capsys, seed):
     cfg = write_tiny(tmp_path, seed=seed)

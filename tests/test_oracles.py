@@ -6,7 +6,13 @@ import pytest
 from treespect.corruption import CorruptionSignature
 from treespect.detection import phase_nonconstancy_score
 from treespect.graphs import bfs_distances
-from treespect.instances import chain7_corruption, chain7_model, random_instance
+from treespect.instances import (
+    adversarial_instance,
+    chain7_corruption,
+    chain7_model,
+    draw_delay_spec,
+    random_instance,
+)
 from treespect.ltisim import analytic_inverse_psd, analytic_psd
 from treespect.oracles import (
     analytic_corrupted_psd,
@@ -21,7 +27,7 @@ from treespect.spectral import (
 )
 from treespect.streams import apply_corruption, simulate
 
-from conftest import one_step_inverse
+from conftest import one_step_inverse, reference_woodbury
 
 GRID = FrequencyGrid.welch_bins(256)
 
@@ -136,6 +142,37 @@ def test_chain_inverse_matches_dense_on_random_instances(seed):
     dense = invert_spectrum(analytic_corrupted_psd(inst.model, sigs, GRID))
     wood, _ = woodbury_chain_inverse(inst.model, sigs, GRID)
     assert relative_gap(wood.values, dense.values) < 1e-9
+
+
+def assert_matches_full_matrix_downdates(model, sigs):
+    wood, absorbed = woodbury_chain_inverse(model, sigs, GRID)
+    expected, expected_flags = reference_woodbury(model, sigs, GRID)
+    assert absorbed == tuple(sorted(sigs))
+    assert np.array_equal(wood.values, expected, equal_nan=True)
+    np.testing.assert_array_equal(wood.flagged, expected_flags)
+
+
+@pytest.mark.parametrize("seed", [31, 32, 33, 34])
+def test_downdates_on_the_two_hop_ball_equal_full_matrix_downdates(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(13, 31))
+    inst = random_instance(rng, n, int(rng.integers(1, min(4, (n - 4) // 3) + 1)))
+    assert_matches_full_matrix_downdates(inst.model, analytic_signatures(inst.model, inst.specs, GRID))
+
+
+@pytest.mark.parametrize("seed", [41, 42, 43])
+def test_downdates_on_the_two_hop_ball_hold_for_adjacent_corrupt_nodes(seed):
+    # the restriction does not lean on the three-hop rule: corrupt backbone
+    # nodes 3, 4 and 5 are neighbours, and node 4's response vanishes at
+    # one bin, so a flagged NaN bin rides through every downdate
+    rng = np.random.default_rng(seed)
+    inst = adversarial_instance(rng, int(rng.integers(9, 20)))
+    specs = [draw_delay_spec(rng, v) for v in (3, 4, 5)]
+    sigs = analytic_signatures(inst.model, specs, GRID)
+    h = sigs[4].h.copy()
+    h[10] = 0.0
+    sigs[4] = CorruptionSignature(GRID, h, sigs[4].d)
+    assert_matches_full_matrix_downdates(inst.model, sigs)
 
 
 def test_zero_additive_terms_leave_the_rescaled_clean_inverse():

@@ -201,12 +201,14 @@ def test_hide_and_learn_recovers_chain(chain_setup):
 
 
 def test_detect_then_hide_and_learn_inverts_once(monkeypatch):
-    # eigvalsh runs once per computed inversion and nowhere else on this path
+    # one stacked inversion serves both steps, and no bin of this spectrum
+    # is near enough to the conditioning cap to need eigvalsh
     model = chain7_model()
     psd = analytic_corrupted_psd(model, analytic_signatures(model, chain7_corruption(), GRID), GRID)
     calls = []
-    eigvalsh = np.linalg.eigvalsh
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
+    inv, eigvalsh = np.linalg.inv, np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "inv", lambda a: calls.append(a.shape) or inv(a))
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append("eigvalsh") or eigvalsh(a))
     report = detect(invert_spectrum(psd), ANALYTIC_DECISION)
     est = hide_and_learn(psd, report, ANALYTIC_DECISION)
     assert est.graph.edges == CHAIN7_EDGES

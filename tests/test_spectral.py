@@ -25,6 +25,8 @@ from treespect.spectral import (
 )
 from treespect.streams import simulate
 
+from conftest import reference_inverse
+
 
 def white_panel(n=3, t=60_000, seed=5, sigma=2.0):
     rng = np.random.default_rng(seed)
@@ -336,6 +338,82 @@ def test_conditioning_flags_match_svd_reference():
     assert np.isfinite(inv.values[~expected]).all()
     np.testing.assert_array_equal(inv.flagged[:14], np.arange(14) % 2 == 1)
     assert inv.flagged[14] and inv.flagged[15]
+
+
+def _stack_with_conditions(rng, n, conditions):
+    """One Hermitian bin per condition number: eigenvalue magnitudes from 1
+    down to 1/cond, with random signs, so many bins are indefinite."""
+    vals = np.empty((len(conditions), n, n), dtype=complex)
+    for f, cond in enumerate(conditions):
+        signs = rng.choice([-1.0, 1.0], size=n)
+        vals[f] = _hermitian_with_eigenvalues(rng, signs * np.geomspace(1.0, 1.0 / cond, n))
+    return vals
+
+
+@pytest.mark.parametrize("n", [4, 12])
+@pytest.mark.parametrize("case", ["spread", "flagged-input", "singular"])
+def test_inverse_matches_eigvalsh_everywhere_reference(monkeypatch, case, n):
+    # the norm bound may only spare eigvalsh where it cannot change a flag:
+    # flags and inverse bytes match eigvalsh on every bin, on conditions
+    # from 1e9 to 1e15 and right at the cap and at half of it
+    rng = np.random.default_rng(n)
+    grid = FrequencyGrid.welch_bins(62)
+    conditions = np.geomspace(1e9, 1e15, grid.size)
+    conditions[[3, 8, 13, 18]] = [
+        COND_CAP * (1 - 1e-3), COND_CAP * (1 + 1e-3), COND_CAP / 2 * (1 - 1e-3), COND_CAP / 2 * (1 + 1e-3),
+    ]
+    vals = _stack_with_conditions(rng, n, conditions)
+    flagged = np.zeros(grid.size, dtype=bool)
+    if case == "flagged-input":
+        flagged[[0, 8, 20]] = True
+    if case == "singular":  # stops the stacked inversion: every bin gets eigvalsh
+        vals[5] = np.diag(np.arange(n, dtype=float))
+    s = SpectralMatrix(grid, vals, [str(i) for i in range(n)], flagged)
+    expected, expected_flags = reference_inverse(s)
+    seen = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: seen.append(len(a)) or eigvalsh(a))
+    inv = s.inverse
+    np.testing.assert_array_equal(inv.flagged, expected_flags)
+    assert inv.values.tobytes() == expected.tobytes()
+    assert 0 < expected_flags.sum() < grid.size
+    assert len(seen) == 1
+    assert seen[0] == grid.size if case == "singular" else 0 < seen[0] < grid.size
+
+
+def test_inverse_of_a_nan_bin_raises_like_the_reference():
+    # eigvalsh does not converge on a bin holding a NaN, with or without
+    # the norm bound in front of it
+    rng = np.random.default_rng(3)
+    grid = FrequencyGrid.welch_bins(30)
+    vals = _stack_with_conditions(rng, 4, np.geomspace(1e2, 1e14, grid.size))
+    vals[6, 0, 1] = np.nan
+    s = SpectralMatrix(grid, vals, ["a", "b", "c", "d"])
+    with pytest.raises(np.linalg.LinAlgError):
+        reference_inverse(s)
+    with pytest.raises(np.linalg.LinAlgError):
+        s.inverse
+
+
+def test_eigvalsh_sees_exactly_the_undecided_bins(monkeypatch):
+    # for Hermitian M, cond <= ||M||_1 ||M^-1||_1 <= n cond: bins with cond
+    # <= 1e6 are decided by the bound, bins with cond >= 0.6 COND_CAP are not
+    rng = np.random.default_rng(17)
+    grid = FrequencyGrid.welch_bins(62)
+    undecided = rng.random(grid.size) < 0.5
+    conditions = np.where(
+        undecided,
+        rng.uniform(0.6, 1000.0, grid.size) * COND_CAP,
+        10.0 ** rng.uniform(0.0, 6.0, grid.size),
+    )
+    vals = _stack_with_conditions(rng, 6, conditions)
+    seen = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: seen.append(a.copy()) or eigvalsh(a))
+    inv = SpectralMatrix(grid, vals, list("abcdef")).inverse
+    assert len(seen) == 1
+    np.testing.assert_array_equal(seen[0], spectral.hermitize(vals.copy())[undecided])
+    np.testing.assert_array_equal(inv.flagged, undecided & (conditions > COND_CAP))
 
 
 def test_inverse_is_computed_once_per_spectrum():
