@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import DataError
@@ -45,21 +46,24 @@ class UndirectedGraph:
     def chain(cls, n: int) -> "UndirectedGraph":
         return cls.from_edges(n, [(i, i + 1) for i in range(n - 1)])
 
-    def has_edge(self, a: int, b: int) -> bool:
-        if a == b:
-            return False
-        return _norm_edge(a, b) in self.edges
-
-    def adjacency(self) -> list[set[int]]:
+    @cached_property
+    def _adjacency(self) -> tuple[frozenset[int], ...]:
+        """Neighbor set of every node, built once per graph; read-only."""
         adj: list[set[int]] = [set() for _ in range(self.node_count)]
         for a, b in self.edges:
             adj[a].add(b)
             adj[b].add(a)
-        return adj
+        return tuple(map(frozenset, adj))
+
+    def has_edge(self, a: int, b: int) -> bool:
+        return a != b and 0 <= a < self.node_count and b in self._adjacency[a]
+
+    def adjacency(self) -> tuple[frozenset[int], ...]:
+        return self._adjacency
 
     def neighbors(self, i: int) -> frozenset[int]:
         self._check_node(i)
-        return frozenset(b if a == i else a for a, b in self.edges if i in (a, b))
+        return self._adjacency[i]
 
     def degree(self, i: int) -> int:
         return len(self.neighbors(i))

@@ -16,7 +16,7 @@ import numpy as np
 
 from .corruption import CorruptionSpec
 from .errors import DataError
-from .graphs import UndirectedGraph, bfs_distances
+from .graphs import UndirectedGraph
 from .ltisim import GenerativeModel, spectral_radius
 
 # Unused here, but benchmark/layers.py wraps these five names in this module.
@@ -78,23 +78,23 @@ def tree_with_deep_nodes(
         length = positions[-1] + 3
 
     marked = tuple(positions)
-    next_node = length + 1
-    # grow pendant chains until the node budget is used
+    # hop distance to the nearest marked node: |v - m| on the backbone; a
+    # pendant chain leaves every existing distance as it is and counts up
+    # from its anchor, so no graph is rebuilt while the tree grows
+    dist_to_marked = [min(abs(v - m) for m in marked) for v in range(length + 1)]
     adj_edges = [(i, i + 1) for i in range(length)]
-    while next_node < n:
-        current = UndirectedGraph.from_edges(n, adj_edges)
-        dist_to_marked = np.full(n, 10**9)
-        for m in marked:
-            dist_to_marked = np.minimum(dist_to_marked, bfs_distances(current, m))
-        existing = [v for v in range(next_node)]
+    # grow pendant chains until the node budget is used
+    while len(dist_to_marked) < n:
+        next_node = len(dist_to_marked)
         budget = n - next_node
-        candidates = [v for v in existing if max(0, 3 - int(dist_to_marked[v])) <= budget]
+        candidates = [v for v, d in enumerate(dist_to_marked) if max(0, 3 - d) <= budget]
         w = int(rng.choice(candidates))
-        need = max(1, 3 - int(dist_to_marked[w]))
+        need = max(1, 3 - dist_to_marked[w])
         ell = int(rng.integers(need, min(3, budget) + 1))
         prev = w
         for _ in range(ell):
             adj_edges.append((prev, next_node))
+            dist_to_marked.append(dist_to_marked[prev] + 1)
             prev = next_node
             next_node += 1
     tree = UndirectedGraph.from_edges(n, adj_edges)

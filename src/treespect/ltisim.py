@@ -26,7 +26,6 @@ from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.linalg import solve_discrete_lyapunov
 
 from .errors import DataError, NumericalError
 from .graphs import UndirectedGraph
@@ -34,6 +33,12 @@ from .spectral import FrequencyGrid, SpectralMatrix, hermitize
 
 STABILITY_MARGIN = 1e-3
 DEFAULT_BURN_IN = 10_000
+# After s squarings the doubling has summed the terms j < 2^(s+1) of
+# sum_j C^j Q C^jT.  At the largest admitted spectral radius, 1 -
+# STABILITY_MARGIN, term 2^16 is rho^(2^17) ~ e^-131 of the first, so a
+# stable model converges well within this many squarings even after
+# transient growth of a non-normal C.
+LYAPUNOV_SQUARINGS = 16
 
 
 def _companion(
@@ -72,6 +77,31 @@ def spectral_radius(
     system is stable when it is below 1."""
     C = _companion(topology, coupling, self_dynamics)
     return float(np.max(np.abs(np.linalg.eigvals(C))))
+
+
+def discrete_lyapunov(C: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """P = C P C^T + Q by Smith's doubling (SIAM J. Appl. Math. 16, 1968).
+
+    Starting from P = Q, D = C, each step adds D P D^T to P and squares D,
+    doubling the number of summed terms of P = sum_j C^j Q C^jT.  It stops
+    when the last increment is at most eps * max|P| and returns the
+    symmetrized P.  Plain matrix products: no Schur form, no scipy.
+    """
+    P, D = Q, C
+    eps = np.finfo(np.float64).eps
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(LYAPUNOV_SQUARINGS + 1):
+            step = D @ P @ D.T
+            P = P + step
+            if not np.all(np.isfinite(P)):
+                raise NumericalError("Lyapunov solve diverged: the system is not stable")
+            if np.max(np.abs(step)) <= eps * np.max(np.abs(P)):
+                return (P + P.T) / 2
+            D = D @ D
+    raise NumericalError(
+        f"Lyapunov solve did not converge in {LYAPUNOV_SQUARINGS} squarings: "
+        "the system is not stable"
+    )
 
 
 @dataclass(frozen=True)
@@ -132,12 +162,13 @@ class GenerativeModel:
     @cached_property
     def state_covariance(self) -> np.ndarray:
         """Stationary covariance P of the companion state, from the discrete
-        Lyapunov equation P = C P C^T + Q; solved once per model, read-only."""
+        Lyapunov equation P = C P C^T + Q by doubling (`discrete_lyapunov`);
+        solved once per model, read-only."""
         n = self.n_nodes
         C = self.companion_matrix()
         Q = np.zeros_like(C)
         Q[:n, :n] = np.diag(self.noise_variance)
-        P = solve_discrete_lyapunov(C, Q)
+        P = discrete_lyapunov(C, Q)
         P.setflags(write=False)
         return P
 

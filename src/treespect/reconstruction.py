@@ -112,24 +112,18 @@ def _alignment_trials(
     """Every clique-compatible (p,q,l,r,s) alignment with the edge pair
     {q-l, l-r} it proposes, its phase score and whether the constant-phase
     test passed."""
+    adj = perturbed.adjacency()
     out = []
     for l in corrupt:
-        for q in sorted(theta_i):
-            if not perturbed.has_edge(q, l):
-                continue
+        rs = sorted(theta_j & adj[l])
+        for q in sorted(theta_i & adj[l]):
             for p in sorted(comp_adj[q] & theta_i):
-                for r in sorted(theta_j):
-                    if not perturbed.has_edge(r, l):
-                        continue
+                for r in rs:
                     for s in sorted(comp_adj[r] & theta_j):
                         five = [p, q, l, r, s]
                         if len(set(five)) != 5:
                             continue
-                        if not all(
-                            perturbed.has_edge(a, b)
-                            for ai, a in enumerate(five)
-                            for b in five[ai + 1:]
-                        ):
+                        if not all(b in adj[a] for ai, a in enumerate(five) for b in five[ai + 1:]):
                             continue
                         score = phase_nonconstancy_score(inv_full, p, s)
                         edges = frozenset({(min(q, l), max(q, l)), (min(l, r), max(l, r))})

@@ -349,5 +349,11 @@ def load_spectra_binary(path: str | Path) -> SpectralMatrix:
         flagged = np.frombuffer(read_exact(fh, f, path), dtype="u1").astype(bool)
         values = np.frombuffer(read_exact(fh, f * n * n * 16, path), dtype="<c16")
         values = values.reshape(f, n, n)
+    bad = ~flagged & ~np.isfinite(values).all(axis=(1, 2))
+    if bad.any():
+        raise DataError(
+            f"{path}: non-finite values at {int(bad.sum())} unflagged frequencies "
+            f"(first at bin {int(np.argmax(bad))})"
+        )
     return SpectralMatrix(FrequencyGrid(freqs.copy()), values.copy(), labels, flagged)
 

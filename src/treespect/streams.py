@@ -2,7 +2,7 @@
 
 This is the only module that filters sample streams, so it is the only one
 that imports `scipy.signal`; the model, the exact spectra and the
-corruption specs and signatures load with numpy and `scipy.linalg` alone.
+corruption specs and signatures load with numpy alone.
 """
 
 from __future__ import annotations

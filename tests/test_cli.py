@@ -438,6 +438,26 @@ def test_two_sided_spectra_file_exits_3(tmp_path, capsys):
     assert "[0, pi]" in err and "Traceback" not in err
 
 
+def test_non_finite_spectra_exits_3(tmp_path, capsys):
+    # one NaN in an unflagged bin of a chain7_quick spectra file is refused
+    # when the file is read, before inversion can fail on it
+    from treespect.ltisim import analytic_psd
+    from treespect.spectral import FrequencyGrid, SpectralMatrix, save_spectra_binary
+
+    cfg = bundled_config_path("chain7_quick")
+    psd = analytic_psd(chain7_model(), FrequencyGrid.welch_bins(256))
+    values = psd.values.copy()
+    values[40, 2, 5] = np.nan
+    out = tmp_path / "run"
+    out.mkdir()
+    save_spectra_binary(
+        SpectralMatrix(psd.grid, values, psd.labels), out / "spectra_corrupt.rtsm"
+    )
+    assert main(["detect", "--config", str(cfg), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "non-finite" in err and "bin 40" in err and "Traceback" not in err
+
+
 def test_truncated_panel_exits_3(tmp_path, capsys):
     cfg = write_tiny(tmp_path, trajectory_length=20_000, burn_in=100)
     out = tmp_path / "run"

@@ -85,6 +85,23 @@ def test_is_tree():
     assert not is_tree(UndirectedGraph(3))  # disconnected
 
 
+def test_adjacency_is_built_once_and_matches_the_edges():
+    g = random_tree(np.random.default_rng(4), 30)
+    adj = g.adjacency()
+    assert g.adjacency() is adj
+    assert all(isinstance(s, frozenset) for s in adj) and len(adj) == 30
+    for i in range(30):
+        assert g.neighbors(i) is adj[i]
+        assert g.degree(i) == sum(i in e for e in g.edges)
+        for j in range(30):
+            assert g.has_edge(i, j) == ((min(i, j), max(i, j)) in g.edges)
+    # equal or out-of-range nodes are never adjacent
+    for a, b in [(3, 3), (-1, 0), (0, -1), (0, 30), (30, 0), (29, 30)]:
+        assert not g.has_edge(a, b)
+    with pytest.raises(DataError):
+        g.neighbors(30)
+
+
 def test_no_self_loops():
     with pytest.raises(DataError):
         UndirectedGraph.from_edges(3, [(1, 1)])

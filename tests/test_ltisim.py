@@ -3,13 +3,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from treespect.errors import DataError, NumericalError
 from treespect.graphs import UndirectedGraph, bfs_distances
+from treespect.instances import draw_model, tree_with_deep_nodes
 from treespect.ltisim import (
     GenerativeModel,
     analytic_inverse_psd,
     analytic_psd,
+    discrete_lyapunov,
     model_from_dict,
     model_to_dict,
     spectral_radius,
@@ -148,6 +151,73 @@ def test_two_node_covariance_matches_lyapunov_oracle():
     tol = 3 * np.sqrt(2 * var00)
     assert np.abs(r0 - expected_r0).max() < tol
     assert np.abs(r1 - expected_r1).max() < tol
+
+
+def lyapunov_residual(C, Q, P):
+    return np.linalg.norm(C @ P @ C.T + Q - P) / np.linalg.norm(P)
+
+
+def relative_gap(a, b):
+    return np.abs(a - b).max() / np.abs(b).max()
+
+
+@pytest.mark.parametrize("n,k", [(7, 1), (40, 8), (200, 40)])
+@pytest.mark.parametrize("order", [1, 2])
+def test_doubling_lyapunov_matches_scipy_on_model_companions(n, k, order):
+    rng = np.random.default_rng(n + order)
+    tree, _ = tree_with_deep_nodes(rng, n, k)
+    model = draw_model(rng, tree, ar=order > 1)
+    if order > 1:
+        # a second self lag on every node moves every coupling to lag 2:
+        # p = 2, with a spectral radius near sqrt(0.8)
+        dyn = tuple(c + (0.2 * c[0],) for c in model.self_dynamics)
+        model = GenerativeModel(tree, model.coupling, dyn, model.noise_variance)
+    C = model.companion_matrix()
+    assert C.shape == (order * n, order * n)
+    Q = np.zeros_like(C)
+    Q[:n, :n] = np.diag(model.noise_variance)
+    P = discrete_lyapunov(C, Q)
+    assert np.array_equal(P, P.T)
+    assert relative_gap(P, scipy.linalg.solve_discrete_lyapunov(C, Q)) <= 1e-12
+    assert lyapunov_residual(C, Q, P) <= 1e-13
+    assert np.array_equal(model.state_covariance, P)
+
+
+def extended_doubling(C, Q, squarings=24):
+    """The same sum in long double, as an independent rounding reference."""
+    P, D = Q.astype(np.longdouble), C.astype(np.longdouble)
+    for _ in range(squarings):
+        P, D = P + D @ P @ D.T, D @ D
+    return P
+
+
+def test_doubling_lyapunov_near_the_unit_circle():
+    rng = np.random.default_rng(0)
+    M = rng.standard_normal((30, 30))
+    A = rng.standard_normal((30, 30))
+    Q = A @ A.T
+    gauss = 0.998 * M / np.abs(np.linalg.eigvals(M)).max()
+    # every mode at the radius: the slowest decay the squaring count must cover
+    orth = 0.998 * np.linalg.qr(M)[0]
+    for C in (gauss, orth):
+        P = discrete_lyapunov(C, Q)
+        assert lyapunov_residual(C, Q, P) <= 1e-13
+        if np.finfo(np.longdouble).eps < np.finfo(np.float64).eps:
+            assert relative_gap(P, extended_doubling(C, Q)) <= 1e-13
+    # scipy's Schur-based solve is itself 1.8e-12 off the long-double sum on
+    # `orth` (5e-13 on `gauss`, where the doubling is within 7e-15), so only
+    # the Gaussian draw is compared with it
+    reference = scipy.linalg.solve_discrete_lyapunov(gauss, Q)
+    assert relative_gap(discrete_lyapunov(gauss, Q), reference) <= 1e-12
+
+
+@pytest.mark.parametrize("radius,message", [(1.0, "did not converge"), (1.5, "diverged")])
+def test_doubling_lyapunov_refuses_unstable_systems(radius, message):
+    rng = np.random.default_rng(5)
+    M = rng.standard_normal((6, 6))
+    C = radius * M / np.abs(np.linalg.eigvals(M)).max()
+    with pytest.raises(NumericalError, match=message):
+        discrete_lyapunov(C, np.eye(6))
 
 
 def test_decoupled_model_has_no_cross_correlation():

@@ -59,9 +59,9 @@ def test_signatures_share_one_lyapunov_solve(monkeypatch):
     model = draw_model(rng, tree)
     specs = [draw_delay_spec(rng, v) for v in marked]
     calls = []
-    real = ltisim.solve_discrete_lyapunov
+    real = ltisim.discrete_lyapunov
     monkeypatch.setattr(
-        ltisim, "solve_discrete_lyapunov", lambda *a: calls.append(1) or real(*a)
+        ltisim, "discrete_lyapunov", lambda *a: calls.append(1) or real(*a)
     )
     sigs = analytic_signatures(model, specs, GRID)
     assert len(calls) == 1

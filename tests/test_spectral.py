@@ -522,3 +522,18 @@ def test_spectra_binary_roundtrip(tmp_path):
     assert np.array_equal(back.values, s.values)
     assert np.array_equal(back.grid.frequencies, s.grid.frequencies)
 
+
+def test_spectra_binary_refuses_non_finite_unflagged_bins(tmp_path):
+    s = estimate_cpsd(white_panel(t=20_000), WelchParams(segment_length=128))
+    values = s.values.copy()
+    values[3, 0, 1] = np.inf
+    values[9, 1, 1] = np.nan
+    flagged = np.zeros(s.grid.size, dtype=bool)
+    flagged[3] = True
+    path = tmp_path / "s.rtsm"
+    save_spectra_binary(SpectralMatrix(s.grid, values, s.labels, flagged), path)
+    with pytest.raises(DataError, match="1 unflagged frequencies .first at bin 9"):
+        load_spectra_binary(path)
+    flagged[9] = True
+    save_spectra_binary(SpectralMatrix(s.grid, values, s.labels, flagged), path)
+    assert np.array_equal(load_spectra_binary(path).flagged, flagged)
