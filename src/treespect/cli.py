@@ -3,16 +3,21 @@ pipeline | sweep.
 
 Every stage reads the experiment config plus its input files from the
 output directory, writes its own artifacts, and records a manifest with
-parameter echo and input/output SHA-256 hashes.  Within one `pipeline`
-run, the corrupt and spectra stages take their input panel in memory from
-the stage that wrote it, and its input hash is that stage's output digest,
-the same value as the file's hash; a stage run alone loads and hashes the
-file.  Likewise detect and learn take the spectra stage's `SpectralMatrix`
-in memory, so a `pipeline` run inverts its spectrum once; they still hash
-the spectra file for their manifests.  A panel's output hash is of the
-bytes `save_panel` writes; panel hashes run on the stage's one helper
-thread, overlapping the stage's own work.  Spectra and reports are hashed from their files.  Exit codes: 0 ok,
-2 config, 3 data, 4 numerical, 5 assumption violation.
+parameter echo and input/output SHA-256 hashes.  The panel files are the
+stages' working store: simulate writes its trajectory block by block,
+corrupt reads the clean panel and writes the corrupted one a row block at
+a time, and spectra reads spans of that, so no stage holds a whole panel
+and memory does not grow with the trajectory beyond one row.  A panel is
+written to a temporary name that replaces the artifact only when the stage
+succeeds.  Simulate hashes its panel by reading the finished file back,
+corrupt hashes its rows as it writes them, in file order; both hash on the
+stage's helper thread.  Within one `pipeline` run, corrupt and spectra take
+their input's hash from the stage that wrote it, so no panel is hashed
+twice; a stage run alone hashes its input file while it works.  Detect and
+learn take the spectra stage's `SpectralMatrix` in memory, so a `pipeline`
+run inverts its spectrum once; they still hash the spectra file for their
+manifests.  Spectra and reports are hashed from their files.  Exit codes:
+0 ok, 2 config, 3 data, 4 numerical, 5 assumption violation.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from __future__ import annotations
 import argparse
 import csv
 import datetime
+import hashlib
 import json
 import os
 import sys
@@ -51,7 +57,8 @@ from .detection import (
 from .errors import ConfigError, DataError, TreespectError
 from .instances import adversarial_instance, random_instance
 from .oracles import analytic_corrupted_psd, analytic_signatures
-from .panel import load_panel, panel_bytes, save_panel
+from .panel import PanelReader, PanelWriter
+from .panel import load_panel, save_panel  # noqa: F401  wrapped by benchmark/layers.py
 from .reconstruction import estimate_to_dot, estimate_to_json, hide_and_learn
 from .spectral import (
     FrequencyGrid,
@@ -60,7 +67,7 @@ from .spectral import (
     load_spectra_binary,
     save_spectra_binary,
 )
-from .streams import apply_corruption, simulate
+from .streams import apply_corruption, corrupted_blocks, simulate, simulate_blocks
 
 PANEL_CLEAN = "panel_clean.bin"
 PANEL_CORRUPT = "panel_corrupt.bin"
@@ -99,52 +106,77 @@ def _require(path: Path, hint: str) -> Path:
     return path
 
 
-# Panel hashes run on one helper thread per stage: hashlib and file I/O
-# release the GIL, so they overlap the stage's own work.  The helper calls
-# sha256_parts, never sha256_file: the benchmark's tracer wraps this
-# module's sha256_file, and its span stack is the main thread's.
+# Simulate's block writes and every panel hash run on the stage's helper
+# thread (hashlib and file I/O release the GIL), so they overlap the stage's
+# own work.  The helper calls sha256_parts, never sha256_file: the
+# benchmark's tracer wraps this module's sha256_file, and its span stack is
+# the main thread's.
 #
-# `handoff` maps a panel file name to (panel, future of its SHA-256) for a
-# panel an earlier stage of the same run wrote; the stage that reads it
-# pops the entry, so no panel outlives its reader.  Under `SPECTRA` it
-# holds the spectra stage's estimate, which detect reads and learn pops.
+# `handoff` maps a panel file name to its SHA-256 for a panel an earlier
+# stage of the same run wrote; the stage that reads it pops the entry, so no
+# stage hashes its input again.  Under `SPECTRA` it holds the
+# spectra stage's estimate, which detect reads and learn pops.
 
-def _input_panel(handoff: dict, path: Path, hint: str, helper: ThreadPoolExecutor):
-    """The panel stored at `path` and a future of its SHA-256: the upstream
-    stage's in-memory panel and output digest if it ran in this process,
-    else the file, loaded here and hashed on `helper`."""
-    if path.name in handoff:
-        return handoff.pop(path.name)
+def _input_digest(handoff: dict, path: Path, hint: str, helper: ThreadPoolExecutor):
+    """A function returning the SHA-256 of the panel file at `path`: the
+    upstream stage's output digest if it ran in this process, else the
+    file's, hashed on `helper` meanwhile."""
     _require(path, hint)
-    digest = helper.submit(sha256_parts, read_chunks(path))
-    return load_panel(path), digest
+    if path.name in handoff:
+        digest = handoff.pop(path.name)
+        return lambda: digest
+    return helper.submit(sha256_parts, read_chunks(path)).result
 
 
-def _output_panel(handoff: dict, panel, path: Path, helper: ThreadPoolExecutor):
-    """Save `panel` to `path`, hashing the bytes written on `helper`, and
-    hand both to the next stage.  Returns the path and the digest future."""
-    digest = helper.submit(sha256_parts, panel_bytes(panel))
-    path = save_panel(panel, path)
-    handoff[path.name] = panel, digest
-    return path, digest
+def _in_order(helper: ThreadPoolExecutor, call, items) -> None:
+    """Run `call(*item)` on `helper` for each of `items`, in order and one
+    at a time, while the caller makes the next item."""
+    pending = None
+    try:
+        for item in items:
+            if pending is not None:
+                pending.result()
+            pending = helper.submit(call, *item)
+    finally:
+        if pending is not None:
+            pending.result()
 
 
 def stage_simulate(cfg: ExperimentConfig, out: Path, handoff: dict) -> list[Path]:
-    panel = simulate(cfg.model, cfg.trajectory_length, cfg.seed, burn_in=cfg.burn_in)
+    blocks = simulate_blocks(cfg.model, cfg.trajectory_length, cfg.seed, burn_in=cfg.burn_in)
+    path = out / PANEL_CLEAN
     with ThreadPoolExecutor(max_workers=1) as helper:
-        path, digest = _output_panel(handoff, panel, out / PANEL_CLEAN, helper)
-    _write_manifest(out, "simulate", cfg, {}, {path.name: digest.result()})
+        with PanelWriter(path, cfg.model.labels, cfg.trajectory_length) as writer:
+            _in_order(helper, writer.put, blocks)
+        # blocks land at their offsets in every row, out of file order, so
+        # the file is hashed once it is complete
+        digest = helper.submit(sha256_parts, read_chunks(path)).result()
+    handoff[path.name] = digest
+    _write_manifest(out, "simulate", cfg, {}, {path.name: digest})
     return [path]
 
 
 def stage_corrupt(cfg: ExperimentConfig, out: Path, handoff: dict) -> list[Path]:
     src = out / PANEL_CLEAN
-    with ThreadPoolExecutor(max_workers=1) as helper:
-        panel, src_digest = _input_panel(handoff, src, "treespect simulate", helper)
-        panel = apply_corruption(panel, list(cfg.corruption), cfg.seed)
-        path, digest = _output_panel(handoff, panel, out / PANEL_CORRUPT, helper)
+    path = out / PANEL_CORRUPT
+    # two helpers: a stage run alone hashes its input on one while the
+    # other hashes the output
+    with ThreadPoolExecutor(max_workers=2) as helper:
+        src_digest = _input_digest(handoff, src, "treespect simulate", helper)
+        with PanelReader(src) as reader:
+            with PanelWriter(path, reader.labels, reader.n_samples) as writer:
+
+                def written():
+                    for i, lo, samples in corrupted_blocks(reader, cfg.corruption, cfg.seed):
+                        writer.write(i, lo, samples)
+                        yield (samples,)
+
+                # rows come in file order, so the file is hashed as written
+                digest = hashlib.sha256(writer.header)
+                _in_order(helper, digest.update, written())
+    handoff[path.name] = digest.hexdigest()
     _write_manifest(
-        out, "corrupt", cfg, {src.name: src_digest.result()}, {path.name: digest.result()}
+        out, "corrupt", cfg, {src.name: src_digest()}, {path.name: handoff[path.name]}
     )
     return [path]
 
@@ -152,12 +184,13 @@ def stage_corrupt(cfg: ExperimentConfig, out: Path, handoff: dict) -> list[Path]
 def stage_spectra(cfg: ExperimentConfig, out: Path, handoff: dict) -> list[Path]:
     src = out / PANEL_CORRUPT
     with ThreadPoolExecutor(max_workers=1) as helper:
-        panel, src_digest = _input_panel(handoff, src, "treespect corrupt", helper)
-        spectra = estimate_cpsd(panel, cfg.welch)
+        src_digest = _input_digest(handoff, src, "treespect corrupt", helper)
+        with PanelReader(src) as reader:
+            spectra = estimate_cpsd(reader, cfg.welch)
     path = out / SPECTRA
     save_spectra_binary(spectra, path)
     handoff[SPECTRA] = spectra
-    _write_manifest(out, "spectra", cfg, {src.name: src_digest.result()}, _digests([path]))
+    _write_manifest(out, "spectra", cfg, {src.name: src_digest()}, _digests([path]))
     return [path]
 
 

@@ -23,11 +23,12 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DataError, NumericalError
-from .panel import TimeSeriesPanel, expect_payload, read_exact, read_labels
+from .panel import PanelReader, TimeSeriesPanel, expect_payload, read_exact, read_labels
 
 SPECTRA_MAGIC = b"RTSM"
 BAND_EDGE_BINS = 2  # bins this many spacings from omega = 0 or pi are not interior
 COND_CAP = 1e12  # inversion flags a bin whose 2-norm condition number exceeds this
+WORKSPACE = 2**22  # complex entries of the Welch workspace F, ~64 MB
 
 
 @dataclass(frozen=True)
@@ -217,19 +218,24 @@ class WelchParams:
         return 1 + (n_samples - self.segment_length) // self.hop
 
 
-def estimate_cpsd(panel: TimeSeriesPanel, params: WelchParams) -> SpectralMatrix:
-    """Welch-averaged cross power spectral density for all channel pairs.
+def estimate_cpsd(source: TimeSeriesPanel | PanelReader, params: WelchParams) -> SpectralMatrix:
+    """Welch-averaged cross power spectral density for all channel pairs of
+    `source`, an in-memory panel or a panel file open for reading.
 
-    Segments are strided views of the panel, demeaned and windowed one
+    Segments are strided views of the samples, demeaned and windowed one
     chunk at a time, transformed once per channel, and averaged as per-bin
     outer products F_k F_k^H, so the estimate is Hermitian by construction.
     The real FFT gives bins k = 0..L/2, which is the whole spectrum: the
     bins at -omega are the conjugates.
 
-    Two threads demean, window and transform half of each chunk's
-    segments each, a tile of a few segments at a time in a ~2 MB scratch
-    buffer of their own, writing the real FFT straight into a bin-major
-    workspace F of shape (L/2+1, N, chunk). The main thread then
+    The channel means come first, one row at a time; a file source is read
+    row by row for them, into F's memory if a row fits there, so the mean
+    pass holds at most one row of its own.  Then two threads
+    demean, window and transform half of each chunk's segments each, a tile
+    of a few segments at a time: each reads the tile's sample span (a view
+    of an in-memory panel, a read of a file into a ~2 MB buffer of its own)
+    and writes the real FFT straight into a bin-major workspace F of shape
+    (L/2+1, N, chunk) through a ~2 MB scratch buffer. The main thread then
     conjugates a ~2 MB group of F's bins at a time into a small buffer
     and adds F_k conj(F_k)^T into the accumulator; with the segment axis
     contiguous, that product is one BLAS call per bin. F is the only
@@ -237,10 +243,11 @@ def estimate_cpsd(panel: TimeSeriesPanel, params: WelchParams) -> SpectralMatrix
     the group stay in cache. The chunk length depends only on N and L,
     and the chunks are summed in order, so every FFT line and every bin's
     product sees the same operands as a serial loop would, and the
-    estimate does not depend on how the work is split.
+    estimate depends neither on how the work is split nor on where the
+    samples come from.
     """
-    n, t = panel.data.shape
-    L = params.segment_length
+    n, t = source.n_channels, source.n_samples
+    L, hop = params.segment_length, params.hop
     n_seg = params.segment_count(t)
     if n_seg < 8:
         raise DataError(
@@ -248,25 +255,30 @@ def estimate_cpsd(panel: TimeSeriesPanel, params: WelchParams) -> SpectralMatrix
         )
     window = params.window
     scale = 1.0 / (n_seg * np.sum(window**2))
-    mean = panel.data.mean(axis=1)[:, None, None]
-    segments = sliding_window_view(panel.data, L, axis=1)[:, ::params.hop]
-
     bins = L // 2 + 1
     acc = np.zeros((bins, n, n), dtype=np.complex128)
     # bound F to ~64 MB regardless of trajectory length; tiles and groups to ~2 MB
-    chunk = max(8, 2**22 // (n * bins))
+    chunk = max(8, WORKSPACE // (n * bins))
     width = min(chunk, n_seg)
     tile = min(width, max(1, 2**18 // (n * L)))
     group = min(bins, max(1, 2**17 // (n * width)))
     F = np.empty((bins, n, width), dtype=np.complex128)
     g = np.empty((group, n, width), dtype=np.complex128)
+    # a file's rows are read into F's memory when they fit: a freed row
+    # buffer under malloc's mmap threshold would stay resident beside F
+    room = F.view(np.float64).reshape(-1)
+    room = room if room.size >= t else None
+    mean = np.array([source.row(i, out=room).mean() for i in range(n)])[:, None, None]
 
     def transform(lo, a, b):
         seg = np.empty((n, tile, L))
+        span = np.empty((n, (tile + 1) * hop))
         for c in range(a, b, tile):
             d = min(c + tile, b)
+            start = (lo + c) * hop
+            samples = source.read(start, start + (d - c + 1) * hop, span)
             x = seg[:, :d - c]
-            np.subtract(segments[:, lo + c:lo + d], mean, out=x)
+            np.subtract(sliding_window_view(samples, L, axis=1)[:, ::hop], mean, out=x)
             x *= window
             np.fft.rfft(x, axis=-1, out=F[:, :, c:d].transpose(1, 2, 0))
 
@@ -280,7 +292,7 @@ def estimate_cpsd(panel: TimeSeriesPanel, params: WelchParams) -> SpectralMatrix
                 np.conjugate(F[k0:k1, :, :m], out=h)
                 acc[k0:k1] += F[k0:k1, :, :m] @ h.transpose(0, 2, 1)
     acc *= scale
-    return SpectralMatrix(FrequencyGrid.welch_bins(L), acc, panel.labels)
+    return SpectralMatrix(FrequencyGrid.welch_bins(L), acc, source.labels)
 
 
 def hermitize(m: np.ndarray) -> np.ndarray:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.signal import lfilter
 
 from treespect.corruption import CorruptionSignature
 from treespect.graphs import UndirectedGraph
@@ -95,6 +96,23 @@ def panel_copy(panel: TimeSeriesPanel) -> TimeSeriesPanel:
     """`panel` with its own copy of the samples, for a test that reads the
     clean samples after `apply_corruption` rewrites channels in place."""
     return TimeSeriesPanel(panel.data.copy(), panel.labels)
+
+
+def whole_channel_corruption(x: np.ndarray, spec, rng: np.random.Generator) -> np.ndarray:
+    """Channel `x` corrupted by `spec`, computed over the whole record at
+    once: the reference for the block-by-block corrupters."""
+    t = x.size
+    if spec.kind == "random_delay":
+        idx = np.where(rng.random(t) < spec.p, spec.t1, spec.t2) + np.arange(t)
+        return x[np.clip(idx, 0, t - 1)]
+    if spec.kind == "packet_drop":
+        kept = rng.random(t) < spec.p
+        kept[0] = True
+        return x[np.maximum.accumulate(np.where(kept, np.arange(t), 0))]
+    out = lfilter(np.asarray(spec.taps), [1.0], x)
+    if spec.noise_variance > 0:
+        out = out + np.sqrt(spec.noise_variance) * rng.standard_normal(t)
+    return out
 
 
 def estimate_signature(

@@ -3,18 +3,22 @@ import json
 import os
 import shutil
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from treespect import spectral, streams
 from treespect.cli import main
 from treespect.config import bundled_config_path, config_from_dict, load_config
 from treespect.instances import chain7_model
 from treespect.ltisim import model_to_dict
-from treespect.panel import TimeSeriesPanel, save_panel
+from treespect.panel import TimeSeriesPanel, panel_bytes, save_panel
+from treespect.spectral import estimate_cpsd, save_spectra_binary
+from treespect.streams import apply_corruption, simulate
 
-from conftest import two_sided
+from conftest import two_sided, whole_channel_corruption
 
 # small, fast, threshold-tuned experiment: clean 7-chain, short record
 TINY = {
@@ -152,18 +156,126 @@ def test_spectra_hashes_the_panel_it_reads(tmp_path):
     assert corrupted["outputs"]["panel_corrupt.bin"] != swapped
 
 
-def test_pipeline_hands_panels_over_in_memory(tmp_path, monkeypatch):
-    # within one run no stage reads back a panel file, yet every manifest
-    # still records the hash of the file on disk
+def test_pipeline_hashes_each_panel_once(tmp_path, monkeypatch):
+    # the stages stream panels through the files and never load a whole
+    # one; the corrupt and spectra stages take their input's digest from
+    # the stage that wrote it, so each panel's SHA-256 is computed once
     def refuse(path, *args, **kwargs):
-        raise AssertionError(f"read {path}")
+        raise AssertionError(f"loaded {path}")
+
+    digests = []
+    real_sha256 = hashlib.sha256
+
+    class Recorded:
+        def __init__(self, data=b""):
+            self._hash = real_sha256(data)
+
+        def update(self, data):
+            self._hash.update(data)
+
+        def hexdigest(self):
+            digests.append(self._hash.hexdigest())
+            return digests[-1]
 
     monkeypatch.setattr("treespect.cli.load_panel", refuse)
-    monkeypatch.setattr("treespect.cli.read_chunks", refuse)
+    monkeypatch.setattr(hashlib, "sha256", Recorded)
     cfg = write_tiny(tmp_path, corruption=[CORRUPTION])
     out = tmp_path / "run"
     assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 0
+    monkeypatch.undo()
+    for name in ("panel_clean.bin", "panel_corrupt.bin"):
+        assert digests.count(file_sha256(out / name)) == 1, name
     assert_manifests_hash_files(out)
+
+
+# one of each kind whose state crosses a block edge: a delay window that
+# looks both back and ahead, drop runs, and an FIR filter with noise
+STREAMED = [
+    {"node": "2", "kind": "random_delay", "p": 0.6, "t1": -3, "t2": 4},
+    {"node": "4", "kind": "packet_drop", "p": 0.7},
+    {"node": "6", "kind": "noisy_filter", "taps": [0.6, -0.3, 0.2], "noise_variance": 0.05},
+]
+
+
+def test_streamed_stages_equal_whole_record_computation(tmp_path, monkeypatch):
+    # small odd blocks split Welch segments, delay windows and drop runs;
+    # the files the stages stream must hold the bytes of the whole-record
+    # computation, and the spectra those of the in-memory estimate
+    monkeypatch.setattr(streams, "BLOCK", 9_973)
+    monkeypatch.setattr(streams, "ROW_BLOCK", 9_967)
+    cfg = write_tiny(tmp_path, trajectory_length=1_000_000, corruption=STREAMED)
+    out = tmp_path / "run"
+    for stage in ("simulate", "corrupt", "spectra"):
+        assert main([stage, "--config", str(cfg), "--out", str(out)]) == 0
+    config = load_config(cfg)
+    panel = simulate(config.model, config.trajectory_length, config.seed, config.burn_in)
+    assert b"".join(panel_bytes(panel)) == (out / "panel_clean.bin").read_bytes()
+
+    expected = panel.data.copy()
+    for spec in config.corruption:
+        rng = np.random.default_rng([config.seed, spec.node])
+        expected[spec.node] = whole_channel_corruption(panel.data[spec.node], spec, rng)
+    corrupted = apply_corruption(panel, config.corruption, config.seed)
+    assert corrupted.data.tobytes() == expected.tobytes()
+    assert b"".join(panel_bytes(corrupted)) == (out / "panel_corrupt.bin").read_bytes()
+
+    save_spectra_binary(estimate_cpsd(corrupted, config.welch), tmp_path / "memory.rtsm")
+    assert (tmp_path / "memory.rtsm").read_bytes() == (out / "spectra_corrupt.rtsm").read_bytes()
+
+
+def pipeline_peak(tmp_path, length: int) -> int:
+    tmp_path.mkdir()
+    cfg = write_tiny(tmp_path, trajectory_length=length, corruption=STREAMED)
+    tracemalloc.start()
+    try:
+        assert main(["pipeline", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_pipeline_memory_does_not_grow_with_the_record(tmp_path, monkeypatch):
+    # with F, the Welch workspace, cut to 0.5 MB and 16384-sample blocks, a
+    # panel is more than twice F; the peak stays under one panel, and only
+    # the mean pass's one row grows with the record
+    monkeypatch.setattr(spectral, "WORKSPACE", 2**15)
+    monkeypatch.setattr(streams, "BLOCK", 2**14)
+    monkeypatch.setattr(streams, "ROW_BLOCK", 2**14)
+    t = 2**19
+    n, bins = 7, TINY["welch"]["segment_length"] // 2 + 1
+    f_bytes = bins * n * (spectral.WORKSPACE // (n * bins)) * 16
+    panel_bytes_t = n * t * 8
+    assert panel_bytes_t > 2 * f_bytes
+    short = pipeline_peak(tmp_path / "short", t)
+    long = pipeline_peak(tmp_path / "long", 4 * t)
+    assert short < panel_bytes_t
+    assert long < 4 * panel_bytes_t
+    assert long - short <= 4 * t * 8
+
+
+def test_non_finite_sample_in_a_panel_file_exits_3(tmp_path, capsys):
+    # a NaN written into a panel file is refused by the stage that reads it,
+    # which leaves no output file behind
+    cfg = write_tiny(tmp_path, trajectory_length=20_000, burn_in=100, corruption=[CORRUPTION])
+    out = tmp_path / "run"
+    header = len(panel_bytes(TimeSeriesPanel(np.zeros((7, 1)), [str(i) for i in range(1, 8)]))[0])
+    for stage, name, output in (
+        ("corrupt", "panel_clean.bin", "panel_corrupt.bin"),
+        ("spectra", "panel_corrupt.bin", "spectra_corrupt.rtsm"),
+    ):
+        for upstream in ("simulate", "corrupt"):
+            assert main([upstream, "--config", str(cfg), "--out", str(out)]) == 0
+        (out / output).unlink(missing_ok=True)
+        path = out / name
+        blob = bytearray(path.read_bytes())
+        offset = header + (5 * 20_000 + 12_345) * 8  # channel 6, sample 12345
+        blob[offset:offset + 8] = struct.pack("<d", float("nan"))
+        path.write_bytes(bytes(blob))
+        assert main([stage, "--config", str(cfg), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "non-finite" in err and "Traceback" not in err
+        assert sorted(p.name for p in out.iterdir() if p.suffix in (".bin", ".rtsm", ".part")) \
+            == sorted({"panel_clean.bin", "panel_corrupt.bin"} - {output})
 
 
 def test_pipeline_hands_spectra_over_in_memory(tmp_path, monkeypatch):

@@ -9,7 +9,14 @@ from hypothesis.extra.numpy import arrays
 
 from treespect.config import HASH_CHUNK, sha256_file, sha256_parts
 from treespect.errors import DataError
-from treespect.panel import TimeSeriesPanel, load_panel, panel_bytes, save_panel
+from treespect.panel import (
+    PanelReader,
+    PanelWriter,
+    TimeSeriesPanel,
+    load_panel,
+    panel_bytes,
+    save_panel,
+)
 
 
 def make_panel(n=3, t=50, seed=0):
@@ -92,3 +99,29 @@ def test_sha256_file_reads_through_one_buffer(tmp_path):
         tracemalloc.stop()
     assert digest == hashlib.sha256(blob).hexdigest()
     assert peak < 1.5 * HASH_CHUNK
+
+
+def test_writer_blocks_and_reader_spans_match_the_whole_panel(tmp_path):
+    panel = make_panel(n=3, t=1_001)
+    path = tmp_path / "p.bin"
+    with PanelWriter(path, panel.labels, panel.n_samples) as writer:
+        for lo in range(0, panel.n_samples, 300):
+            writer.put(lo, panel.data[:, lo:lo + 300])
+    assert path.read_bytes() == b"".join(panel_bytes(panel))
+    with PanelReader(path) as reader:
+        assert reader.labels == panel.labels
+        assert np.array_equal(reader.row(1, 17, 900), panel.data[1, 17:900])
+        assert np.array_equal(reader.read(250, 750, np.empty((3, 600))), panel.data[:, 250:750])
+
+
+def test_failed_writer_leaves_no_file(tmp_path):
+    panel = make_panel(n=2, t=100)
+    path = tmp_path / "p.bin"
+    with pytest.raises(ValueError):
+        with PanelWriter(path, panel.labels, 100) as writer:
+            writer.put(0, panel.data[:, :50])
+            raise ValueError("stage failed")
+    with pytest.raises(RuntimeError, match="never written"):
+        with PanelWriter(path, panel.labels, 100) as writer:
+            writer.put(0, panel.data[:, :50])
+    assert list(tmp_path.iterdir()) == []

@@ -3,8 +3,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import treespect
 from treespect import streams
+from treespect.corruption import CorruptionSpec
+from treespect.panel import TimeSeriesPanel
+
+from conftest import whole_channel_corruption
 
 ANALYTIC_MODULES = (
     "config", "instances", "ltisim", "corruption", "oracles", "spectral", "detection",
@@ -61,3 +68,25 @@ def test_package_resolves_stream_functions_lazily():
 
     assert simulate is streams.simulate
     assert apply_corruption is streams.apply_corruption
+
+
+BLOCK_EDGE_SPECS = (
+    CorruptionSpec(node=0, kind="random_delay", p=0.5, t1=-4, t2=3),
+    CorruptionSpec(node=1, kind="random_delay", p=0.5, t1=6, t2=2),
+    CorruptionSpec(node=2, kind="packet_drop", p=0.4),
+    CorruptionSpec(node=3, kind="noisy_filter", taps=(0.6, -0.3, 0.2, 0.1), noise_variance=0.5),
+    CorruptionSpec(node=4, kind="noisy_filter", taps=np.linspace(-1, 1, 21), noise_variance=0.0),
+)
+
+
+@pytest.mark.parametrize("block", [1, 2, 4, 5, 21, 22, 997])
+def test_corruption_does_not_depend_on_the_block_split(monkeypatch, block):
+    # blocks shorter than the filter, as long as it, and ending one short of
+    # the record all give the whole-record computation's bytes
+    x = np.random.default_rng(0).standard_normal((5, 3_001))
+    monkeypatch.setattr(streams, "ROW_BLOCK", block)
+    panel = streams.apply_corruption(TimeSeriesPanel(x.copy(), list("abcde")), BLOCK_EDGE_SPECS, 9)
+    for spec in BLOCK_EDGE_SPECS:
+        rng = np.random.default_rng([9, spec.node])
+        expected = whole_channel_corruption(x[spec.node], spec, rng)
+        assert panel.data[spec.node].tobytes() == expected.tobytes(), spec.kind
