@@ -61,14 +61,4 @@ from .spectral import (
     invert_spectrum,
     marginal_inverse_psd,
 )
-
-
-def __getattr__(name):
-    # The time-series functions live in `streams`, the one module that
-    # imports scipy.signal; they load on first access so the analytic path
-    # never pays for it.
-    if name in ("apply_corruption", "simulate"):
-        from . import streams
-
-        return getattr(streams, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+from .streams import apply_corruption, simulate

@@ -145,11 +145,15 @@ class SpectralMatrix:
         values of a Hermitian matrix are its eigenvalue magnitudes, so their
         ratio is the condition number itself.  If an exactly singular bin
         stops the inversion, every bin gets `eigvalsh` and the flagged ones
-        are replaced by the identity before inverting.  Once inverted, this
-        spectrum's `values` and `flagged` and those of the inverse are
-        read-only, so the shared inverse cannot go stale.
+        are replaced by the identity before inverting.  Bins flagged on input
+        are replaced by it from the start, so they may hold anything; a
+        non-finite value in any other bin is a `DataError` naming the bin.
+        Once inverted, this spectrum's `values` and `flagged` and those of
+        the inverse are read-only, so the shared inverse cannot go stale.
         """
-        mats = hermitize(self.values.copy())
+        mats = self.values.copy()
+        mats[self.flagged] = np.eye(self.n_nodes)
+        hermitize(mats)
         try:
             inv = np.linalg.inv(mats)
         except np.linalg.LinAlgError:  # an exactly singular bin
@@ -163,6 +167,8 @@ class SpectralMatrix:
                 undecided = ~(_norm1(mats) * _norm1(inv) <= COND_CAP / 2)
         flagged = self.flagged.copy()
         if undecided.any():
+            # a non-finite value leaves P non-finite, so its bin is undecided
+            _refuse_non_finite(mats, np.flatnonzero(undecided), "spectrum")
             flagged[undecided] |= _over_cap(mats[undecided])
         if flagged.all():
             raise NumericalError("all frequencies singular")
@@ -174,6 +180,17 @@ class SpectralMatrix:
         for a in (self.values, self.flagged, inv, flagged):
             a.flags.writeable = False
         return SpectralMatrix(self.grid, inv, self.labels, flagged)
+
+
+def _refuse_non_finite(values: np.ndarray, bins: np.ndarray, source: str) -> None:
+    """Raise a `DataError` if any of the unflagged frequency `bins` of
+    `values` holds a non-finite entry, naming the first such bin."""
+    bad = bins[~np.isfinite(values[bins]).all(axis=(1, 2))]
+    if bad.size:
+        raise DataError(
+            f"{source}: non-finite values at {bad.size} unflagged frequencies "
+            f"(first at bin {bad[0]})"
+        )
 
 
 def _norm1(m: np.ndarray) -> np.ndarray:
@@ -361,11 +378,6 @@ def load_spectra_binary(path: str | Path) -> SpectralMatrix:
         flagged = np.frombuffer(read_exact(fh, f, path), dtype="u1").astype(bool)
         values = np.frombuffer(read_exact(fh, f * n * n * 16, path), dtype="<c16")
         values = values.reshape(f, n, n)
-    bad = ~flagged & ~np.isfinite(values).all(axis=(1, 2))
-    if bad.any():
-        raise DataError(
-            f"{path}: non-finite values at {int(bad.sum())} unflagged frequencies "
-            f"(first at bin {int(np.argmax(bad))})"
-        )
+    _refuse_non_finite(values, np.flatnonzero(~flagged), str(path))
     return SpectralMatrix(FrequencyGrid(freqs.copy()), values.copy(), labels, flagged)
 

@@ -6,9 +6,8 @@ from one block to the next, so a stage can stream a trajectory of any
 length through the panel files.  `simulate` and `apply_corruption` collect
 the same blocks into an in-memory panel.
 
-This is the only module that filters sample streams, so it is the only one
-that imports `scipy.signal`; the model, the exact spectra and the
-corruption specs and signatures load with numpy alone.
+Like every module of the package, it needs numpy alone: the modal filters
+run as a blocked scan (`_scan`), not through `scipy.signal`.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ from __future__ import annotations
 from typing import Iterator, Sequence
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .corruption import CorruptionSpec
 from .errors import DataError, NumericalError
@@ -25,10 +23,58 @@ from .panel import TimeSeriesPanel
 
 BLOCK = 250_000  # samples per simulated block; it sets how the noise draws fill the panel
 ROW_BLOCK = 1 << 16  # samples per corrupted block of one channel
+SCAN = 32  # samples per chunk of the modal scan
+SPAN = 1 << 15  # samples per scan call, which keeps its buffers small
 
 
 # ---------------------------------------------------------------------------
 # simulation
+
+def _scan(u, lam, y0):
+    """Row k of y[t] = lam[k] y[t - 1] + u[t], from y[-1] = y0[k], for every
+    row at once; `u` is overwritten.
+
+    Within chunks of `SCAN` samples each output is a dot product with powers
+    of lam, so the chunks go through one batched matmul by the Toeplitz
+    matrix of those powers.  The state s entering a chunk is added to the
+    chunk's first input as lam s, as `lfilter`'s `zi` would be.  The
+    entering states follow the same recurrence in lam**SCAN over the chunk
+    ends computed from a zero state, so they come from this scan one level up.
+    """
+    k, m = u.shape
+    nb = -(-m // SCAN)
+    if nb * SCAN > m:  # the last chunk is padded with zeros
+        u = np.concatenate([u, np.zeros((k, nb * SCAN - m), u.dtype)], axis=1)
+    x = u.reshape(k, nb, SCAN)
+    p = lam[:, None] ** np.arange(SCAN + 1)
+    i, j = np.tril_indices(SCAN)
+    T = np.zeros((k, SCAN, SCAN), dtype=lam.dtype)
+    T[:, j, i] = p[:, i - j]  # input j reaches output i >= j as lam^(i - j)
+    if nb > 1:
+        ends = x[:, :-1] @ p[:, SCAN - 1::-1, None]
+        x[:, 1:, 0] += lam[:, None] * _scan(ends[:, :, 0], p[:, SCAN], y0)
+    x[:, 0, 0] += lam * y0
+    return (x @ T).reshape(k, nb * SCAN)[:, :m]
+
+
+def _modal_block(w, groups):
+    """The samples of every channel driven by the noise block `w`, `SPAN`
+    samples at a time.  Each of `groups` is (Vin, lam, y, Vout): modes `lam`
+    with noise entering through `Vin` and leaving through `Vout`, and `y`
+    their last values, updated in place for the next block.  The first group
+    holds the real modes and writes the output; the others add to it."""
+    out = np.empty(w.shape)
+    for lo in range(0, w.shape[1], SPAN):
+        noise, span = w[:, lo:lo + SPAN], out[:, lo:lo + SPAN]
+        for g, (Vin, lam, y, Vout) in enumerate(groups):
+            modes = _scan(Vin @ noise, lam, y)
+            y[:] = modes[:, -1]
+            if g == 0:
+                np.matmul(Vout, modes, out=span)
+            else:
+                span += (Vout @ modes).real
+    return out
+
 
 def _step_block(C, state, w_block):
     n, m = w_block.shape
@@ -52,7 +98,8 @@ def simulate_blocks(
     (lo, samples lo..lo+m of every channel) pairs in time order.
 
     The companion-form recursion is run through its eigenbasis so each mode
-    is a scalar first-order filter; this is exact and fast for long records.
+    is a scalar first-order filter, and `_scan` runs every mode's filter at
+    once; this is exact up to rounding and fast for long records.
     Real modes are filtered in real arithmetic.  Complex modes come in
     conjugate pairs whose outputs are conjugate, so only the member with
     positive imaginary part is filtered and contributes twice its real part.
@@ -84,11 +131,9 @@ def _simulated(model, length, seed, burn_in, block, force_loop):
         Vin = np.linalg.inv(V)[:, :n]  # noise enters the top N state rows
         real = np.flatnonzero(lam.imag == 0)
         pair = np.flatnonzero(lam.imag > 0)
-        lam_r, lam_c = lam[real].real, lam[pair]
-        Vin_r, Vin_c = Vin[real].real, Vin[pair]
-        Vout_r, Vout_c = V[:n, real].real, 2.0 * V[:n, pair]
-        zi_r = np.zeros((real.size, 1))
-        zi_c = np.zeros((pair.size, 1), dtype=np.complex128)
+        groups = [(Vin[real].real, lam[real].real, np.zeros(real.size), V[:n, real].real)]
+        if pair.size:
+            groups.append((Vin[pair], lam[pair], np.zeros(pair.size, complex), 2.0 * V[:n, pair]))
     else:
         state = np.zeros(C.shape[0])
 
@@ -101,18 +146,11 @@ def _simulated(model, length, seed, burn_in, block, force_loop):
         skip = m - (hi - lo)  # leading block columns still in burn-in
         done += m
         if use_eigen:
-            u = Vin_r @ w
-            for k in range(real.size):
-                u[k], zi_r[k] = lfilter([1.0], [1.0, -lam_r[k]], u[k], zi=zi_r[k])
-            out = Vout_r @ u[:, skip:]
-            if pair.size:
-                u = Vin_c @ w
-                for k in range(pair.size):
-                    u[k], zi_c[k] = lfilter([1.0], [1.0, -lam_c[k]], u[k], zi=zi_c[k])
-                out += (Vout_c @ u[:, skip:]).real
+            out = _modal_block(w, groups)
         else:
             out, state = _step_block(C, state, w)
-            out = out[:, skip:]
+        del w  # so the next draw reuses this block's memory instead of growing the heap
+        out = out[:, skip:]
         if hi == lo:
             continue
         if not np.isfinite(out).all():
@@ -187,13 +225,13 @@ def _dropped(blocks, spec: CorruptionSpec, rng):
 def _filtered(blocks, spec: CorruptionSpec, rng, t: int):
     """The FIR filter `taps` plus white noise of `noise_variance`.
 
-    `lfilter` filters a whole channel as np.convolve(taps, x), one dot
-    product per output sample.  Each block is convolved the same way behind
-    the last len(taps) input samples, so every output sample is the same dot
-    product, summed in the same order: np.convolve sums in another order when
-    its second operand is not longer than the first, so input is held back
-    until it is.  Carrying `lfilter`'s `zi` instead would round differently
-    at block edges.
+    A whole-channel FIR filter (`scipy.signal.lfilter`, the tests'
+    reference) is np.convolve(taps, x), one dot product per output sample.
+    Each block is convolved the same way behind the last len(taps) input
+    samples, so every output sample is the same dot product, summed in the
+    same order: np.convolve sums in another order when its second operand is
+    not longer than the first, so input is held back until it is.  Carrying
+    `lfilter`'s `zi` instead would round differently at block edges.
     """
     taps = np.asarray(spec.taps)
     y, lead, seen = np.empty(0), 0, 0  # input from `lead` samples before the next output

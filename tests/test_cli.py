@@ -570,6 +570,25 @@ def test_non_finite_spectra_exits_3(tmp_path, capsys):
     assert "non-finite" in err and "bin 40" in err and "Traceback" not in err
 
 
+def test_non_finite_in_memory_spectra_exit_3_at_detect(tmp_path, capsys, monkeypatch):
+    # `pipeline` hands the spectra estimate to detect in memory, where no file
+    # check sees it: a NaN in an unflagged bin is refused when it is inverted
+    def estimate_with_nan(reader, params):
+        s = estimate_cpsd(reader, params)
+        values = s.values.copy()
+        values[40, 2, 5] = np.nan
+        return spectral.SpectralMatrix(s.grid, values, s.labels, s.flagged)
+
+    monkeypatch.setattr("treespect.cli.estimate_cpsd", estimate_with_nan)
+    cfg = write_tiny(tmp_path, trajectory_length=20_000, burn_in=100)
+    out = tmp_path / "run"
+    assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert "[spectra]" in captured.out and "[detect]" not in captured.out
+    assert "non-finite" in captured.err and "bin 40" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_truncated_panel_exits_3(tmp_path, capsys):
     cfg = write_tiny(tmp_path, trajectory_length=20_000, burn_in=100)
     out = tmp_path / "run"

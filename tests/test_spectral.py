@@ -382,8 +382,8 @@ def test_inverse_matches_eigvalsh_everywhere_reference(monkeypatch, case, n):
 
 
 def test_inverse_of_a_nan_bin_raises_like_the_reference():
-    # eigvalsh does not converge on a bin holding a NaN, with or without
-    # the norm bound in front of it
+    # eigvalsh does not converge on a bin holding a NaN; the inverse refuses
+    # the bin by name before it gets there
     rng = np.random.default_rng(3)
     grid = FrequencyGrid.welch_bins(30)
     vals = _stack_with_conditions(rng, 4, np.geomspace(1e2, 1e14, grid.size))
@@ -391,8 +391,24 @@ def test_inverse_of_a_nan_bin_raises_like_the_reference():
     s = SpectralMatrix(grid, vals, ["a", "b", "c", "d"])
     with pytest.raises(np.linalg.LinAlgError):
         reference_inverse(s)
-    with pytest.raises(np.linalg.LinAlgError):
+    with pytest.raises(DataError, match="first at bin 6"):
         s.inverse
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_inverse_ignores_what_a_flagged_bin_holds(bad):
+    # a flagged bin is excluded, so a non-finite value there changes nothing
+    rng = np.random.default_rng(4)
+    grid = FrequencyGrid.welch_bins(30)
+    vals = _stack_with_conditions(rng, 4, np.geomspace(1e2, 1e14, grid.size))
+    flagged = np.zeros(grid.size, dtype=bool)
+    flagged[[6, 9]] = True
+    expected = SpectralMatrix(grid, vals.copy(), list("abcd"), flagged).inverse
+    vals[6, 0, 1] = bad
+    vals[9] = bad
+    inv = SpectralMatrix(grid, vals, list("abcd"), flagged).inverse
+    assert inv.values.tobytes() == expected.values.tobytes()
+    np.testing.assert_array_equal(inv.flagged, expected.flagged)
 
 
 def test_eigvalsh_sees_exactly_the_undecided_bins(monkeypatch):
