@@ -28,15 +28,7 @@ from .errors import (
     NumericalError,
     TreespectError,
 )
-from .graphs import (
-    UndirectedGraph,
-    connected_components,
-    is_tree,
-    moral_graph,
-    n_hop_neighbors,
-    neighborhood_is_clique,
-    perturbed_graph,
-)
+from .graphs import UndirectedGraph, connected_components, is_tree, neighborhood_is_clique
 from .instances import Instance, chain7_corruption, chain7_model, random_instance
 from .ltisim import (
     GenerativeModel,
@@ -46,13 +38,7 @@ from .ltisim import (
 )
 from .oracles import analytic_corrupted_psd, analytic_signatures, woodbury_chain_inverse
 from .panel import TimeSeriesPanel, load_panel, save_panel
-from .reconstruction import (
-    TopologyEstimate,
-    hide_and_learn,
-    observed_support_graph,
-    place_corrupt_nodes,
-    true_edges_by_separation,
-)
+from .reconstruction import hide_and_learn
 from .spectral import (
     FrequencyGrid,
     SpectralMatrix,

@@ -275,8 +275,9 @@ def _sweep_value(payload: dict, key: str, default, valid, expected: str):
 
 
 def _max_corrupt(n: int, hi_k: int) -> int:
-    """Most corrupt nodes a sweep draws on an n-node tree."""
-    return max(1, min(hi_k, (n - 4) // 3))
+    """Most corrupt nodes a sweep draws on an n-node tree: k of them need
+    3k + 4 nodes."""
+    return min(hi_k, max(0, (n - 4) // 3))
 
 
 def _sweep_row(task) -> dict:
@@ -333,7 +334,7 @@ def cmd_sweep(args) -> int:
     pair = "a [low, high] pair of integers >= 0"
     lo_n, hi_n = _sweep_value(payload, "nodes", [7, 15], _is_range, pair)
     lo_k, hi_k = _sweep_value(payload, "corrupt", [1, 3], _is_range, pair)
-    if max(1, lo_k) > _max_corrupt(lo_n, hi_k):
+    if lo_k > _max_corrupt(lo_n, hi_k):
         raise ConfigError(
             f"sweep config 'corrupt' low {lo_k} is more than a {lo_n}-node tree can host"
         )
@@ -363,7 +364,7 @@ def cmd_sweep(args) -> int:
     tasks = []
     for idx in range(count):
         n = int(rng.integers(lo_n, hi_n + 1))
-        k = int(rng.integers(max(1, lo_k), _max_corrupt(n, hi_k) + 1))
+        k = int(rng.integers(lo_k, _max_corrupt(n, hi_k) + 1))
         for trajectory in trajectories:
             tasks.append((idx, n, k, trajectory, cfg_payload, violate))
 

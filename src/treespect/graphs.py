@@ -93,66 +93,11 @@ def bfs_distances(g: UndirectedGraph, source: int) -> list[int]:
     return dist
 
 
-def n_hop_neighbors(g: UndirectedGraph, i: int, n: int) -> frozenset[int]:
-    """Nodes at shortest-path distance exactly n from i."""
-    if n < 1:
-        raise DataError("hop count must be positive")
-    dist = bfs_distances(g, i)
-    return frozenset(j for j, d in enumerate(dist) if d == n)
-
-
 def is_tree(g: UndirectedGraph) -> bool:
     """Connected with exactly node_count-1 edges."""
     if len(g.edges) != g.node_count - 1:
         return False
     return all(d >= 0 for d in bfs_distances(g, 0))
-
-
-def moral_graph(topology: UndirectedGraph) -> UndirectedGraph:
-    """Tree edges plus an edge between every 2-hop pair."""
-    if not is_tree(topology):
-        raise DataError("moral graph construction requires a tree")
-    extra = set(topology.edges)
-    for i in range(topology.node_count):
-        for j in n_hop_neighbors(topology, i, 2):
-            if i < j:
-                extra.add((i, j))
-    return UndirectedGraph(topology.node_count, frozenset(extra))
-
-
-def perturbed_graph(moral: UndirectedGraph, corrupt: frozenset[int] | set[int]) -> UndirectedGraph:
-    """Moral graph plus edges between nodes joined by all-corrupt paths.
-
-    Computed by contraction: each maximal corrupt set that is connected in
-    the moral graph, together with its moral neighborhood, becomes a clique.
-    Equivalent to enumerating moral paths whose interior nodes are all
-    corrupt, but linear instead of exponential.
-    """
-    corrupt = frozenset(corrupt)
-    for v in corrupt:
-        moral._check_node(v)
-    adj = moral.adjacency()
-    edges = set(moral.edges)
-    seen: set[int] = set()
-    for start in sorted(corrupt):
-        if start in seen:
-            continue
-        # flood the corrupt-connected region containing `start`
-        region = {start}
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for w in adj[v]:
-                if w in corrupt and w not in region:
-                    region.add(w)
-                    queue.append(w)
-        seen |= region
-        boundary = set().union(*(adj[v] for v in region)) - region
-        clique = sorted(region | boundary)
-        for a_idx, a in enumerate(clique):
-            for b in clique[a_idx + 1:]:
-                edges.add((a, b))
-    return UndirectedGraph(moral.node_count, frozenset(edges))
 
 
 def neighborhood_is_clique(g: UndirectedGraph, i: int) -> bool:

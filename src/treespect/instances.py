@@ -101,22 +101,20 @@ def tree_with_deep_nodes(
     return tree, marked
 
 
-def draw_model(rng: np.random.Generator, tree: UndirectedGraph, ar: bool = False) -> GenerativeModel:
-    """Random coefficients on the tree, rescaled to a fixed spectral radius."""
+def draw_model(rng: np.random.Generator, tree: UndirectedGraph) -> GenerativeModel:
+    """Random couplings on the tree, no self dynamics, rescaled to a fixed
+    spectral radius."""
     n = tree.node_count
     coupling = {}
     for a, b in tree.edges:
         coupling[(a, b)] = float(rng.uniform(0.3, 1.0) * rng.choice([-1.0, 1.0]))
         coupling[(b, a)] = float(rng.uniform(0.3, 1.0) * rng.choice([-1.0, 1.0]))
-    dyn = tuple(
-        (float(rng.uniform(-0.4, 0.4)),) if ar else (0.0,) for _ in range(n)
-    )
+    dyn = ((0.0,),) * n
     sigma = rng.uniform(0.5, 2.0, size=n)
 
     rho = spectral_radius(tree, coupling, dyn)
     scale = TARGET_RADIUS / max(rho, TARGET_RADIUS)
     coupling = {key: v * scale for key, v in coupling.items()}
-    dyn = tuple(tuple(a * scale for a in c) for c in dyn)
     return GenerativeModel(tree, coupling, dyn, sigma)
 
 
@@ -127,14 +125,12 @@ def draw_delay_spec(rng: np.random.Generator, node: int) -> CorruptionSpec:
     )
 
 
-def random_instance(
-    rng: np.random.Generator, n: int, k: int, ar: bool = False
-) -> Instance:
+def random_instance(rng: np.random.Generator, n: int, k: int) -> Instance:
     """Assumption-satisfying instance from one draw: a tree with k corrupt
     nodes at least three hops from the leaves and from each other, random
     coefficients on it, and a random delay on each corrupt node."""
     tree, marked = tree_with_deep_nodes(rng, n, k)
-    model = draw_model(rng, tree, ar=ar)
+    model = draw_model(rng, tree)
     return Instance(model, tuple(draw_delay_spec(rng, v) for v in marked))
 
 

@@ -44,7 +44,7 @@ def _signature_arrays(
     for node, sig in signatures.items():
         if not 0 <= node < n:
             raise DataError(f"signature references invalid node {node}")
-        if not sig.grid.close_to(grid):
+        if sig.grid != grid:
             raise DataError("signature grid does not match requested grid")
         h[:, node] = sig.h
         d[:, node] = sig.d

@@ -115,22 +115,11 @@ def panel_header(n: int, t: int, labels: Sequence[str]) -> bytes:
     return PANEL_MAGIC + struct.pack("<QQdI", n, t, SAMPLE_INTERVAL, len(blob)) + blob
 
 
-def panel_bytes(panel: TimeSeriesPanel) -> tuple[bytes, memoryview]:
-    """The RTSP file of `panel` in two parts: the header, then a view of
-    the little-endian float64 samples row-major (one row per channel).
-    `save_panel` writes exactly these parts, so their SHA-256 is the
-    file's."""
-    data = np.ascontiguousarray(panel.data, dtype="<f8")
-    header = panel_header(panel.n_channels, panel.n_samples, panel.labels)
-    return header, memoryview(data).cast("B")
-
-
 def save_panel(panel: TimeSeriesPanel, path: str | Path) -> Path:
-    """Write `panel` as an RTSP file (see `panel_bytes`).  Returns the path."""
+    """Write `panel` as an RTSP file through a `PanelWriter`.  Returns the path."""
     path = Path(path)
-    with path.open("wb") as fh:
-        for part in panel_bytes(panel):
-            fh.write(part)
+    with PanelWriter(path, panel.labels, panel.n_samples) as writer:
+        writer.put(0, panel.data)
     return path
 
 

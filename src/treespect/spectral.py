@@ -33,56 +33,47 @@ WORKSPACE = 2**22  # complex entries of the Welch workspace F, ~64 MB
 
 @dataclass(frozen=True)
 class FrequencyGrid:
-    """Strictly increasing angular frequencies in [0, pi], one half of a
-    spectrum whose other half, at -omega, is the conjugate."""
+    """The DFT bins k = 0..L/2 of a length-L segment, at angular
+    frequencies 2 pi k / L in [0, pi]: one half of a spectrum whose other
+    half, at -omega, is the conjugate.  Two grids are equal when their
+    segment lengths are."""
 
-    frequencies: np.ndarray
+    segment_length: int
 
     def __post_init__(self):
-        freqs = np.asarray(self.frequencies, dtype=np.float64)
-        object.__setattr__(self, "frequencies", freqs)
-        if freqs.ndim != 1 or freqs.size < 8:
-            raise DataError("frequency grid needs at least 8 points")
-        if np.any(np.diff(freqs) <= 0):
-            raise DataError("frequencies must be strictly increasing")
-        if freqs[0] < -1e-12 or freqs[-1] > np.pi + 1e-12:
-            raise DataError("frequencies must lie in [0, pi]")
+        L = self.segment_length
+        if isinstance(L, bool) or not isinstance(L, (int, np.integer)) or L < 16 or L % 2:
+            raise DataError(f"segment length must be an even integer >= 16, got {L!r}")
 
     @classmethod
     def welch_bins(cls, segment_length: int) -> "FrequencyGrid":
-        """DFT bin frequencies 2 pi k / L, k = 0..L/2, of a length-L segment."""
-        if segment_length < 16 or segment_length % 2:
-            raise DataError("segment length must be even and >= 16")
-        k = np.arange(segment_length // 2 + 1)
-        return cls(2.0 * np.pi * k / segment_length)
+        """The bins of the Welch segment length `segment_length`."""
+        return cls(segment_length)
 
     @property
     def size(self) -> int:
-        return self.frequencies.size
+        return self.segment_length // 2 + 1
 
-    @property
-    def spacing(self) -> float:
-        return float(np.median(np.diff(self.frequencies)))
+    @cached_property
+    def frequencies(self) -> np.ndarray:
+        w = 2.0 * np.pi * np.arange(self.size) / self.segment_length
+        w.flags.writeable = False
+        return w
 
     @property
     def multiplicity(self) -> np.ndarray:
         """How often each bin occurs in the two-sided spectrum on (-pi, pi]:
         once at omega = 0 and omega = pi, twice (as +-omega) elsewhere."""
-        w = self.frequencies
-        return np.where((w < 1e-12) | (w > np.pi - 1e-12), 1, 2)
+        m = np.full(self.size, 2)
+        m[[0, -1]] = 1
+        return m
 
     def interior_mask(self) -> np.ndarray:
-        """True more than `BAND_EDGE_BINS` spacings away from omega = 0 and
+        """True more than `BAND_EDGE_BINS` bins away from omega = 0 and
         omega = pi, where real-valued data pins the phase and phase tests
         lose power."""
-        margin = BAND_EDGE_BINS * self.spacing + 1e-12
-        w = self.frequencies
-        return (w > margin) & (w < np.pi - margin)
-
-    def close_to(self, other: "FrequencyGrid") -> bool:
-        return self.size == other.size and np.allclose(
-            self.frequencies, other.frequencies, atol=1e-12
-        )
+        k = np.arange(self.size)
+        return (k > BAND_EDGE_BINS) & (k < self.size - 1 - BAND_EDGE_BINS)
 
 
 @dataclass(frozen=True)
@@ -123,13 +114,6 @@ class SpectralMatrix:
 
     def entry(self, i: int, j: int) -> np.ndarray:
         return self.values[:, i, j]
-
-    def submatrix(self, indices: Sequence[int]) -> "SpectralMatrix":
-        idx = list(indices)
-        vals = self.values[:, idx, :][:, :, idx]
-        return SpectralMatrix(
-            self.grid, vals, [self.labels[i] for i in idx], self.flagged.copy()
-        )
 
     @cached_property
     def inverse(self) -> "SpectralMatrix":
@@ -372,12 +356,19 @@ def load_spectra_binary(path: str | Path) -> SpectralMatrix:
         if magic != SPECTRA_MAGIC:
             raise DataError(f"{path}: not a spectra file (bad magic {magic!r})")
         f, n, blob_len = struct.unpack("<QQI", read_exact(fh, 20, path))
+        if f < 9:
+            raise DataError(f"{path}: {f} frequency bins, need >= 9")
         labels = read_labels(fh, blob_len, path)
         expect_payload(fh, f * (9 + 16 * n * n), path)
-        freqs = np.frombuffer(read_exact(fh, f * 8, path), dtype="<f8")
+        grid = FrequencyGrid.welch_bins(2 * (f - 1))
+        if read_exact(fh, f * 8, path) != grid.frequencies.astype("<f8").tobytes():
+            raise DataError(
+                f"{path}: frequencies are not the {f} Welch bins on [0, pi] "
+                f"of segment length {grid.segment_length}"
+            )
         flagged = np.frombuffer(read_exact(fh, f, path), dtype="u1").astype(bool)
         values = np.frombuffer(read_exact(fh, f * n * n * 16, path), dtype="<c16")
         values = values.reshape(f, n, n)
     _refuse_non_finite(values, np.flatnonzero(~flagged), str(path))
-    return SpectralMatrix(FrequencyGrid(freqs.copy()), values.copy(), labels, flagged)
+    return SpectralMatrix(grid, values.copy(), labels, flagged)
 

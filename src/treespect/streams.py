@@ -25,6 +25,7 @@ BLOCK = 250_000  # samples per simulated block; it sets how the noise draws fill
 ROW_BLOCK = 1 << 16  # samples per corrupted block of one channel
 SCAN = 32  # samples per chunk of the modal scan
 SPAN = 1 << 15  # samples per scan call, which keeps its buffers small
+EIGEN_COND_CAP = 1e8  # simulation steps the recursion if the eigenbasis is worse conditioned
 
 
 # ---------------------------------------------------------------------------
@@ -91,8 +92,6 @@ def simulate_blocks(
     length: int,
     seed: int,
     burn_in: int = DEFAULT_BURN_IN,
-    block: int | None = None,
-    force_loop: bool = False,
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Draw one trajectory of the network with Gaussian innovations, as
     (lo, samples lo..lo+m of every channel) pairs in time order.
@@ -103,21 +102,22 @@ def simulate_blocks(
     Real modes are filtered in real arithmetic.  Complex modes come in
     conjugate pairs whose outputs are conjugate, so only the member with
     positive imaginary part is filtered and contributes twice its real part.
-    A direct stepping loop (`force_loop`, also the automatic fallback when
-    the eigenbasis is ill-conditioned) runs the recursion verbatim.  Both
-    paths consume the identical noise stream, drawn in blocks of `block`
-    samples (`BLOCK` if None), and carry the filter state across blocks.
+    When the eigenbasis is ill-conditioned (condition number not under
+    `EIGEN_COND_CAP`) or C is defective, a direct stepping loop runs the
+    recursion verbatim instead.  Both paths consume the identical noise
+    stream, drawn in blocks of `BLOCK` samples, and carry the filter state
+    across blocks.
     The first `burn_in` samples are run to reach stationarity but never
     yielded, so the blocks hold exactly `length` samples; each is a new
     array, checked for finite samples, and the output is bit-reproducible
-    for a fixed (model, length, seed, block).
+    for a fixed (model, length, seed).
     """
     if length < 1:
         raise DataError("trajectory length must be >= 1")
-    return _simulated(model, length, seed, burn_in, block or BLOCK, force_loop)
+    return _simulated(model, length, seed, burn_in)
 
 
-def _simulated(model, length, seed, burn_in, block, force_loop):
+def _simulated(model, length, seed, burn_in):
     n = model.n_nodes
     C = model.companion_matrix()
     total = burn_in + length
@@ -126,7 +126,7 @@ def _simulated(model, length, seed, burn_in, block, force_loop):
 
     lam, V = np.linalg.eig(C)
     cond = np.linalg.cond(V)
-    use_eigen = not force_loop and np.isfinite(cond) and cond < 1e8
+    use_eigen = np.isfinite(cond) and cond < EIGEN_COND_CAP
     if use_eigen:
         Vin = np.linalg.inv(V)[:, :n]  # noise enters the top N state rows
         real = np.flatnonzero(lam.imag == 0)
@@ -139,7 +139,7 @@ def _simulated(model, length, seed, burn_in, block, force_loop):
 
     done = 0
     while done < total:
-        m = min(block, total - done)
+        m = min(BLOCK, total - done)
         w = rng.standard_normal((n, m))
         w *= sigma[:, None]
         lo, hi = max(done - burn_in, 0), max(done + m - burn_in, 0)
@@ -163,11 +163,9 @@ def simulate(
     length: int,
     seed: int,
     burn_in: int = DEFAULT_BURN_IN,
-    block: int | None = None,
-    force_loop: bool = False,
 ) -> TimeSeriesPanel:
     """The trajectory of `simulate_blocks` as one contiguous panel."""
-    blocks = simulate_blocks(model, length, seed, burn_in, block, force_loop)
+    blocks = simulate_blocks(model, length, seed, burn_in)
     x = np.empty((model.n_nodes, length))
     for lo, samples in blocks:
         x[:, lo:lo + samples.shape[1]] = samples

@@ -1,12 +1,16 @@
+from collections import deque
+
 import numpy as np
 import pytest
 from scipy.signal import lfilter
 
 from treespect.corruption import CorruptionSignature
-from treespect.graphs import UndirectedGraph
-from treespect.ltisim import analytic_inverse_psd
+from treespect.errors import DataError
+from treespect.graphs import UndirectedGraph, bfs_distances, is_tree
+from treespect.instances import TARGET_RADIUS
+from treespect.ltisim import GenerativeModel, analytic_inverse_psd, spectral_radius
 from treespect.oracles import H_FLOOR, woodbury_chain_inverse
-from treespect.panel import TimeSeriesPanel
+from treespect.panel import TimeSeriesPanel, panel_header
 from treespect.spectral import COND_CAP, WelchParams, estimate_cpsd, hermitize
 
 
@@ -39,6 +43,78 @@ def random_tree(rng: np.random.Generator, n: int) -> UndirectedGraph:
         return UndirectedGraph.from_edges(2, [(0, 1)])
     seq = [int(x) for x in rng.integers(0, n, size=n - 2)]
     return prufer_tree(seq, n)
+
+
+def draw_ar_model(rng: np.random.Generator, tree: UndirectedGraph, ar: bool = True) -> GenerativeModel:
+    """A random model drawn as `instances.draw_model` draws one, plus, if
+    `ar`, a self term U(-0.4, 0.4) on every node, drawn after the couplings;
+    with `ar` false it is `draw_model`'s model."""
+    n = tree.node_count
+    coupling = {}
+    for a, b in tree.edges:
+        coupling[(a, b)] = float(rng.uniform(0.3, 1.0) * rng.choice([-1.0, 1.0]))
+        coupling[(b, a)] = float(rng.uniform(0.3, 1.0) * rng.choice([-1.0, 1.0]))
+    dyn = tuple((float(rng.uniform(-0.4, 0.4)),) if ar else (0.0,) for _ in range(n))
+    sigma = rng.uniform(0.5, 2.0, size=n)
+    scale = TARGET_RADIUS / max(spectral_radius(tree, coupling, dyn), TARGET_RADIUS)
+    coupling = {key: v * scale for key, v in coupling.items()}
+    dyn = tuple(tuple(a * scale for a in c) for c in dyn)
+    return GenerativeModel(tree, coupling, dyn, sigma)
+
+
+def n_hop_neighbors(g: UndirectedGraph, i: int, n: int) -> frozenset[int]:
+    """Nodes at shortest-path distance exactly n from i."""
+    if n < 1:
+        raise DataError("hop count must be positive")
+    dist = bfs_distances(g, i)
+    return frozenset(j for j, d in enumerate(dist) if d == n)
+
+
+def moral_graph(topology: UndirectedGraph) -> UndirectedGraph:
+    """Tree edges plus an edge between every 2-hop pair."""
+    if not is_tree(topology):
+        raise DataError("moral graph construction requires a tree")
+    extra = set(topology.edges)
+    for i in range(topology.node_count):
+        for j in n_hop_neighbors(topology, i, 2):
+            if i < j:
+                extra.add((i, j))
+    return UndirectedGraph(topology.node_count, frozenset(extra))
+
+
+def perturbed_graph(moral: UndirectedGraph, corrupt: frozenset[int] | set[int]) -> UndirectedGraph:
+    """Moral graph plus edges between nodes joined by all-corrupt paths.
+
+    Computed by contraction: each maximal corrupt set that is connected in
+    the moral graph, together with its moral neighborhood, becomes a clique.
+    Equivalent to enumerating moral paths whose interior nodes are all
+    corrupt, but linear instead of exponential.
+    """
+    corrupt = frozenset(corrupt)
+    for v in corrupt:
+        moral._check_node(v)
+    adj = moral.adjacency()
+    edges = set(moral.edges)
+    seen: set[int] = set()
+    for start in sorted(corrupt):
+        if start in seen:
+            continue
+        # flood the corrupt-connected region containing `start`
+        region = {start}
+        queue = deque([start])
+        while queue:
+            v = queue.popleft()
+            for w in adj[v]:
+                if w in corrupt and w not in region:
+                    region.add(w)
+                    queue.append(w)
+        seen |= region
+        boundary = set().union(*(adj[v] for v in region)) - region
+        clique = sorted(region | boundary)
+        for a_idx, a in enumerate(clique):
+            for b in clique[a_idx + 1:]:
+                edges.add((a, b))
+    return UndirectedGraph(moral.node_count, frozenset(edges))
 
 
 def one_step_inverse(model, sigs, node, grid):
@@ -96,6 +172,13 @@ def panel_copy(panel: TimeSeriesPanel) -> TimeSeriesPanel:
     """`panel` with its own copy of the samples, for a test that reads the
     clean samples after `apply_corruption` rewrites channels in place."""
     return TimeSeriesPanel(panel.data.copy(), panel.labels)
+
+
+def rtsp_file(panel: TimeSeriesPanel) -> bytes:
+    """The bytes of `panel`'s RTSP file: the header, then the samples as
+    little-endian float64, one row per channel."""
+    data = np.ascontiguousarray(panel.data, dtype="<f8")
+    return panel_header(panel.n_channels, panel.n_samples, panel.labels) + data.tobytes()
 
 
 def whole_channel_corruption(x: np.ndarray, spec, rng: np.random.Generator) -> np.ndarray:

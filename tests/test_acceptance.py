@@ -24,10 +24,12 @@ from treespect.detection import (
     phase_nonconstancy_score,
 )
 from treespect.errors import AssumptionViolation
-from treespect.graphs import UndirectedGraph, moral_graph, perturbed_graph
+from treespect.graphs import UndirectedGraph
 from treespect.instances import (
+    Instance,
     chain7_corruption,
     chain7_model,
+    draw_delay_spec,
     draw_model,
     random_instance,
     tree_with_deep_nodes,
@@ -46,7 +48,14 @@ from treespect.reconstruction import (
 from treespect.spectral import FrequencyGrid, WelchParams, estimate_cpsd, invert_spectrum
 from treespect.streams import apply_corruption, simulate
 
-from conftest import estimate_signature, one_step_inverse, panel_copy
+from conftest import (
+    draw_ar_model,
+    estimate_signature,
+    moral_graph,
+    one_step_inverse,
+    panel_copy,
+    perturbed_graph,
+)
 
 GRID = FrequencyGrid.welch_bins(256)
 
@@ -71,7 +80,10 @@ def _instance_pool(count, seed, n_range=(7, 15), k_max=3):
     for _ in range(count):
         n = int(rng.integers(n_range[0], n_range[1] + 1))
         k = int(rng.integers(1, min(k_max, (n - 4) // 3) + 1))
-        pool.append(random_instance(rng, n, k, ar=bool(rng.integers(0, 2))))
+        ar = bool(rng.integers(0, 2))
+        tree, marked = tree_with_deep_nodes(rng, n, k)
+        model = draw_ar_model(rng, tree, ar)
+        pool.append(Instance(model, tuple(draw_delay_spec(rng, v) for v in marked)))
     return pool
 
 
@@ -158,7 +170,7 @@ def test_criterion_2a_inverse_assembly():
     for i in range(50):
         n = int(rng.integers(3, 13))
         tree, _ = tree_with_deep_nodes(rng, n, 0)
-        model = draw_model(rng, tree, ar=bool(i % 2))
+        model = draw_ar_model(rng, tree, ar=bool(i % 2))
         psd = analytic_psd(model, GRID)
         inv = analytic_inverse_psd(model, GRID)
         prod = np.einsum("fij,fjk->fik", inv.values, psd.values)

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import os
@@ -14,11 +15,11 @@ from treespect.cli import main
 from treespect.config import bundled_config_path, config_from_dict, load_config
 from treespect.instances import chain7_model
 from treespect.ltisim import model_to_dict
-from treespect.panel import TimeSeriesPanel, panel_bytes, save_panel
+from treespect.panel import TimeSeriesPanel, panel_header, save_panel
 from treespect.spectral import estimate_cpsd, save_spectra_binary
 from treespect.streams import apply_corruption, simulate
 
-from conftest import two_sided, whole_channel_corruption
+from conftest import rtsp_file, two_sided, whole_channel_corruption
 
 # small, fast, threshold-tuned experiment: clean 7-chain, short record
 TINY = {
@@ -209,7 +210,7 @@ def test_streamed_stages_equal_whole_record_computation(tmp_path, monkeypatch):
         assert main([stage, "--config", str(cfg), "--out", str(out)]) == 0
     config = load_config(cfg)
     panel = simulate(config.model, config.trajectory_length, config.seed, config.burn_in)
-    assert b"".join(panel_bytes(panel)) == (out / "panel_clean.bin").read_bytes()
+    assert rtsp_file(panel) == (out / "panel_clean.bin").read_bytes()
 
     expected = panel.data.copy()
     for spec in config.corruption:
@@ -217,7 +218,7 @@ def test_streamed_stages_equal_whole_record_computation(tmp_path, monkeypatch):
         expected[spec.node] = whole_channel_corruption(panel.data[spec.node], spec, rng)
     corrupted = apply_corruption(panel, config.corruption, config.seed)
     assert corrupted.data.tobytes() == expected.tobytes()
-    assert b"".join(panel_bytes(corrupted)) == (out / "panel_corrupt.bin").read_bytes()
+    assert rtsp_file(corrupted) == (out / "panel_corrupt.bin").read_bytes()
 
     save_spectra_binary(estimate_cpsd(corrupted, config.welch), tmp_path / "memory.rtsm")
     assert (tmp_path / "memory.rtsm").read_bytes() == (out / "spectra_corrupt.rtsm").read_bytes()
@@ -258,7 +259,7 @@ def test_non_finite_sample_in_a_panel_file_exits_3(tmp_path, capsys):
     # which leaves no output file behind
     cfg = write_tiny(tmp_path, trajectory_length=20_000, burn_in=100, corruption=[CORRUPTION])
     out = tmp_path / "run"
-    header = len(panel_bytes(TimeSeriesPanel(np.zeros((7, 1)), [str(i) for i in range(1, 8)]))[0])
+    header = len(panel_header(7, 1, [str(i) for i in range(1, 8)]))
     for stage, name, output in (
         ("corrupt", "panel_clean.bin", "panel_corrupt.bin"),
         ("spectra", "panel_corrupt.bin", "spectra_corrupt.rtsm"),
@@ -523,31 +524,55 @@ def test_truncated_spectra_exits_3(tmp_path, capsys):
         assert "truncated" in capsys.readouterr().err
 
 
-def test_two_sided_spectra_file_exits_3(tmp_path, capsys):
-    # an RTSM file in the earlier layout, holding both halves of the grid
-    import struct
-
-    from treespect.spectral import load_spectra_binary
-
-    cfg = write_tiny(tmp_path, trajectory_length=20_000, burn_in=100)
-    out = tmp_path / "run"
-    for stage in ("simulate", "corrupt", "spectra"):
-        assert main([stage, "--config", str(cfg), "--out", str(out)]) == 0
-    spectra = out / "spectra_corrupt.rtsm"
-    half = load_spectra_binary(spectra)
-    freqs, values, flagged = two_sided(half)
-    blob = json.dumps(list(half.labels)).encode()
-    spectra.write_bytes(
+def write_rtsm(path: Path, labels, freqs, values, flagged) -> None:
+    """An RTSM file holding these arrays, whatever grid they lie on."""
+    blob = json.dumps(list(labels)).encode()
+    path.write_bytes(
         b"RTSM"
-        + struct.pack("<QQI", freqs.size, half.n_nodes, len(blob))
+        + struct.pack("<QQI", freqs.size, values.shape[1], len(blob))
         + blob
         + freqs.astype("<f8").tobytes()
         + flagged.astype("u1").tobytes()
         + values.astype("<c16").tobytes()
     )
+
+
+def spectra_of_tiny(tmp_path):
+    """The config, output directory and spectra of a short tiny run."""
+    cfg = write_tiny(tmp_path, trajectory_length=20_000, burn_in=100)
+    out = tmp_path / "run"
+    for stage in ("simulate", "corrupt", "spectra"):
+        assert main([stage, "--config", str(cfg), "--out", str(out)]) == 0
+    return cfg, out, spectral.load_spectra_binary(out / "spectra_corrupt.rtsm")
+
+
+def test_two_sided_spectra_file_exits_3(tmp_path, capsys):
+    # an RTSM file in the earlier layout, holding both halves of the grid
+    cfg, out, half = spectra_of_tiny(tmp_path)
+    write_rtsm(out / "spectra_corrupt.rtsm", half.labels, *two_sided(half))
     assert main(["detect", "--config", str(cfg), "--out", str(out)]) == 3
     err = capsys.readouterr().err
     assert "[0, pi]" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("case", ["one_ulp", "odd_segment", "eight_bins"])
+def test_spectra_file_off_the_welch_grid_exits_3(tmp_path, capsys, case):
+    # the loader accepts only the frequency array of the Welch bins of
+    # segment length 2 (f - 1), f >= 9 bins, byte for byte
+    cfg, out, s = spectra_of_tiny(tmp_path)
+    freqs, flagged, values = s.grid.frequencies.copy(), s.flagged, s.values
+    if case == "one_ulp":
+        freqs[5] = np.nextafter(freqs[5], np.inf)
+    else:  # the 33 bins of a 65-sample segment, or the 8 of a 14-sample one
+        L = 65 if case == "odd_segment" else 14
+        freqs = 2.0 * np.pi * np.arange(L // 2 + 1) / L
+        flagged, values = flagged[:freqs.size], values[:freqs.size]
+    spectra = out / "spectra_corrupt.rtsm"
+    write_rtsm(spectra, s.labels, freqs, values, flagged)
+    assert main(["detect", "--config", str(cfg), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert str(spectra) in err and "Traceback" not in err
+    assert ("need >= 9" if case == "eight_bins" else "not the") in err
 
 
 def test_non_finite_spectra_exits_3(tmp_path, capsys):
@@ -788,8 +813,9 @@ def test_sweep_unknown_key_exits_2(tmp_path, capsys):
         ({"instance": 2, "seed": 4}, "instance"),
         ({"instances": "x"}, "instances"),
         ({"instances": 1, "nodes": [7]}, "nodes"),
-        # a 7-node tree hosts one corrupt node at most
+        # a 7-node tree hosts one corrupt node at most, a 5- or 6-node tree none
         ({"instances": 1, "nodes": [7, 7], "corrupt": [2, 3]}, "corrupt"),
+        ({"instances": 3, "nodes": [5, 6], "corrupt": [1, 1]}, "corrupt"),
         # checked before any row runs, so no pool worker fails on it
         ({"instances": 1, "trajectories": ["1e5"]}, "trajectories"),
     ):
@@ -798,6 +824,36 @@ def test_sweep_unknown_key_exits_2(tmp_path, capsys):
         assert main(argv) == 2
         assert f"'{key}'" in capsys.readouterr().err
         assert not (out / "sweep_summary.csv").exists()
+
+
+def sweep_rows(tmp_path, payload) -> list[dict]:
+    """The rows of a one-thread sweep over `payload`, which must exit 0."""
+    sweep_cfg = tmp_path / "sweep.json"
+    sweep_cfg.write_text(json.dumps(payload))
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", str(sweep_cfg), "--out", str(out)]) == 0
+    with (out / "sweep_summary.csv").open() as fh:
+        return list(csv.DictReader(fh))
+
+
+def test_sweep_corrupt_zero_draws_no_corrupt_node(tmp_path):
+    rows = sweep_rows(tmp_path, {"instances": 3, "nodes": [7, 9], "corrupt": [0, 0], "seed": 1})
+    assert len(rows) == 3
+    assert all(r["n_corrupt"] == "0" and r["recovered"] == "True" for r in rows)
+
+
+def test_sweep_rows_on_trees_too_small_end_in_errors_or_diagnostics(tmp_path):
+    # 2- and 3-node trees: a row that does not recover says why
+    rows = sweep_rows(tmp_path, {
+        "instances": 4, "nodes": [2, 3], "corrupt": [0, 0],
+        "trajectories": ["analytic", 20_000], "seed": 1,
+    })
+    assert len(rows) == 8 and {r["n_nodes"] for r in rows} == {"2", "3"}
+    for r in rows:
+        assert r["n_corrupt"] == "0"
+        failed = r["recovered"] != "True"
+        assert failed == (int(r["n_diagnostics"]) > 0 or r["error"] != "")
+        assert r["error"] in ("", "DataError", "NumericalError", "AssumptionViolation")
 
 
 def fake_process_pool(monkeypatch, cpus):

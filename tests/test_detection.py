@@ -15,7 +15,7 @@ from treespect.detection import (
     report_to_json,
 )
 from treespect.errors import DataError
-from treespect.graphs import UndirectedGraph, moral_graph, perturbed_graph
+from treespect.graphs import UndirectedGraph
 from treespect.instances import chain7_corruption, chain7_model, random_instance
 from treespect.ltisim import GenerativeModel, analytic_inverse_psd
 from treespect.oracles import analytic_corrupted_psd, analytic_signatures
@@ -29,7 +29,7 @@ from treespect.spectral import (
 )
 from treespect.streams import apply_corruption, simulate
 
-from conftest import two_sided
+from conftest import moral_graph, perturbed_graph, two_sided
 
 GRID = FrequencyGrid.welch_bins(256)
 
@@ -114,7 +114,7 @@ def _two_sided_floor_and_resultant(inv, i, j):
     entry, usable = values[:, i, j], ~flagged
     mag = np.abs(entry)
     floor = np.quantile(mag[usable], MAGNITUDE_FLOOR_QUANTILE)
-    margin = BAND_EDGE_BINS * inv.grid.spacing + 1e-12
+    margin = BAND_EDGE_BINS * 2 * np.pi / inv.grid.segment_length + 1e-12
     interior = (np.abs(w) > margin) & (np.abs(w) < np.pi - margin)
     admissible = usable & interior & (mag >= floor)
     wt = mag[admissible]

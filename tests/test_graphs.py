@@ -12,14 +12,11 @@ from treespect.graphs import (
     connected_components,
     graph_to_dot,
     is_tree,
-    moral_graph,
-    n_hop_neighbors,
     neighborhood_is_clique,
-    perturbed_graph,
     sorted_edges,
 )
 
-from conftest import random_tree
+from conftest import moral_graph, n_hop_neighbors, perturbed_graph, random_tree
 
 CHAIN7 = UndirectedGraph.chain(7)
 # 0-indexed moral graph of the 7-chain: chain edges plus every 2-hop pair

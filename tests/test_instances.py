@@ -54,7 +54,7 @@ def test_too_small_budget_rejected(rng):
 def test_drawn_models_are_stable(rng):
     for _ in range(20):
         tree, _ = tree_with_deep_nodes(rng, int(rng.integers(5, 12)), 0)
-        model = draw_model(rng, tree, ar=bool(rng.integers(0, 2)))
+        model = draw_model(rng, tree)
         assert spectral_radius(model.topology, model.coupling, model.self_dynamics) < 0.9
         assert all(v != 0 for v in model.coupling.values())
 

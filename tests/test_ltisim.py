@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from treespect import streams
 from treespect.errors import DataError, NumericalError
 from treespect.graphs import UndirectedGraph, bfs_distances
-from treespect.instances import draw_model, tree_with_deep_nodes
+from treespect.instances import tree_with_deep_nodes
 from treespect.ltisim import (
     GenerativeModel,
     analytic_inverse_psd,
@@ -15,13 +16,12 @@ from treespect.ltisim import (
     discrete_lyapunov,
     model_from_dict,
     model_to_dict,
-    spectral_radius,
     stationary_autocovariance,
 )
 from treespect.spectral import FrequencyGrid
 from treespect.streams import simulate
 
-from conftest import random_tree
+from conftest import draw_ar_model, moral_graph, random_tree
 
 
 def two_node_model():
@@ -33,22 +33,8 @@ def two_node_model():
     )
 
 
-def random_stable_model(rng, n=6, seed_tree=None, ar=False):
-    tree = random_tree(rng, n)
-    coupling = {}
-    for a, b in tree.edges:
-        coupling[(a, b)] = float(rng.uniform(0.3, 1.0) * rng.choice([-1, 1]))
-        coupling[(b, a)] = float(rng.uniform(0.3, 1.0) * rng.choice([-1, 1]))
-    dyn = tuple(
-        (float(rng.uniform(-0.4, 0.4)),) if ar else (0.0,) for _ in range(n)
-    )
-    sigma = rng.uniform(0.5, 2.0, size=n)
-    # measure the radius of the raw draw, then rescale into stability
-    rho = spectral_radius(tree, coupling, dyn)
-    scale = 0.8 / max(rho, 0.8)
-    coupling = {k: v * scale for k, v in coupling.items()}
-    dyn = tuple(tuple(a * scale for a in c) for c in dyn)
-    return GenerativeModel(tree, coupling, dyn, sigma)
+def random_stable_model(rng, n=6, ar=False):
+    return draw_ar_model(rng, random_tree(rng, n), ar)
 
 
 # ---------------------------------------------------------------------------
@@ -95,12 +81,25 @@ def test_simulation_deterministic():
     assert not np.array_equal(a.data, c.data)
 
 
-def test_eigen_and_loop_paths_agree():
+def stepped(monkeypatch, *args, **kwargs):
+    """`simulate` through the stepping loop: no eigenbasis is good enough."""
+    steps = []
+    step = streams._step_block
+    with monkeypatch.context() as m:
+        m.setattr(streams, "EIGEN_COND_CAP", 0.0)
+        m.setattr(streams, "_step_block", lambda *a: steps.append(a) or step(*a))
+        panel = simulate(*args, **kwargs)
+    assert steps, "the eigen path ran instead of the stepping loop"
+    return panel
+
+
+def test_eigen_and_loop_paths_agree(monkeypatch):
+    monkeypatch.setattr("treespect.streams.BLOCK", 701)
     rng = np.random.default_rng(1)
     for _ in range(3):
         m = random_stable_model(rng, n=int(rng.integers(2, 6)), ar=True)
-        fast = simulate(m, 3_000, seed=4, block=701)
-        slow = simulate(m, 3_000, seed=4, block=701, force_loop=True)
+        fast = simulate(m, 3_000, seed=4)
+        slow = stepped(monkeypatch, m, 3_000, seed=4)
         np.testing.assert_allclose(fast.data, slow.data, atol=1e-9)
 
 
@@ -121,13 +120,14 @@ def test_eigen_path_real_and_conjugate_modes(monkeypatch, b21, dynamics, complex
     )
     lam = np.linalg.eigvals(m.companion_matrix())
     assert np.count_nonzero(lam.imag) == complex_modes
-    slow = simulate(m, 3_000, seed=4, burn_in=900, block=701, force_loop=True)
+    monkeypatch.setattr("treespect.streams.BLOCK", 701)
+    slow = stepped(monkeypatch, m, 3_000, seed=4, burn_in=900)
 
     def no_loop(*args):
         raise AssertionError("the stepping loop ran instead of the eigen path")
 
     monkeypatch.setattr("treespect.streams._step_block", no_loop)
-    fast = simulate(m, 3_000, seed=4, burn_in=900, block=701)
+    fast = simulate(m, 3_000, seed=4, burn_in=900)
     assert fast.data.flags.c_contiguous and fast.data.shape == (2, 3_000)
     np.testing.assert_allclose(fast.data, slow.data, rtol=0, atol=1e-9)
 
@@ -166,7 +166,7 @@ def relative_gap(a, b):
 def test_doubling_lyapunov_matches_scipy_on_model_companions(n, k, order):
     rng = np.random.default_rng(n + order)
     tree, _ = tree_with_deep_nodes(rng, n, k)
-    model = draw_model(rng, tree, ar=order > 1)
+    model = draw_ar_model(rng, tree, ar=order > 1)
     if order > 1:
         # a second self lag on every node moves every coupling to lag 2:
         # p = 2, with a spectral radius near sqrt(0.8)
@@ -362,7 +362,6 @@ def test_inverse_psd_matches_four_case_closed_form():
 
 
 def test_inverse_psd_support_is_moral_graph():
-    from treespect.graphs import moral_graph
 
     rng = np.random.default_rng(17)
     for _ in range(5):

@@ -14,9 +14,11 @@ from treespect.panel import (
     PanelWriter,
     TimeSeriesPanel,
     load_panel,
-    panel_bytes,
+    panel_header,
     save_panel,
 )
+
+from conftest import rtsp_file
 
 
 def make_panel(n=3, t=50, seed=0):
@@ -77,13 +79,17 @@ def test_binary_io_copies_at_most_once(tmp_path):
 
 
 @pytest.mark.parametrize("order", ["C", "F"])
-def test_panel_bytes_are_the_file(tmp_path, order):
-    # a Fortran-ordered panel is laid out row-major on the way out
+def test_saved_file_is_header_then_rows(tmp_path, order):
+    # a Fortran-ordered panel is laid out row-major on the way out, and the
+    # writer's temporary file is gone
     panel = make_panel(n=4, t=1000)
     panel = TimeSeriesPanel(np.asarray(panel.data, order=order), panel.labels)
-    blob = save_panel(panel, tmp_path / "p.bin").read_bytes()
-    assert b"".join(panel_bytes(panel)) == blob
-    assert sha256_parts(panel_bytes(panel)) == hashlib.sha256(blob).hexdigest()
+    path = save_panel(panel, tmp_path / "p.bin")
+    blob = path.read_bytes()
+    header = panel_header(4, 1000, panel.labels)
+    assert blob == rtsp_file(panel) and blob.startswith(header)
+    assert sha256_parts([header, blob[len(header):]]) == hashlib.sha256(blob).hexdigest()
+    assert [p.name for p in tmp_path.iterdir()] == ["p.bin"]
 
 
 def test_sha256_file_reads_through_one_buffer(tmp_path):
@@ -107,7 +113,7 @@ def test_writer_blocks_and_reader_spans_match_the_whole_panel(tmp_path):
     with PanelWriter(path, panel.labels, panel.n_samples) as writer:
         for lo in range(0, panel.n_samples, 300):
             writer.put(lo, panel.data[:, lo:lo + 300])
-    assert path.read_bytes() == b"".join(panel_bytes(panel))
+    assert path.read_bytes() == rtsp_file(panel)
     with PanelReader(path) as reader:
         assert reader.labels == panel.labels
         assert np.array_equal(reader.row(1, 17, 900), panel.data[1, 17:900])

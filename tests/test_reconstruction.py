@@ -7,7 +7,7 @@ import pytest
 from treespect.cli import main
 from treespect.detection import ANALYTIC_DECISION, detect
 from treespect.errors import AssumptionViolation
-from treespect.graphs import UndirectedGraph, moral_graph
+from treespect.graphs import UndirectedGraph
 from treespect.instances import (
     chain7_corruption,
     chain7_model,
@@ -26,6 +26,8 @@ from treespect.reconstruction import (
     true_edges_by_separation,
 )
 from treespect.spectral import FrequencyGrid, invert_spectrum
+
+from conftest import moral_graph
 
 GRID = FrequencyGrid.welch_bins(256)
 

@@ -28,6 +28,14 @@ from treespect.streams import simulate
 from conftest import reference_inverse
 
 
+def submatrix(s: SpectralMatrix, indices) -> SpectralMatrix:
+    """The spectrum of the channels `indices` of `s`, in that order."""
+    idx = list(indices)
+    return SpectralMatrix(
+        s.grid, s.values[:, idx][:, :, idx], [s.labels[i] for i in idx], s.flagged.copy()
+    )
+
+
 def white_panel(n=3, t=60_000, seed=5, sigma=2.0):
     rng = np.random.default_rng(seed)
     return TimeSeriesPanel(sigma * rng.standard_normal((n, t)), [str(i) for i in range(n)])
@@ -55,22 +63,39 @@ def test_welch_bins_grid_symmetric():
     assert grid.multiplicity.sum() == 64
 
 
-def test_grid_validation():
-    with pytest.raises(DataError):
-        FrequencyGrid(np.linspace(0.1, 1.0, 4))
-    with pytest.raises(DataError):
-        FrequencyGrid(np.linspace(-4.0, 4.0, 32))
-    with pytest.raises(DataError):  # a two-sided grid
-        FrequencyGrid(2 * np.pi * np.arange(-7, 9) / 16)
+def test_grid_is_its_segment_length():
+    for bad in (14, 17, 0, -16, 16.0, True):
+        with pytest.raises(DataError, match="segment length"):
+            FrequencyGrid.welch_bins(bad)
+    grid = FrequencyGrid.welch_bins(256)
+    assert grid == FrequencyGrid(256) == FrequencyGrid(np.int64(256))
+    assert grid != FrequencyGrid.welch_bins(128)
+    assert grid.frequencies is grid.frequencies and not grid.frequencies.flags.writeable
 
 
 def test_interior_mask_excludes_band_edges():
     grid = FrequencyGrid.welch_bins(32)
     mask = grid.interior_mask()
     w = grid.frequencies
-    assert not mask[np.abs(w) < 2.1 * grid.spacing].any()
-    assert not mask[np.abs(w) > np.pi - 2.1 * grid.spacing].any()
+    spacing = 2 * np.pi / 32
+    assert not mask[np.abs(w) < 2.1 * spacing].any()
+    assert not mask[np.abs(w) > np.pi - 2.1 * spacing].any()
     assert mask.sum() > 0
+
+
+def test_grid_masks_match_the_frequency_formulas():
+    # the masks are index arithmetic; they must agree with the same rules
+    # written on the frequencies, with the bin spacing taken as the median
+    # gap, for every even segment length the grid admits up to 8192
+    for L in range(16, 8193, 2):
+        grid = FrequencyGrid.welch_bins(L)
+        w = 2.0 * np.pi * np.arange(L // 2 + 1) / L
+        assert grid.frequencies.tobytes() == w.tobytes()
+        multiplicity = np.where((w < 1e-12) | (w > np.pi - 1e-12), 1, 2)
+        margin = spectral.BAND_EDGE_BINS * float(np.median(np.diff(w))) + 1e-12
+        interior = (w > margin) & (w < np.pi - margin)
+        assert np.array_equal(grid.multiplicity, multiplicity), L
+        assert np.array_equal(grid.interior_mask(), interior), L
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +510,7 @@ def test_marginal_hiding_middle_node_matches_schur_oracle():
     grid = FrequencyGrid.welch_bins(32)
     psd = analytic_psd(model, grid)
     obs = [0, 2]
-    oracle = invert_spectrum(psd.submatrix(obs)).values
+    oracle = invert_spectrum(submatrix(psd, obs)).values
     marg = marginal_inverse_psd(invert_spectrum(psd), obs)
     np.testing.assert_allclose(marg.values, oracle, atol=1e-10)
     # spurious endpoint coupling is present at essentially every frequency
@@ -508,7 +533,7 @@ def test_marginal_matches_dense_submatrix_inverse(n, k):
         pre[[5, 40]] = True
         psd = SpectralMatrix(grid, psd.values, psd.labels, pre)
         obs = sorted(set(range(n)) - set(marked))
-        dense = invert_spectrum(psd.submatrix(obs))
+        dense = invert_spectrum(submatrix(psd, obs))
         marg = marginal_inverse_psd(invert_spectrum(psd), obs)
         assert marg.labels == dense.labels
         np.testing.assert_array_equal(marg.flagged, dense.flagged)

@@ -154,10 +154,11 @@ def sequential_simulation(model, length, seed, burn_in, block):
     (9_973, 5, 25_000),
     (streams.SPAN + 7_000, 3, 75_000),  # blocks longer than one scan call
 ])
-def test_simulation_carries_the_scan_state_across_blocks(block, burn_in, length):
+def test_simulation_carries_the_scan_state_across_blocks(monkeypatch, block, burn_in, length):
     model = near_margin_model()
     assert np.abs(np.linalg.eigvals(model.companion_matrix())).max() > 0.998
-    panel = streams.simulate(model, length, seed=12, burn_in=burn_in, block=block)
+    monkeypatch.setattr(streams, "BLOCK", block)
+    panel = streams.simulate(model, length, seed=12, burn_in=burn_in)
     expected = sequential_simulation(model, length, 12, burn_in, block)
     assert row_relative_gap(panel.data, expected) <= 1e-13
 
