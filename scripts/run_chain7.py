@@ -41,17 +41,18 @@ def main() -> None:
 
     model = chain7_model()
     labels = model.labels
-    params = EdgeDecisionParams()
+    welch = WelchParams(segment_length=args.segment)
+    decision = EdgeDecisionParams(welch.segment_count(args.samples))
     t0 = time.perf_counter()
 
     print(f"simulating {args.samples:.1e} samples of the 7-node chain ...")
     panel = simulate(model, args.samples, seed=args.seed)
     panel = apply_corruption(panel, list(chain7_corruption()), seed=args.seed)
     print("estimating cross-spectra ...")
-    psd = estimate_cpsd(panel, WelchParams(segment_length=args.segment))
+    psd = estimate_cpsd(panel, welch)
     inv = invert_spectrum(psd)
 
-    report = detect(inv, params)
+    report = detect(inv, decision)
     # written before reconstruction, so a run that fails there keeps its evidence
     (args.out / "detection.json").write_text(report_to_json(report))
     (args.out / "detection.dot").write_text(report_to_dot(report))
@@ -61,7 +62,7 @@ def main() -> None:
     print(f"leaf nodes: {sorted(labels[i] for i in report.leaves)}")
     print(f"certified leaf edges: {edge_names(labels, report.leaf_edges)}")
 
-    estimate = hide_and_learn(psd, report, params)
+    estimate = hide_and_learn(psd, report, decision)
     print(f"\nmarginal support (corrupt hidden): "
           f"{edge_names(labels, estimate.observed_support.edges)}")
     comps = [sorted(labels[v] for v in c) for c in estimate.components_before_placement]

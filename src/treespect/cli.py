@@ -45,10 +45,11 @@ from .config import (
     refuse_unknown_keys,
     sha256_file,
     sha256_parts,
-    welch_and_decision,
+    welch_params,
 )
 from .detection import (
     ANALYTIC_DECISION,
+    EdgeDecisionParams,
     detect,
     report_from_dict,
     report_to_dot,
@@ -194,11 +195,16 @@ def stage_spectra(cfg: ExperimentConfig, out: Path, handoff: dict) -> list[Path]
     return [path]
 
 
+def _decision(cfg: ExperimentConfig) -> EdgeDecisionParams:
+    """The decision rule of the run's spectrum: its Welch segment count."""
+    return EdgeDecisionParams(cfg.welch.segment_count(cfg.trajectory_length))
+
+
 def stage_detect(cfg: ExperimentConfig, out: Path, handoff: dict) -> list[Path]:
     src = _require(out / SPECTRA, "treespect spectra")
     spectra = handoff.get(SPECTRA) or load_spectra_binary(src)
     inverse = invert_spectrum(spectra)
-    report = detect(inverse, cfg.decision)
+    report = detect(inverse, _decision(cfg))
     jpath = out / DETECTION_JSON
     jpath.write_text(report_to_json(report))
     dpath = out / DETECTION_DOT
@@ -219,7 +225,7 @@ def stage_learn(cfg: ExperimentConfig, out: Path, handoff: dict) -> list[Path]:
     except json.JSONDecodeError as exc:
         raise DataError(f"{rpath.name} is not valid JSON: {exc}") from exc
     report = report_from_dict(payload, spectra.labels)
-    estimate = hide_and_learn(spectra, report, cfg.decision)
+    estimate = hide_and_learn(spectra, report, _decision(cfg))
     jpath = out / TOPOLOGY_JSON
     jpath.write_text(estimate_to_json(estimate))
     dpath = out / TOPOLOGY_DOT
@@ -252,8 +258,7 @@ def run_stages(names, cfg: ExperimentConfig, out: Path) -> None:
 # sweep
 
 SWEEP_KEYS = frozenset({
-    "instances", "nodes", "corrupt", "trajectories", "seed", "violate_assumption",
-    "welch", "decision",
+    "instances", "nodes", "corrupt", "trajectories", "seed", "violate_assumption", "welch",
 })
 
 
@@ -283,7 +288,6 @@ def _max_corrupt(n: int, hi_k: int) -> int:
 def _sweep_row(task) -> dict:
     idx, n, k, trajectory, cfg_payload, violate = task
     rng = np.random.default_rng([cfg_payload["seed"], idx])
-    decision = cfg_payload["decision"]
     welch = cfg_payload["welch"]
     row = {
         "instance": idx,
@@ -297,19 +301,20 @@ def _sweep_row(task) -> dict:
     }
     try:
         inst = adversarial_instance(rng, n) if violate else random_instance(rng, n, k)
+        row["n_nodes"] = inst.model.n_nodes
         row["n_corrupt"] = len(inst.corrupt)
         if trajectory == "analytic":
-            grid_params = ANALYTIC_DECISION
+            decision = ANALYTIC_DECISION
             grid = FrequencyGrid.welch_bins(min(welch.segment_length, 256))
             sigs = analytic_signatures(inst.model, inst.specs, grid)
             psd = analytic_corrupted_psd(inst.model, sigs, grid)
         else:
-            grid_params = decision
+            decision = EdgeDecisionParams(welch.segment_count(trajectory))
             panel = simulate(inst.model, trajectory, seed=int(rng.integers(2**31)))
             panel = apply_corruption(panel, list(inst.specs), seed=int(rng.integers(2**31)))
             psd = estimate_cpsd(panel, welch)
-        report = detect(invert_spectrum(psd), grid_params)
-        estimate = hide_and_learn(psd, report, grid_params)
+        report = detect(invert_spectrum(psd), decision)
+        estimate = hide_and_learn(psd, report, decision)
         diags = list(report.diagnostics) + list(estimate.diagnostics)
         row["recovered"] = bool(
             estimate.graph.edges == inst.topology.edges and not diags
@@ -332,7 +337,11 @@ def cmd_sweep(args) -> int:
     refuse_unknown_keys(payload, SWEEP_KEYS, "sweep config")
     count = _sweep_value(payload, "instances", 0, is_count, "an integer >= 0")
     pair = "a [low, high] pair of integers >= 0"
-    lo_n, hi_n = _sweep_value(payload, "nodes", [7, 15], _is_range, pair)
+    # a panel holds at least two channels
+    lo_n, hi_n = _sweep_value(
+        payload, "nodes", [7, 15], lambda v: _is_range(v) and v[0] >= 2,
+        "a [low, high] pair of integers >= 2",
+    )
     lo_k, hi_k = _sweep_value(payload, "corrupt", [1, 3], _is_range, pair)
     if lo_k > _max_corrupt(lo_n, hi_k):
         raise ConfigError(
@@ -353,12 +362,7 @@ def cmd_sweep(args) -> int:
     violate = _sweep_value(
         payload, "violate_assumption", False, lambda v: isinstance(v, bool), "true or false"
     )
-    welch, decision = welch_and_decision(payload)
-    cfg_payload = {
-        "seed": seed,
-        "welch": welch,
-        "decision": decision,
-    }
+    cfg_payload = {"seed": seed, "welch": welch_params(payload)}
 
     rng = np.random.default_rng(cfg_payload["seed"])
     tasks = []

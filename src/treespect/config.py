@@ -9,14 +9,13 @@ from importlib import resources
 from pathlib import Path
 
 from .corruption import CorruptionSpec
-from .detection import EdgeDecisionParams
 from .errors import ConfigError, DataError, NumericalError
 from .ltisim import DEFAULT_BURN_IN, GenerativeModel, model_from_dict, model_to_dict
 from .spectral import WelchParams
 
 EXPERIMENT_KEYS = frozenset({
     "model", "model_path", "corruption", "trajectory_length", "seed", "burn_in",
-    "welch", "decision",
+    "welch",
 })
 MODEL_KEYS = frozenset({"labels", "edges", "self_dynamics", "noise_variance"})
 EDGE_KEYS = frozenset({"a", "b", "ab", "ba"})
@@ -39,7 +38,6 @@ class ExperimentConfig:
     seed: int
     burn_in: int = DEFAULT_BURN_IN
     welch: WelchParams = WelchParams()
-    decision: EdgeDecisionParams = EdgeDecisionParams()
 
     def __post_init__(self):
         if not is_count(self.seed):
@@ -67,7 +65,6 @@ class ExperimentConfig:
             "seed": self.seed,
             "burn_in": self.burn_in,
             "welch": asdict(self.welch),
-            "decision": asdict(self.decision),
         }
 
 
@@ -80,15 +77,12 @@ def refuse_unknown_keys(payload: dict, known: frozenset[str], where: str) -> Non
         raise ConfigError(f"unknown {where} key(s): {', '.join(map(repr, unknown))}")
 
 
-def welch_and_decision(payload: dict) -> tuple[WelchParams, EdgeDecisionParams]:
-    """The `welch` and `decision` blocks of an experiment or sweep config."""
+def welch_params(payload: dict) -> WelchParams:
+    """The `welch` block of an experiment or sweep config."""
     try:
-        return (
-            WelchParams(**payload.get("welch", {})),
-            EdgeDecisionParams(**payload.get("decision", {})),
-        )
+        return WelchParams(**payload.get("welch", {}))
     except (DataError, TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid welch or decision block: {exc}") from exc
+        raise ConfigError(f"invalid welch block: {exc}") from exc
 
 
 def _checked_model(payload: dict) -> GenerativeModel:
@@ -120,7 +114,7 @@ def config_from_dict(payload: dict, base_dir: Path | None = None) -> ExperimentC
         for i, entry in enumerate(entries):
             refuse_unknown_keys(entry, CORRUPTION_KEYS, f"corruption[{i}]")
         corruption = tuple(CorruptionSpec.from_dict(e, model.labels) for e in entries)
-        welch, decision = welch_and_decision(payload)
+        welch = welch_params(payload)
         return ExperimentConfig(
             model=model,
             corruption=corruption,
@@ -128,7 +122,6 @@ def config_from_dict(payload: dict, base_dir: Path | None = None) -> ExperimentC
             seed=payload.get("seed", 0),
             burn_in=payload.get("burn_in", DEFAULT_BURN_IN),
             welch=welch,
-            decision=decision,
         )
     except ConfigError:
         raise

@@ -8,13 +8,18 @@ corruptions sit at least three hops from leaves and from each other), then
 split that candidate set by counting neighbors whose entry has a
 non-constant phase across frequency: two or more means corrupt, exactly
 one means leaf, and that single edge is a true edge of the tree.
+
+Both decisions are tests at level `ALPHA` against the null law of a Welch
+estimate, so their one input is K, the number of Welch segments behind the
+spectrum (`EdgeDecisionParams`).
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from statistics import NormalDist
 from typing import Sequence
 
 import numpy as np
@@ -23,45 +28,57 @@ from .errors import DataError, NumericalError
 from .graphs import Edge, UndirectedGraph, graph_to_dot, neighborhood_is_clique, sorted_edges
 from .spectral import SpectralMatrix
 
-MAGNITUDE_FLOOR_QUANTILE = 0.25  # the phase test skips bins below this quantile
+ALPHA = 0.01  # family-wise level of the edge tests and of the phase tests on one matrix
+HANN_VARIANCE = 1.40  # variance inflation of a sum over adjacent Hann bins at 50 % overlap
+
+
+def gamma_quantile(shape: float, scale: float, tail: float) -> float:
+    """Upper `tail` quantile of Gamma(shape, scale) by Wilson-Hilferty, with
+    z from the standard library; it lies just above the exact quantile, so
+    a test that uses it is conservative."""
+    z = -NormalDist().inv_cdf(tail)
+    return shape * scale * (1 - 1 / (9 * shape) + z / (3 * math.sqrt(shape))) ** 3
 
 
 @dataclass(frozen=True)
 class EdgeDecisionParams:
-    """Thresholds turning exact zero / constant-phase tests into finite-data
-    decisions.  The phase test's band is fixed: the interior bins (2 spacings
-    from omega = 0 and pi, `spectral.BAND_EDGE_BINS`) whose magnitude reaches
-    the entry's 0.25 quantile (`MAGNITUDE_FLOOR_QUANTILE`)."""
+    """The decision rule for a spectrum averaged over K = `segments` Welch
+    segments (Hann window, 50 % overlap).  On an n x n inverse M, with
+    rho_k = M_ij / sqrt(M_ii M_jj) on the N_b usable interior bins and
+    d = K_eff - (n - 2), K_eff = 18K^2/(19K - 1) (Welch 1967), both tests
+    run at ALPHA / (n(n - 1)/2), Bonferroni over the entries:
+    - an edge is kept where the band mean of |rho_k|^2 reaches the upper
+      quantile of Gamma(shape N_b/1.40, mean 1/d), its law at a zero entry;
+    - a phase is non-constant where W (`phase_nonconstancy_score`) reaches
+      that of Gamma(N_b/2.80, scale 2.80), its law at a real entry.
+    """
 
-    magnitude_threshold: float = 0.05
-    phase_threshold: float = 0.1
+    segments: float
 
-    def __post_init__(self):
-        for name in ("magnitude_threshold", "phase_threshold"):
-            v = getattr(self, name)
-            if (
-                isinstance(v, bool)
-                or not isinstance(v, (int, float))
-                or not (math.isfinite(v) and v > 0)
-            ):
-                raise DataError(f"{name} must be a finite number > 0, got {v!r}")
+    def dof(self, n: int) -> float:
+        """d = K_eff - (n - 2) for an n x n inverse."""
+        k = self.segments
+        d = 18 * k * k / (19 * k - 1) - (n - 2)
+        if not d > 0:
+            raise NumericalError(f"{k:g} Welch segments are too few to decide on {n} nodes")
+        return d
+
+    def thresholds(self, inv: SpectralMatrix) -> dict[str, float]:
+        """The cut of the band statistic (`band`) and of W (`phase`) on `inv`."""
+        n, n_b = inv.n_nodes, int(_band(inv).sum())
+        tail = ALPHA / (n * (n - 1) / 2)
+        return {
+            "band": gamma_quantile(n_b / HANN_VARIANCE, HANN_VARIANCE / (n_b * self.dof(n)), tail),
+            "phase": gamma_quantile(n_b / (2 * HANN_VARIANCE), 2 * HANN_VARIANCE, tail),
+        }
 
 
-# For exactly-computed spectra both cuts only need to clear rounding noise.
-# Structurally-zero entries are floating-point zeros, so the magnitude cut
-# sits at 1e-6.  A constant-phase entry has resultant R = 1 in exact
-# arithmetic.  Rounding leaves each of R's two sums over the F bins (terms of
-# one sign) a relative error of at most F*eps, so R >= 1 - 2F*eps and the
-# score sqrt(-2 ln R) is at most sqrt(4F*eps): 3.4e-7 for the F = 129 bins of
-# welch_bins(256), the largest grid the analytic paths use (fewer bins lower
-# the floor).  The phase cut is that floor times 100, two decades of room for
-# the entries' own per-bin rounding: 3.4e-5.  The weakest non-constant exact
-# entry measured scores 3.6e-3, two decades above it.
-_ANALYTIC_BINS = 256 // 2 + 1
-ANALYTIC_DECISION = EdgeDecisionParams(
-    magnitude_threshold=1e-6,
-    phase_threshold=100 * math.sqrt(4 * _ANALYTIC_BINS * np.finfo(np.float64).eps),
-)
+# An exact spectrum is the K -> infinity limit, held back by rounding: K is
+# 1/eps, where the null mean 1/d ~ 19/18 eps of |rho|^2 meets eps, the
+# rounding unit of |rho|^2 on [0, 1].  Both tests then pass a zero or an
+# imaginary part of rho off by rounding up to about sqrt(eps) ~ 1.5e-8 and
+# catch anything larger.
+ANALYTIC_DECISION = EdgeDecisionParams(segments=1 / np.finfo(np.float64).eps)
 
 
 @dataclass(frozen=True)
@@ -73,70 +90,56 @@ class Diagnostic:
     message: str
 
 
-def normalized_magnitude_scores(inv: SpectralMatrix) -> np.ndarray:
-    """max over usable frequencies of |M_ij| / sqrt(|M_ii| |M_jj|)."""
-    valid = ~inv.flagged
-    if not valid.any():
-        raise NumericalError("no usable frequencies")
-    vals = inv.values[valid]
+def _band(inv: SpectralMatrix) -> np.ndarray:
+    """The usable interior bins: unflagged, away from omega = 0 and pi."""
+    band = ~inv.flagged & inv.grid.interior_mask()
+    if not band.any():
+        raise NumericalError("no usable interior frequencies")
+    return band
+
+
+def band_statistics(inv: SpectralMatrix) -> np.ndarray:
+    """N x N band mean of |rho_k|^2 over the usable interior bins."""
     n = inv.n_nodes
-    diag = np.abs(vals[:, range(n), range(n)])
-    if np.any(diag.max(axis=0) <= 0):
+    rho = inv.values[_band(inv)]
+    diag = rho[:, range(n), range(n)].real
+    if not np.all(diag > 0):
         raise NumericalError("degenerate diagonal in inverse spectrum")
-    norm = np.sqrt(diag[:, :, None] * diag[:, None, :])
-    scores = np.abs(vals) / np.maximum(norm, 1e-300)
-    return scores.max(axis=0)
+    scale = 1 / np.sqrt(diag)
+    rho *= scale[:, :, None]
+    rho *= scale[:, None, :]
+    return np.mean(np.abs(rho) ** 2, axis=0)
 
 
-def _support_from_scores(scores: np.ndarray, params: EdgeDecisionParams) -> UndirectedGraph:
-    n = scores.shape[0]
-    edges = [
-        (i, j)
-        for i in range(n)
-        for j in range(i + 1, n)
-        if scores[i, j] >= params.magnitude_threshold
-    ]
-    return UndirectedGraph.from_edges(n, edges)
+def _support(stats: np.ndarray, cut: float) -> UndirectedGraph:
+    return UndirectedGraph.from_edges(len(stats), np.argwhere(np.triu(stats >= cut, 1)).tolist())
 
 
-def infer_support_graph(inv: SpectralMatrix, params: EdgeDecisionParams) -> UndirectedGraph:
-    """Edges where the normalized magnitude score reaches the threshold."""
-    return _support_from_scores(normalized_magnitude_scores(inv), params)
+def infer_support_graph(inv: SpectralMatrix, decision: EdgeDecisionParams) -> UndirectedGraph:
+    """Edges whose band statistic reaches its threshold."""
+    return _support(band_statistics(inv), decision.thresholds(inv)["band"])
 
 
-def phase_nonconstancy_score(inv: SpectralMatrix, i: int, j: int) -> float:
-    """Magnitude-weighted circular standard deviation of the entry's phase
-    over the two-sided band.
-
-    Zero for constant phase; a negative real entry also scores zero (its
-    phase is a constant pi).  Only frequencies that carry magnitude (above
-    the floor quantile) and sit away from the band edges enter; phase
-    elsewhere is estimation noise.  Each stored bin enters the magnitude
-    floor and the resultant as often as the two-sided spectrum holds it
-    (`grid.multiplicity`).  A bin and its conjugate at -omega cancel in
-    imaginary part, so the resultant |sum |K| e^{i theta}| / sum |K|
-    reduces to |sum Re K| / sum |K|.
+def phase_nonconstancy_score(
+    inv: SpectralMatrix, i: int, j: int, decision: EdgeDecisionParams
+) -> float:
+    """W of entry (i, j): the sum over the usable interior bins of
+    (Im rho_k)^2 / v_k, v_k = (1 - |rho_k|^2) / (2d) the variance of the
+    coherency across its direction (Goodman 1963; Brillinger 1981, 8.8).
+    A chi-square on N_b bins, its variance inflated by the bin correlation
+    1.40, for a real entry (constant phase 0 or pi); large where it turns.
     """
-    entry = inv.entry(i, j)
-    usable = ~inv.flagged
-    mult = inv.grid.multiplicity
-    mag = np.abs(entry)
-    floor = np.quantile(np.repeat(mag[usable], mult[usable]), MAGNITUDE_FLOOR_QUANTILE)
-    admissible = usable & inv.grid.interior_mask() & (mag >= floor)
-    if not admissible.any():
-        raise NumericalError(f"no admissible frequencies for entry ({i},{j})")
-    m = mult[admissible]
-    total = np.sum(m * mag[admissible])
-    if total <= 0:
-        return 0.0
-    resultant = abs(np.sum(m * entry[admissible].real)) / total
-    resultant = min(max(resultant, 1e-300), 1.0)
-    return float(np.sqrt(-2.0 * np.log(resultant)))
+    band = _band(inv)
+    rho = inv.entry(i, j)[band] / np.sqrt((inv.entry(i, i)[band] * inv.entry(j, j)[band]).real)
+    v = (1 - np.abs(rho) ** 2) / (2 * decision.dof(inv.n_nodes))
+    return float(np.sum(rho.imag**2 / v))
 
 
 @dataclass(frozen=True)
 class DetectionReport:
-    """Outputs of the detection pass over one inverse spectrum."""
+    """Outputs of the detection pass over one inverse spectrum; each support
+    edge's band statistic (`edge_scores`) and each tested neighbor's W
+    (`evidence`) sit next to the `thresholds` they were held to."""
 
     support_graph: UndirectedGraph
     candidates: frozenset[int]
@@ -147,21 +150,23 @@ class DetectionReport:
     diagnostics: tuple[Diagnostic, ...]
     labels: tuple[str, ...]
     edge_scores: dict[Edge, float] = field(default_factory=dict)
+    thresholds: dict[str, float] = field(default_factory=dict)
 
     @property
     def observed(self) -> frozenset[int]:
         return frozenset(range(self.support_graph.node_count)) - self.corrupt
 
 
-def detect(inv: SpectralMatrix, params: EdgeDecisionParams) -> DetectionReport:
+def detect(inv: SpectralMatrix, decision: EdgeDecisionParams) -> DetectionReport:
     """Classify clique-neighborhood candidates into corrupt and leaf nodes.
 
     A candidate with zero non-constant-phase neighbors contradicts the
     theory (leaves always keep their true edge), so it is surfaced as a
     diagnostic rather than guessed either way.
     """
-    scores = normalized_magnitude_scores(inv)
-    support = _support_from_scores(scores, params)
+    stats = band_statistics(inv)
+    thresholds = decision.thresholds(inv)
+    support = _support(stats, thresholds["band"])
     n = inv.n_nodes
     candidates = frozenset(i for i in range(n) if neighborhood_is_clique(support, i))
     corrupt: set[int] = set()
@@ -173,9 +178,9 @@ def detect(inv: SpectralMatrix, params: EdgeDecisionParams) -> DetectionReport:
         rows: list[tuple[int, float, str]] = []
         nonconstant: list[int] = []
         for j in sorted(support.neighbors(i)):
-            score = phase_nonconstancy_score(inv, i, j)
-            verdict = "nonconstant" if score >= params.phase_threshold else "constant"
-            rows.append((j, score, verdict))
+            w = phase_nonconstancy_score(inv, i, j, decision)
+            verdict = "nonconstant" if w >= thresholds["phase"] else "constant"
+            rows.append((j, w, verdict))
             if verdict == "nonconstant":
                 nonconstant.append(j)
         evidence[i] = tuple(rows)
@@ -204,7 +209,8 @@ def detect(inv: SpectralMatrix, params: EdgeDecisionParams) -> DetectionReport:
         evidence=evidence,
         diagnostics=tuple(diagnostics),
         labels=inv.labels,
-        edge_scores={e: float(scores[e[0], e[1]]) for e in support.edges},
+        edge_scores={e: float(stats[e]) for e in support.edges},
+        thresholds=thresholds,
     )
 
 
@@ -212,13 +218,15 @@ def detect(inv: SpectralMatrix, params: EdgeDecisionParams) -> DetectionReport:
 # report serialization
 
 def report_to_dict(report: DetectionReport) -> dict:
-    labs = report.labels
+    labs, cut = report.labels, report.thresholds
     return {
+        "thresholds": cut,
         "support_edges": [
             {
                 "a": labs[a],
                 "b": labs[b],
-                "magnitude_score": report.edge_scores.get((a, b)),
+                "band": report.edge_scores[a, b],
+                "margin": report.edge_scores[a, b] / cut["band"],
             }
             for a, b in sorted_edges(report.support_graph)
         ],
@@ -228,15 +236,12 @@ def report_to_dict(report: DetectionReport) -> dict:
         "leaf_edges": [[labs[a], labs[b]] for a, b in sorted(report.leaf_edges)],
         "evidence": {
             labs[i]: [
-                {"neighbor": labs[j], "phase_score": score, "verdict": verdict}
-                for j, score, verdict in rows
+                {"neighbor": labs[j], "w": w, "margin": w / cut["phase"], "verdict": verdict}
+                for j, w, verdict in rows
             ]
             for i, rows in sorted(report.evidence.items())
         },
-        "diagnostics": [
-            {"kind": d.kind, "subject": d.subject, "message": d.message}
-            for d in report.diagnostics
-        ],
+        "diagnostics": [asdict(d) for d in report.diagnostics],
     }
 
 
@@ -253,12 +258,12 @@ def report_from_dict(payload: dict, labels: Sequence[str]) -> DetectionReport:
         ]
         support = UndirectedGraph.from_edges(len(labels), support_edges)
         edge_scores = {
-            (min(a, b), max(a, b)): e.get("magnitude_score")
+            (min(a, b), max(a, b)): float(e["band"])
             for (a, b), e in zip(support_edges, payload["support_edges"])
         }
         evidence = {
             index[node]: tuple(
-                (index[row["neighbor"]], float(row["phase_score"]), str(row["verdict"]))
+                (index[row["neighbor"]], float(row["w"]), str(row["verdict"]))
                 for row in rows
             )
             for node, rows in payload.get("evidence", {}).items()
@@ -279,6 +284,7 @@ def report_from_dict(payload: dict, labels: Sequence[str]) -> DetectionReport:
             ),
             labels=labels,
             edge_scores=edge_scores,
+            thresholds={k: float(v) for k, v in payload["thresholds"].items()},
         )
     except KeyError as exc:
         raise DataError(f"malformed detection report: missing {exc}") from exc

@@ -11,7 +11,7 @@ far-pair entry certifies the alignment.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field
 from typing import Iterable, Sequence
 
 from .detection import (
@@ -42,7 +42,7 @@ class PlacementTrial:
     corrupt: int
     inner_b: int
     outer_b: int
-    phase_score: float
+    w: float
     adopted: bool
 
 
@@ -57,6 +57,7 @@ class TopologyEstimate:
     diagnostics: tuple[Diagnostic, ...]
     labels: tuple[str, ...]
     placements: tuple[PlacementTrial, ...] = ()
+    thresholds: dict[str, float] = field(default_factory=dict)
 
     def is_tree(self) -> bool:
         return is_tree(self.graph)
@@ -65,14 +66,14 @@ class TopologyEstimate:
 def observed_support_graph(
     inv: SpectralMatrix,
     corrupt: Iterable[int],
-    params: EdgeDecisionParams,
+    decision: EdgeDecisionParams,
 ) -> UndirectedGraph:
     """Support of the marginal inverse PSD, derived from the full inverse
     `inv`, as a graph on all nodes with edges only among the observed ones."""
     corrupt = frozenset(corrupt)
     observed = sorted(set(range(inv.n_nodes)) - corrupt)
     marg = marginal_inverse_psd(inv, observed)
-    sub = infer_support_graph(marg, params)
+    sub = infer_support_graph(marg, decision)
     edges = [(observed[a], observed[b]) for a, b in sub.edges]
     return UndirectedGraph.from_edges(inv.n_nodes, edges)
 
@@ -107,11 +108,10 @@ def _alignment_trials(
     corrupt: Sequence[int],
     perturbed: UndirectedGraph,
     inv_full: SpectralMatrix,
-    params: EdgeDecisionParams,
+    decision: EdgeDecisionParams,
 ):
     """Every clique-compatible (p,q,l,r,s) alignment with the edge pair
-    {q-l, l-r} it proposes, its phase score and whether the constant-phase
-    test passed."""
+    {q-l, l-r} it proposes and the W of its (p,s) entry."""
     adj = perturbed.adjacency()
     out = []
     for l in corrupt:
@@ -125,11 +125,9 @@ def _alignment_trials(
                             continue
                         if not all(b in adj[a] for ai, a in enumerate(five) for b in five[ai + 1:]):
                             continue
-                        score = phase_nonconstancy_score(inv_full, p, s)
+                        w = phase_nonconstancy_score(inv_full, p, s, decision)
                         edges = frozenset({(min(q, l), max(q, l)), (min(l, r), max(l, r))})
-                        out.append(
-                            ((p, q, l, r, s), edges, score, score < params.phase_threshold)
-                        )
+                        out.append(((p, q, l, r, s), edges, w))
     return out
 
 
@@ -139,7 +137,7 @@ def place_corrupt_nodes(
     corrupt: frozenset[int],
     perturbed: UndirectedGraph,
     inv_full: SpectralMatrix,
-    params: EdgeDecisionParams,
+    decision: EdgeDecisionParams,
 ) -> TopologyEstimate:
     """Reconnect the pruned components through the corrupt nodes.
 
@@ -167,20 +165,20 @@ def place_corrupt_nodes(
                 )
             )
 
+    cut = decision.thresholds(inv_full)["phase"]
     placement: set[Edge] = set()
     placed: set[int] = set()
     trials: list[PlacementTrial] = []
     for i in range(len(comps)):
         for j in range(i + 1, len(comps)):
             tried = _alignment_trials(
-                comps[i], comps[j], comp_adj, sorted(corrupt), perturbed, inv_full, params
+                comps[i], comps[j], comp_adj, sorted(corrupt), perturbed, inv_full, decision
             )
-            # distinct passing edge pairs, in trial order
-            edge_sets = list(dict.fromkeys(es for _, es, _, ok in tried if ok))
+            # distinct edge pairs passing the constant-phase test, in trial order
+            edge_sets = list(dict.fromkeys(es for _, es, w in tried if w < cut))
             adopted_set = edge_sets[0] if edge_sets else frozenset()
             trials.extend(
-                PlacementTrial(*cfg, score, ok and es == adopted_set)
-                for cfg, es, score, ok in tried
+                PlacementTrial(*cfg, w, w < cut and es == adopted_set) for cfg, es, w in tried
             )
             if not edge_sets:
                 continue
@@ -233,13 +231,14 @@ def place_corrupt_nodes(
         diagnostics=tuple(diagnostics),
         labels=inv_full.labels,
         placements=tuple(trials),
+        thresholds={"phase": cut},
     )
 
 
 def hide_and_learn(
     psd: SpectralMatrix,
     report: DetectionReport,
-    params: EdgeDecisionParams,
+    decision: EdgeDecisionParams,
 ) -> TopologyEstimate:
     """Full reconstruction from the corrupted PSD and a detection report.
 
@@ -254,10 +253,10 @@ def hide_and_learn(
             f"{len(corrupt)} corrupt ones"
         )
     inv_full = invert_spectrum(psd)
-    t_m = observed_support_graph(inv_full, corrupt, params)
+    t_m = observed_support_graph(inv_full, corrupt, decision)
     etree = true_edges_by_separation(t_m, observed, report.leaves, report.leaf_edges)
     estimate = place_corrupt_nodes(
-        etree, observed, corrupt, report.support_graph, inv_full, params
+        etree, observed, corrupt, report.support_graph, inv_full, decision
     )
     provenance = dict(estimate.provenance)
     for e in report.leaf_edges:
@@ -270,6 +269,7 @@ def hide_and_learn(
         diagnostics=report.diagnostics + estimate.diagnostics,
         labels=estimate.labels,
         placements=estimate.placements,
+        thresholds=estimate.thresholds,
     )
 
 
@@ -277,8 +277,9 @@ def hide_and_learn(
 # serialization
 
 def estimate_to_dict(est: TopologyEstimate) -> dict:
-    labs = est.labels
+    labs, cut = est.labels, est.thresholds
     return {
+        "thresholds": cut,
         "edges": [
             {
                 "a": labs[a],
@@ -298,15 +299,13 @@ def estimate_to_dict(est: TopologyEstimate) -> dict:
             {
                 "alignment": [labs[t.outer_a], labs[t.inner_a], labs[t.corrupt],
                               labs[t.inner_b], labs[t.outer_b]],
-                "phase_score": t.phase_score,
+                "w": t.w,
+                "margin": t.w / cut["phase"],
                 "adopted": t.adopted,
             }
             for t in est.placements
         ],
-        "diagnostics": [
-            {"kind": d.kind, "subject": d.subject, "message": d.message}
-            for d in est.diagnostics
-        ],
+        "diagnostics": [asdict(d) for d in est.diagnostics],
     }
 
 

@@ -60,14 +60,6 @@ class FrequencyGrid:
         w.flags.writeable = False
         return w
 
-    @property
-    def multiplicity(self) -> np.ndarray:
-        """How often each bin occurs in the two-sided spectrum on (-pi, pi]:
-        once at omega = 0 and omega = pi, twice (as +-omega) elsewhere."""
-        m = np.full(self.size, 2)
-        m[[0, -1]] = 1
-        return m
-
     def interior_mask(self) -> np.ndarray:
         """True more than `BAND_EDGE_BINS` bins away from omega = 0 and
         omega = pi, where real-valued data pins the phase and phase tests

@@ -216,6 +216,15 @@ def estimate_signature(
     return CorruptionSignature(spec.grid, h, d)
 
 
+def multiplicity(grid):
+    """How often each bin of `grid` occurs in the two-sided spectrum on
+    (-pi, pi]: once at omega = 0 and omega = pi, twice (as +-omega)
+    elsewhere."""
+    m = np.full(grid.size, 2)
+    m[[0, -1]] = 1
+    return m
+
+
 def two_sided(s):
     """Frequencies, values and flags of the half spectrum `s` mirrored by
     conjugation onto the two-sided grid (-pi, pi]."""

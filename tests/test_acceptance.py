@@ -110,7 +110,7 @@ class ChainRun:
 def chain_run():
     samples = int(os.environ.get("TREESPECT_ACCEPT_SAMPLES", 10_000_000))
     welch = WelchParams(segment_length=1024 if samples >= 4_000_000 else 256)
-    params = EdgeDecisionParams()
+    params = EdgeDecisionParams(welch.segment_count(samples))
     model = chain7_model()
     t0 = time.perf_counter()
     panel = simulate(model, samples, seed=7)
@@ -265,15 +265,15 @@ def test_criterion_4_classification_and_phase_table(analytic_pool):
             or rep.diagnostics
         ):
             misclassified += 1
+        cut = ANALYTIC_DECISION.thresholds(inv)["phase"]
         for l in sorted(inst.corrupt):
             for p, q, r, s in _alignment_configs(inst.topology, l):
                 scores = {
-                    pair: phase_nonconstancy_score(inv, *pair)
+                    pair: phase_nonconstancy_score(inv, *pair, ANALYTIC_DECISION)
                     for pair in [(p, s), (p, r), (q, s), (q, r)]
                 }
-                if scores[(p, s)] >= 1e-6 or any(
-                    scores[pair] < ANALYTIC_DECISION.phase_threshold
-                    for pair in [(p, r), (q, s), (q, r)]
+                if scores[(p, s)] >= 1e-6 * cut or any(
+                    scores[pair] < cut for pair in [(p, r), (q, s), (q, r)]
                 ):
                     table_violations += 1
     report(

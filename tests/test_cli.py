@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from treespect import spectral, streams
-from treespect.cli import main
+from treespect.cli import main, run_stages
 from treespect.config import bundled_config_path, config_from_dict, load_config
 from treespect.instances import chain7_model
 from treespect.ltisim import model_to_dict
@@ -21,7 +21,7 @@ from treespect.streams import apply_corruption, simulate
 
 from conftest import rtsp_file, two_sided, whole_channel_corruption
 
-# small, fast, threshold-tuned experiment: clean 7-chain, short record
+# small, fast experiment: clean 7-chain, short record
 TINY = {
     "model": model_to_dict(chain7_model()),
     "corruption": [],
@@ -29,7 +29,6 @@ TINY = {
     "seed": 5,
     "burn_in": 2_000,
     "welch": {"segment_length": 128},
-    "decision": {"magnitude_threshold": 0.12, "phase_threshold": 0.3},
 }
 CORRUPTION = {"node": "4", "kind": "random_delay", "p": 0.7, "t1": -2, "t2": 0}
 
@@ -61,6 +60,20 @@ def test_pipeline_tiny_clean_recovers_chain(tmp_path):
     assert sorted([e["a"], e["b"]] for e in topology["edges"]) == CHAIN_EDGES
     for stage in ("simulate", "corrupt", "spectra", "detect", "learn"):
         assert (out / f"manifest_{stage}.json").exists()
+
+
+def test_pipeline_tiny_corrupted_recovers_chain(tmp_path):
+    cfg = write_tiny(tmp_path, corruption=[CORRUPTION])
+    out = tmp_path / "run"
+    assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 0
+    detection = json.loads((out / "detection.json").read_text())
+    assert detection["corrupt"] == ["4"]
+    assert detection["leaves"] == ["1", "7"]
+    topology = json.loads((out / "topology.json").read_text())
+    assert topology["diagnostics"] == []
+    assert sorted([e["a"], e["b"]] for e in topology["edges"]) == CHAIN_EDGES
+    adopted = [t for t in topology["placements"] if t["adopted"]]
+    assert adopted and all(t["margin"] == t["w"] / topology["thresholds"]["phase"] < 1 for t in adopted)
 
 
 @pytest.mark.parametrize("corruption", [[], [CORRUPTION]], ids=["clean", "corrupted"])
@@ -225,11 +238,14 @@ def test_streamed_stages_equal_whole_record_computation(tmp_path, monkeypatch):
 
 
 def pipeline_peak(tmp_path, length: int) -> int:
+    """Peak traced memory of a pipeline run through detect.  The three
+    corruptions sit within two hops of each other and of the leaves, so on
+    a long record the support is complete and learn rightly exits 5."""
     tmp_path.mkdir()
-    cfg = write_tiny(tmp_path, trajectory_length=length, corruption=STREAMED)
+    cfg = load_config(write_tiny(tmp_path, trajectory_length=length, corruption=STREAMED))
     tracemalloc.start()
     try:
-        assert main(["pipeline", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
+        run_stages(("simulate", "corrupt", "spectra", "detect"), cfg, tmp_path / "run")
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -386,27 +402,6 @@ def test_non_finite_model_coefficient_exits_2_naming_it(tmp_path, capsys, edit, 
     assert not out.exists()
 
 
-@pytest.mark.parametrize(
-    "key, value",
-    [
-        ("magnitude_threshold", float("nan")),
-        ("magnitude_threshold", float("inf")),
-        ("magnitude_threshold", "0.05"),
-        ("magnitude_threshold", None),
-        ("phase_threshold", True),
-        ("phase_threshold", -0.1),
-    ],
-)
-def test_decision_threshold_not_a_positive_number_exits_2(tmp_path, capsys, key, value):
-    cfg = write_tiny(tmp_path, decision={**TINY["decision"], key: value})
-    out = tmp_path / "run"
-    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert f"{key} must be a finite number > 0, got {value!r}" in err
-    assert "Traceback" not in err
-    assert not out.exists()
-
-
 @pytest.mark.parametrize("value", [1024.0, 1e3, "1024", True, 1000])
 def test_segment_length_not_a_power_of_two_int_exits_2(tmp_path, capsys, value):
     cfg = write_tiny(tmp_path, welch={"segment_length": value})
@@ -490,9 +485,11 @@ MISSPELT_MODEL = misspelt(MODEL, "noise_variance", "nosie_variance")
     ({"model": MISSPELT_MODEL, "model_path": "model.json"}, "nosie_variance"),
     ({"model": {**MODEL, "edges": [misspelt(MODEL["edges"][0], "ab", "abb")]}}, "abb"),
     ({"corruption": [misspelt(CORRUPTION, "p", "probability")]}, "probability"),
+    # the decision rule follows from the Welch segment count; no config sets it
+    ({"decision": {"magnitude_threshold": 0.05, "phase_threshold": 0.1}}, "decision"),
 ], ids=[
     "ridge", "welch-window", "outputs", "model-noise-variance",
-    "model-file-noise-variance", "edge-ab", "corruption-p",
+    "model-file-noise-variance", "edge-ab", "corruption-p", "decision",
 ])
 def test_unknown_config_key_exits_2(tmp_path, capsys, overrides, key):
     payload = {**TINY, **overrides}
@@ -699,6 +696,31 @@ def test_malformed_detection_report_exits_3(tmp_path):
         assert main(["learn", "--config", str(cfg), "--out", str(out)]) == 3
 
 
+def test_detection_report_in_the_phase_score_layout_exits_3(tmp_path, capsys):
+    cfg = write_tiny(tmp_path, trajectory_length=20_000, burn_in=100)
+    out = tmp_path / "run"
+    for stage in ("simulate", "corrupt", "spectra", "detect"):
+        assert main([stage, "--config", str(cfg), "--out", str(out)]) == 0
+    report = json.loads((out / "detection.json").read_text())
+    assert set(report["thresholds"]) == {"band", "phase"}
+    # the layout before margins: no thresholds, a magnitude score per edge
+    # and a phase score per evidence row
+    del report["thresholds"]
+    for e in report["support_edges"]:
+        e["magnitude_score"] = e.pop("band")
+        del e["margin"]
+    for rows in report["evidence"].values():
+        for row in rows:
+            row["phase_score"] = row.pop("w")
+            del row["margin"]
+    (out / "detection.json").write_text(json.dumps(report))
+    assert main(["learn", "--config", str(cfg), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "malformed detection report: missing" in err
+    assert "Traceback" not in err
+    assert not (out / "topology.json").exists()
+
+
 def test_degenerate_data_exits_4(tmp_path):
     cfg = write_tiny(tmp_path, trajectory_length=20_000)
     out = tmp_path / "run"
@@ -796,13 +818,16 @@ def test_sweep_invalid_welch_block_exits_2(tmp_path):
     assert not (out / "sweep_summary.csv").exists()
 
 
-def test_sweep_invalid_decision_block_exits_2(tmp_path):
+def test_sweep_invalid_decision_block_exits_2(tmp_path, capsys):
+    # any decision block: the rule follows from each row's segment count
     sweep_cfg = tmp_path / "sweep.json"
     sweep_cfg.write_text(
-        json.dumps({"instances": 1, "decision": {"phase_threshold": -1}, "seed": 4})
+        json.dumps({"instances": 1, "decision": {"phase_threshold": 0.1}, "seed": 4})
     )
     out = tmp_path / "sweep"
     assert main(["sweep", "--config", str(sweep_cfg), "--out", str(out)]) == 2
+    assert "unknown sweep config key(s): 'decision'" in capsys.readouterr().err
+    assert not (out / "sweep_summary.csv").exists()
     assert not (out / "sweep_summary.csv").exists()
 
 
@@ -813,6 +838,8 @@ def test_sweep_unknown_key_exits_2(tmp_path, capsys):
         ({"instance": 2, "seed": 4}, "instance"),
         ({"instances": "x"}, "instances"),
         ({"instances": 1, "nodes": [7]}, "nodes"),
+        # a 0- or 1-node tree makes no panel
+        ({"instances": 3, "nodes": [0, 1], "corrupt": [0, 0]}, "nodes"),
         # a 7-node tree hosts one corrupt node at most, a 5- or 6-node tree none
         ({"instances": 1, "nodes": [7, 7], "corrupt": [2, 3]}, "corrupt"),
         ({"instances": 3, "nodes": [5, 6], "corrupt": [1, 1]}, "corrupt"),
@@ -907,6 +934,15 @@ def test_sweep_threads_below_one_exits_2(tmp_path, monkeypatch, capsys, threads)
     assert "Traceback" not in err
     assert made == []
     assert not out.exists()
+
+
+def test_sweep_negative_control_rows_report_the_instance_size(tmp_path):
+    # an adversarial instance has at least 9 nodes whatever n its row drew
+    rows = sweep_rows(tmp_path, {
+        "instances": 2, "nodes": [7, 7], "corrupt": [1, 1],
+        "trajectories": ["analytic"], "seed": 3, "violate_assumption": True,
+    })
+    assert [(r["n_nodes"], r["n_corrupt"]) for r in rows] == [("9", "2")] * 2
 
 
 def test_sweep_negative_controls_reported_not_crashed(tmp_path):

@@ -3,22 +3,27 @@ import json
 import numpy as np
 import pytest
 
+from scipy.special import gammainccinv
+from scipy.stats import binom
+
 from treespect.detection import (
+    ALPHA,
     ANALYTIC_DECISION,
-    MAGNITUDE_FLOOR_QUANTILE,
     EdgeDecisionParams,
+    band_statistics,
     detect,
+    gamma_quantile,
     infer_support_graph,
-    normalized_magnitude_scores,
     phase_nonconstancy_score,
     report_to_dot,
     report_to_json,
 )
-from treespect.errors import DataError
+from treespect.errors import NumericalError
 from treespect.graphs import UndirectedGraph
 from treespect.instances import chain7_corruption, chain7_model, random_instance
 from treespect.ltisim import GenerativeModel, analytic_inverse_psd
 from treespect.oracles import analytic_corrupted_psd, analytic_signatures
+from treespect.panel import TimeSeriesPanel
 from treespect.spectral import (
     BAND_EDGE_BINS,
     FrequencyGrid,
@@ -68,12 +73,17 @@ def test_diagonal_spectrum_gives_edgeless_graph():
     assert infer_support_graph(s, ANALYTIC_DECISION).edges == frozenset()
 
 
-def test_raising_threshold_never_adds_edges(chain_inverse):
-    scores = normalized_magnitude_scores(chain_inverse)
-    lo = infer_support_graph(chain_inverse, EdgeDecisionParams(magnitude_threshold=0.02))
-    hi = infer_support_graph(chain_inverse, EdgeDecisionParams(magnitude_threshold=0.2))
+def test_raising_threshold_never_adds_edges(welch_chain_inverse):
+    # fewer segments, a larger null mean, a higher band threshold
+    few, many = EdgeDecisionParams(40), EdgeDecisionParams(4000)
+    cuts = [d.thresholds(welch_chain_inverse)["band"] for d in (few, many)]
+    assert cuts[0] > cuts[1]
+    lo = infer_support_graph(welch_chain_inverse, many)
+    hi = infer_support_graph(welch_chain_inverse, few)
     assert hi.edges <= lo.edges
-    assert scores.max() <= 1.0 + 1e-9
+    stats = band_statistics(welch_chain_inverse)
+    assert np.allclose(np.diag(stats), 1.0)
+    assert stats.max() <= 1.0 + 1e-9
 
 
 def test_support_matches_graph_construction_on_random_instances():
@@ -93,10 +103,11 @@ def test_support_matches_graph_construction_on_random_instances():
 # phase scores
 
 def test_phase_scores_separate_edge_kinds(chain_inverse):
-    # leaf to its 2-hop kin: exactly-zero phase
-    assert phase_nonconstancy_score(chain_inverse, 0, 2) < 1e-6
+    cut = ANALYTIC_DECISION.thresholds(chain_inverse)["phase"]
+    # leaf to its 2-hop kin: a real entry, W at rounding level
+    assert phase_nonconstancy_score(chain_inverse, 0, 2, ANALYTIC_DECISION) < 1e-9 * cut
     # leaf true edge: clearly rotating phase
-    assert phase_nonconstancy_score(chain_inverse, 0, 1) > 0.1
+    assert phase_nonconstancy_score(chain_inverse, 0, 1, ANALYTIC_DECISION) > 1e9 * cut
 
 
 def test_negative_real_constant_scores_zero():
@@ -104,22 +115,21 @@ def test_negative_real_constant_scores_zero():
     vals[:, 0, 0] = vals[:, 1, 1] = 2.0
     vals[:, 0, 1] = vals[:, 1, 0] = -0.5 * np.linspace(1.0, 1.5, GRID.size)
     s = SpectralMatrix(GRID, vals, ["a", "b"])
-    assert phase_nonconstancy_score(s, 0, 1) < 1e-9
+    assert phase_nonconstancy_score(s, 0, 1, EdgeDecisionParams(100)) == 0.0
 
 
-def _two_sided_floor_and_resultant(inv, i, j):
-    """Magnitude floor and phase resultant as defined on the two-sided grid
-    (-pi, pi], from the half spectrum mirrored by conjugation."""
+def _two_sided_statistics(inv, i, j, decision):
+    """Band mean of |rho|^2 and W as defined on the two-sided grid (-pi, pi],
+    from the half spectrum mirrored by conjugation; each interior bin
+    occurs there twice, as +-omega."""
     w, values, flagged = two_sided(inv)
-    entry, usable = values[:, i, j], ~flagged
-    mag = np.abs(entry)
-    floor = np.quantile(mag[usable], MAGNITUDE_FLOOR_QUANTILE)
     margin = BAND_EDGE_BINS * 2 * np.pi / inv.grid.segment_length + 1e-12
     interior = (np.abs(w) > margin) & (np.abs(w) < np.pi - margin)
-    admissible = usable & interior & (mag >= floor)
-    wt = mag[admissible]
-    resultant = np.abs(np.sum(wt * np.exp(1j * np.angle(entry[admissible])))) / wt.sum()
-    return floor, min(resultant, 1.0)
+    use = ~flagged & interior
+    rho = values[use, i, j] / np.sqrt(values[use, i, i].real * values[use, j, j].real)
+    d = decision.dof(inv.n_nodes)
+    w_stat = np.sum(rho.imag**2 / ((1 - np.abs(rho) ** 2) / (2 * d))) / 2
+    return np.mean(np.abs(rho) ** 2), w_stat
 
 
 @pytest.fixture(scope="module")
@@ -129,30 +139,73 @@ def welch_chain_inverse():
     return invert_spectrum(estimate_cpsd(panel, WelchParams(segment_length=256)))
 
 
+WELCH_DECISION = EdgeDecisionParams(WelchParams(segment_length=256).segment_count(200_000))
+
+
 @pytest.mark.parametrize("source", ["welch", "analytic", "analytic_flagged"])
-def test_half_grid_score_equals_two_sided_formula(source, chain_inverse, welch_chain_inverse):
+def test_statistics_equal_their_two_sided_definitions(source, chain_inverse, welch_chain_inverse):
     if source == "welch":
-        inv, params = welch_chain_inverse, EdgeDecisionParams()
+        inv, decision = welch_chain_inverse, WELCH_DECISION
     else:
-        inv, params = chain_inverse, ANALYTIC_DECISION
+        inv, decision = chain_inverse, ANALYTIC_DECISION
     if source == "analytic_flagged":  # flags at 0, pi and one interior bin
         flagged = np.zeros(GRID.size, dtype=bool)
         flagged[[0, 40, GRID.size - 1]] = True
         inv = SpectralMatrix(GRID, inv.values, inv.labels, flagged)
-    usable = ~inv.flagged
-    mult = inv.grid.multiplicity
-    for i, j in sorted(detect(inv, params).support_graph.edges):
-        floor, resultant = _two_sided_floor_and_resultant(inv, i, j)
-        mag = np.abs(inv.entry(i, j))
-        half_floor = np.quantile(np.repeat(mag[usable], mult[usable]), MAGNITUDE_FLOOR_QUANTILE)
-        assert half_floor == floor
-        score = phase_nonconstancy_score(inv, i, j)
-        # the resultant lives in [0, 1]; the score sqrt(-2 log R) amplifies
-        # rounding where R sits within rounding noise of 0 or 1
-        assert np.exp(-score**2 / 2) == pytest.approx(resultant, rel=1e-12, abs=1e-12)
-        if 1e-9 < resultant < 1 - 1e-9:
-            old = np.sqrt(-2.0 * np.log(resultant))
-            assert score == pytest.approx(old, rel=1e-12, abs=1e-12)
+    stats = band_statistics(inv)
+    for i in range(inv.n_nodes):
+        for j in range(i + 1, inv.n_nodes):
+            band, w = _two_sided_statistics(inv, i, j, decision)
+            assert stats[i, j] == pytest.approx(band, rel=1e-12, abs=1e-300)
+            assert stats[j, i] == pytest.approx(stats[i, j], rel=1e-12, abs=1e-300)
+            score = phase_nonconstancy_score(inv, i, j, decision)
+            assert score == pytest.approx(w, rel=1e-9, abs=1e-300)
+
+
+@pytest.mark.parametrize("shape", [8.6, 88.0])
+@pytest.mark.parametrize("tail", [1e-3, 1e-5, 1e-7, 1e-9])
+def test_wilson_hilferty_quantile_is_close_and_never_below_the_exact_one(shape, tail):
+    exact = gammainccinv(shape, tail)
+    approx = gamma_quantile(shape, 1.0, tail)
+    assert approx >= exact
+    assert approx <= exact * (1 + 3e-2)
+    # the scale enters as a factor
+    assert gamma_quantile(shape, 2.8, tail) == pytest.approx(2.8 * approx, rel=1e-14)
+
+
+def test_white_noise_exceedances_stay_within_a_binomial_bound_of_alpha():
+    # 2 x 2 blocks of independent white channels: with one pair per block
+    # each test runs at level ALPHA, and a block's Welch estimate is the
+    # block of the whole panel's estimate.  K = 400 segments, under the
+    # K = 780 of 10^5 samples at L = 256; at K = 40 W exceeds its cut about
+    # twice as often as ALPHA, its per-bin terms being t- rather than
+    # chi-square-distributed
+    rng = np.random.default_rng(2024)
+    welch = WelchParams(segment_length=64)
+    samples, channels, panels = 400 * 32 + 32, 64, 50
+    decision = EdgeDecisionParams(welch.segment_count(samples))
+    band_hits = w_hits = tests = 0
+    for _ in range(panels):
+        panel = TimeSeriesPanel(rng.standard_normal((channels, samples)), range(channels))
+        psd = estimate_cpsd(panel, welch)
+        for a in range(0, channels, 2):
+            block = SpectralMatrix(psd.grid, psd.values[:, a:a + 2, a:a + 2], ["x", "y"])
+            inv = invert_spectrum(block)
+            cut = decision.thresholds(inv)
+            band_hits += band_statistics(inv)[0, 1] >= cut["band"]
+            w_hits += phase_nonconstancy_score(inv, 0, 1, decision) >= cut["phase"]
+            tests += 1
+    lo, hi = binom.ppf(1e-4, tests, ALPHA), binom.isf(1e-4, tests, ALPHA)
+    assert lo <= band_hits <= hi, (band_hits, tests)
+    assert lo <= w_hits <= hi, (w_hits, tests)
+
+
+def test_too_few_segments_for_the_matrix_is_a_numerical_error(chain_inverse):
+    # K_eff = 18 * 64 / 151 = 7.6 segments leave no degrees of freedom for
+    # the partial coherence of a pair among 10 nodes
+    assert EdgeDecisionParams(8).dof(7) > 0
+    with pytest.raises(NumericalError):
+        EdgeDecisionParams(8).dof(10)
 
 
 # ---------------------------------------------------------------------------
@@ -268,8 +321,15 @@ def test_report_serialization(chain_inverse):
     assert payload["corrupt"] == ["4"]
     assert payload["leaf_edges"] == [["1", "2"], ["6", "7"]]
     assert payload["evidence"]["4"][0]["verdict"] == "nonconstant"
-    # per-edge magnitude scores recorded for audit
-    assert all(e["magnitude_score"] > 0 for e in payload["support_edges"])
+    # each decision with its statistic and its margin against the stated threshold
+    cut = payload["thresholds"]
+    assert cut == report.thresholds == ANALYTIC_DECISION.thresholds(chain_inverse)
+    for e in payload["support_edges"]:
+        assert e["margin"] == e["band"] / cut["band"] >= 1
+    for rows in payload["evidence"].values():
+        for row in rows:
+            assert row["margin"] == row["w"] / cut["phase"]
+            assert (row["margin"] >= 1) == (row["verdict"] == "nonconstant")
     dot = report_to_dot(report)
     assert '"4" [style=filled, fillcolor="tomato"]' in dot
 
@@ -284,9 +344,5 @@ def test_report_roundtrip(chain_inverse):
     assert back.leaves == report.leaves
     assert back.leaf_edges == report.leaf_edges
     assert back.evidence == report.evidence
-    assert back.edge_scores == pytest.approx(report.edge_scores)
-
-
-def test_degenerate_params_rejected():
-    with pytest.raises(DataError):
-        EdgeDecisionParams(magnitude_threshold=0.0)
+    assert back.edge_scores == report.edge_scores
+    assert back.thresholds == report.thresholds

@@ -393,6 +393,9 @@ def test_estimate_serialization(chain_setup):
     assert len(trials) >= 4
     adopted = [t for t in trials if t["adopted"]]
     assert [t["alignment"] for t in adopted] == [["2", "3", "4", "5", "6"]]
-    assert adopted[0]["phase_score"] < 1e-6
+    # each trial's W against the stated threshold, as a margin
+    cut = payload["thresholds"]["phase"]
+    assert all(t["margin"] == t["w"] / cut for t in trials)
+    assert adopted[0]["margin"] < 1e-6
     rejected = [t for t in trials if not t["adopted"]]
-    assert all(t["phase_score"] > 0.1 for t in rejected)
+    assert all(t["margin"] > 1 for t in rejected)
