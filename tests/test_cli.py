@@ -402,6 +402,30 @@ def test_non_finite_model_coefficient_exits_2_naming_it(tmp_path, capsys, edit, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("magnitude_threshold", float("nan")),
+        ("magnitude_threshold", float("inf")),
+        ("magnitude_threshold", "0.05"),
+        ("magnitude_threshold", None),
+        ("phase_threshold", True),
+        ("phase_threshold", -0.1),
+    ],
+)
+def test_decision_threshold_not_a_positive_number_exits_2(tmp_path, capsys, key, value):
+    # the decision rule follows from the Welch segment count; no config sets
+    # a threshold, so any decision block is refused as an unknown key
+    decision = {"magnitude_threshold": 0.05, "phase_threshold": 0.1, key: value}
+    cfg = write_tiny(tmp_path, decision=decision)
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "unknown config key(s): 'decision'" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value", [1024.0, 1e3, "1024", True, 1000])
 def test_segment_length_not_a_power_of_two_int_exits_2(tmp_path, capsys, value):
     cfg = write_tiny(tmp_path, welch={"segment_length": value})
@@ -485,11 +509,9 @@ MISSPELT_MODEL = misspelt(MODEL, "noise_variance", "nosie_variance")
     ({"model": MISSPELT_MODEL, "model_path": "model.json"}, "nosie_variance"),
     ({"model": {**MODEL, "edges": [misspelt(MODEL["edges"][0], "ab", "abb")]}}, "abb"),
     ({"corruption": [misspelt(CORRUPTION, "p", "probability")]}, "probability"),
-    # the decision rule follows from the Welch segment count; no config sets it
-    ({"decision": {"magnitude_threshold": 0.05, "phase_threshold": 0.1}}, "decision"),
 ], ids=[
     "ridge", "welch-window", "outputs", "model-noise-variance",
-    "model-file-noise-variance", "edge-ab", "corruption-p", "decision",
+    "model-file-noise-variance", "edge-ab", "corruption-p",
 ])
 def test_unknown_config_key_exits_2(tmp_path, capsys, overrides, key):
     payload = {**TINY, **overrides}
