@@ -4,14 +4,14 @@ pipeline | sweep.
 Every stage reads the experiment config plus its input files from the
 output directory, writes its own artifacts, and records a manifest with
 parameter echo and input/output SHA-256 hashes.  The panel files are the
-stages' working store: simulate writes its trajectory block by block,
-corrupt reads the clean panel and writes the corrupted one a row block at
-a time, and spectra reads spans of that, so no stage holds a whole panel
-and memory does not grow with the trajectory beyond one row.  A panel is
-written to a temporary name that replaces the artifact only when the stage
-succeeds.  Simulate hashes its panel by reading the finished file back,
-corrupt hashes its rows as it writes them, in file order; both hash on the
-stage's helper thread.  Within one `pipeline` run, corrupt and spectra take
+stages' working store: simulate writes its trajectory a scan span at a
+time, corrupt reads the clean panel and writes the corrupted one a row
+block at a time, and spectra reads spans of that, so no stage holds a
+whole panel or a whole row and memory does not grow with the trajectory.
+A panel is written to a temporary name that replaces the artifact only
+when the stage succeeds.  Simulate hashes its panel by reading the
+finished file back, corrupt hashes its rows as it writes them, in file
+order; both hash on the stage's helper thread.  Within one `pipeline` run, corrupt and spectra take
 their input's hash from the stage that wrote it, so no panel is hashed
 twice; a stage run alone hashes its input file while it works.  Detect and
 learn take the spectra stage's `SpectralMatrix` in memory, so a `pipeline`

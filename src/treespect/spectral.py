@@ -28,7 +28,7 @@ from .panel import PanelReader, TimeSeriesPanel, expect_payload, read_exact, rea
 SPECTRA_MAGIC = b"RTSM"
 BAND_EDGE_BINS = 2  # bins this many spacings from omega = 0 or pi are not interior
 COND_CAP = 1e12  # inversion flags a bin whose 2-norm condition number exceeds this
-WORKSPACE = 2**22  # complex entries of the Welch workspace F, ~64 MB
+WORKSPACE = 2**18  # complex entries of the Welch workspace F, ~4 MB
 
 
 @dataclass(frozen=True)
@@ -221,23 +221,23 @@ def estimate_cpsd(source: TimeSeriesPanel | PanelReader, params: WelchParams) ->
     The real FFT gives bins k = 0..L/2, which is the whole spectrum: the
     bins at -omega are the conjugates.
 
-    The channel means come first, one row at a time; a file source is read
-    row by row for them, into F's memory if a row fits there, so the mean
-    pass holds at most one row of its own.  Then two threads
-    demean, window and transform half of each chunk's segments each, a tile
-    of a few segments at a time: each reads the tile's sample span (a view
-    of an in-memory panel, a read of a file into a ~2 MB buffer of its own)
-    and writes the real FFT straight into a bin-major workspace F of shape
-    (L/2+1, N, chunk) through a ~2 MB scratch buffer. The main thread then
-    conjugates a ~2 MB group of F's bins at a time into a small buffer
-    and adds F_k conj(F_k)^T into the accumulator; with the segment axis
-    contiguous, that product is one BLAS call per bin. F is the only
-    chunk-sized workspace and is allocated once per call; the tiles and
-    the group stay in cache. The chunk length depends only on N and L,
-    and the chunks are summed in order, so every FFT line and every bin's
-    product sees the same operands as a serial loop would, and the
-    estimate depends neither on how the work is split nor on where the
-    samples come from.
+    The channel means come first, one row at a time, each summed in pieces
+    read into F's memory along numpy's own summation tree (`_row_mean`), so
+    the mean pass holds no row and matches `row.mean()` bit for bit. Then
+    two threads demean, window and transform half of each chunk's segments
+    each, a tile of a few segments at a time: each reads the tile's sample
+    span (a view of an in-memory panel, a read of a file into a ~2 MB buffer
+    of its own) and writes the real FFT straight into a bin-major workspace
+    F of shape (L/2+1, N, chunk) through a ~2 MB scratch buffer. The main
+    thread then conjugates a ~2 MB group of F's bins at a time into a small
+    buffer and adds F_k conj(F_k)^T into the accumulator; with the segment
+    axis contiguous, that product is one BLAS call per bin. F, about 4 MB,
+    is the only chunk-sized workspace and is allocated once per call; the
+    tiles and the group stay in cache, so memory does not grow with the
+    record. The chunk length depends only on N and L, and the chunks are
+    summed in order, so every FFT line and every bin's product sees the same
+    operands as a serial loop would, and the estimate depends neither on how
+    the work is split nor on where the samples come from.
     """
     n, t = source.n_channels, source.n_samples
     L, hop = params.segment_length, params.hop
@@ -250,18 +250,15 @@ def estimate_cpsd(source: TimeSeriesPanel | PanelReader, params: WelchParams) ->
     scale = 1.0 / (n_seg * np.sum(window**2))
     bins = L // 2 + 1
     acc = np.zeros((bins, n, n), dtype=np.complex128)
-    # bound F to ~64 MB regardless of trajectory length; tiles and groups to ~2 MB
+    # bound F to ~4 MB regardless of trajectory length; tiles and groups to ~2 MB
     chunk = max(8, WORKSPACE // (n * bins))
     width = min(chunk, n_seg)
     tile = min(width, max(1, 2**18 // (n * L)))
     group = min(bins, max(1, 2**17 // (n * width)))
     F = np.empty((bins, n, width), dtype=np.complex128)
     g = np.empty((group, n, width), dtype=np.complex128)
-    # a file's rows are read into F's memory when they fit: a freed row
-    # buffer under malloc's mmap threshold would stay resident beside F
     room = F.view(np.float64).reshape(-1)
-    room = room if room.size >= t else None
-    mean = np.array([source.row(i, out=room).mean() for i in range(n)])[:, None, None]
+    mean = np.array([_row_mean(source, i, room) for i in range(n)])[:, None, None]
 
     def transform(lo, a, b):
         seg = np.empty((n, tile, L))
@@ -286,6 +283,26 @@ def estimate_cpsd(source: TimeSeriesPanel | PanelReader, params: WelchParams) ->
                 acc[k0:k1] += F[k0:k1, :, :m] @ h.transpose(0, 2, 1)
     acc *= scale
     return SpectralMatrix(FrequencyGrid.welch_bins(L), acc, source.labels)
+
+
+def _row_mean(source: TimeSeriesPanel | PanelReader, i: int, room: np.ndarray) -> np.float64:
+    """`row.mean()` of channel `i` of `source`, bit for bit, read through
+    `room`, a float64 buffer of at least 128 entries, and never the whole row.
+
+    numpy sums a contiguous float64 row pairwise: it splits a piece of m >
+    128 samples at h = m // 2 - (m // 2) % 8 and adds the sums of the two
+    halves.  The pieces are split the same way until they fit in `room`, and
+    numpy sums each of those, so the total follows numpy's summation tree.
+    """
+
+    def total(lo, hi):
+        m = hi - lo
+        if m > room.size:
+            h = m // 2 - (m // 2) % 8
+            return total(lo, lo + h) + total(lo + h, hi)
+        return np.add.reduce(source.row(i, lo, hi, out=room), initial=0.0)
+
+    return total(0, source.n_samples) / source.n_samples
 
 
 def hermitize(m: np.ndarray) -> np.ndarray:

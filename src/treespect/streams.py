@@ -1,10 +1,11 @@
 """Time series: trajectory simulation and stream corruption, in blocks.
 
-Simulation runs on blocks of `BLOCK` samples of every channel, corruption
-on blocks of `ROW_BLOCK` samples of one channel; both carry their state
-from one block to the next, so a stage can stream a trajectory of any
-length through the panel files.  `simulate` and `apply_corruption` collect
-the same blocks into an in-memory panel.
+Simulation draws noise in blocks of `BLOCK` samples of every channel and
+yields it filtered `SPAN` samples at a time, corruption runs on blocks of
+`ROW_BLOCK` samples of one channel; both carry their state from one block
+to the next, so a stage can stream a trajectory of any length through the
+panel files.  `simulate` and `apply_corruption` collect the same blocks
+into an in-memory panel.
 
 Like every module of the package, it needs numpy alone: the modal filters
 run as a blocked scan (`_scan`), not through `scipy.signal`.
@@ -24,7 +25,7 @@ from .panel import TimeSeriesPanel
 BLOCK = 250_000  # samples per simulated block; it sets how the noise draws fill the panel
 ROW_BLOCK = 1 << 16  # samples per corrupted block of one channel
 SCAN = 32  # samples per chunk of the modal scan
-SPAN = 1 << 15  # samples per scan call, which keeps its buffers small
+SPAN = 1 << 15  # samples per scan call and per simulated piece, which keeps buffers small
 EIGEN_COND_CAP = 1e8  # simulation steps the recursion if the eigenbasis is worse conditioned
 
 
@@ -59,32 +60,37 @@ def _scan(u, lam, y0):
 
 
 def _modal_block(w, groups):
-    """The samples of every channel driven by the noise block `w`, `SPAN`
-    samples at a time.  Each of `groups` is (Vin, lam, y, Vout): modes `lam`
-    with noise entering through `Vin` and leaving through `Vout`, and `y`
-    their last values, updated in place for the next block.  The first group
-    holds the real modes and writes the output; the others add to it."""
-    out = np.empty(w.shape)
+    """The samples of every channel driven by the noise block `w`, yielded
+    `SPAN` samples at a time as each span is filtered, each a new array.
+    Each of `groups` is (Vin, lam, y, Vout): modes `lam` with noise entering
+    through `Vin` and leaving through `Vout`, and `y` their last values,
+    updated in place for the next span.  The first group holds the real
+    modes and writes the output; the others add to it."""
     for lo in range(0, w.shape[1], SPAN):
-        noise, span = w[:, lo:lo + SPAN], out[:, lo:lo + SPAN]
+        noise = w[:, lo:lo + SPAN]
         for g, (Vin, lam, y, Vout) in enumerate(groups):
             modes = _scan(Vin @ noise, lam, y)
             y[:] = modes[:, -1]
             if g == 0:
-                np.matmul(Vout, modes, out=span)
+                span = Vout @ modes
             else:
                 span += (Vout @ modes).real
-    return out
+        yield span
 
 
-def _step_block(C, state, w_block):
-    n, m = w_block.shape
-    out = np.empty((n, m))
-    for t in range(m):
-        state = C @ state
-        state[:n] += w_block[:, t]
-        out[:, t] = state[:n]
-    return out, state
+def _step_block(C, state, w):
+    """The samples of every channel driven by the noise block `w`, stepping
+    the companion recursion one sample at a time from `state`, which is
+    updated in place; yielded `SPAN` samples at a time, each a new array."""
+    n = w.shape[0]
+    for lo in range(0, w.shape[1], SPAN):
+        noise = w[:, lo:lo + SPAN]
+        out = np.empty(noise.shape)
+        for t in range(noise.shape[1]):
+            state[:] = C @ state
+            state[:n] += noise[:, t]
+            out[:, t] = state[:n]
+        yield out
 
 
 def simulate_blocks(
@@ -94,7 +100,8 @@ def simulate_blocks(
     burn_in: int = DEFAULT_BURN_IN,
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Draw one trajectory of the network with Gaussian innovations, as
-    (lo, samples lo..lo+m of every channel) pairs in time order.
+    (lo, samples lo..lo+m of every channel) pairs in time order, m at most
+    `SPAN`.
 
     The companion-form recursion is run through its eigenbasis so each mode
     is a scalar first-order filter, and `_scan` runs every mode's filter at
@@ -105,10 +112,11 @@ def simulate_blocks(
     When the eigenbasis is ill-conditioned (condition number not under
     `EIGEN_COND_CAP`) or C is defective, a direct stepping loop runs the
     recursion verbatim instead.  Both paths consume the identical noise
-    stream, drawn in blocks of `BLOCK` samples, and carry the filter state
-    across blocks.
+    stream, drawn in blocks of `BLOCK` samples, carry the filter state
+    across blocks, and yield each `SPAN` samples as soon as they are
+    filtered, so no output block is held.
     The first `burn_in` samples are run to reach stationarity but never
-    yielded, so the blocks hold exactly `length` samples; each is a new
+    yielded, so the pieces hold exactly `length` samples; each is a new
     array, checked for finite samples, and the output is bit-reproducible
     for a fixed (model, length, seed).
     """
@@ -137,25 +145,21 @@ def _simulated(model, length, seed, burn_in):
     else:
         state = np.zeros(C.shape[0])
 
-    done = 0
+    done = 0  # samples filtered, burn-in included
     while done < total:
-        m = min(BLOCK, total - done)
-        w = rng.standard_normal((n, m))
+        w = rng.standard_normal((n, min(BLOCK, total - done)))
         w *= sigma[:, None]
-        lo, hi = max(done - burn_in, 0), max(done + m - burn_in, 0)
-        skip = m - (hi - lo)  # leading block columns still in burn-in
-        done += m
-        if use_eigen:
-            out = _modal_block(w, groups)
-        else:
-            out, state = _step_block(C, state, w)
-        del w  # so the next draw reuses this block's memory instead of growing the heap
-        out = out[:, skip:]
-        if hi == lo:
-            continue
-        if not np.isfinite(out).all():
-            raise NumericalError("simulation produced non-finite samples")
-        yield lo, out
+        spans = _modal_block(w, groups) if use_eigen else _step_block(C, state, w)
+        for out in spans:
+            skip = min(max(burn_in - done, 0), out.shape[1])  # columns still in burn-in
+            done += out.shape[1]
+            if skip == out.shape[1]:
+                continue
+            out = out[:, skip:]
+            if not np.isfinite(out).all():
+                raise NumericalError("simulation produced non-finite samples")
+            yield done - burn_in - out.shape[1], out
+        del w, spans  # so the next draw reuses this block's memory instead of growing the heap
 
 
 def simulate(

@@ -11,7 +11,7 @@ from treespect import spectral
 from treespect.errors import DataError, NumericalError
 from treespect.graphs import UndirectedGraph
 from treespect.ltisim import GenerativeModel, analytic_psd
-from treespect.panel import TimeSeriesPanel
+from treespect.panel import PanelReader, TimeSeriesPanel, save_panel
 from treespect.spectral import (
     COND_CAP,
     FrequencyGrid,
@@ -160,8 +160,8 @@ def test_matches_scipy_csd():
 
 
 def test_matches_scipy_csd_across_chunks():
-    # at n=3, L=4096 the ~64 MB workspace bound gives chunks of 682
-    # segments; 800 segments make one full chunk and one partial chunk
+    # at n=3, L=4096 the ~4 MB workspace bound gives chunks of 42
+    # segments; 800 segments make 19 full chunks and one partial chunk
     n, L = 3, 4096
     params = WelchParams(segment_length=L)
     t = L + 799 * params.hop
@@ -190,7 +190,7 @@ def serial_chunk_loop(panel, params):
     n_seg = params.segment_count(t)
     segments = sliding_window_view(panel.data, L, axis=1)[:, ::params.hop]
     mean = panel.data.mean(axis=1)[:, None, None]
-    chunk = max(8, 2**22 // (n * bins))
+    chunk = max(8, spectral.WORKSPACE // (n * bins))
     acc = np.zeros((bins, n, n), dtype=np.complex128)
     for lo in range(0, n_seg, chunk):
         seg = segments[:, lo:lo + chunk] - mean
@@ -205,11 +205,11 @@ def serial_chunk_loop(panel, params):
     "n, L, n_seg, chunks",
     [
         (2, 64, 155, [155]),  # one chunk
-        (7, 16384, 147, [73, 73, 1]),  # a one-segment last chunk leaves one half empty
-        (3, 4096, 781, [682, 99]),  # an odd segment count in a chunk
-        (7, 1024, 1169, [1168, 1]),  # the chain7 benchmark's shape
-        # halves of 500 and 501 segments in tiles of 204, 129 bins in groups of 26
-        (5, 256, 1001, [1001]),
+        (7, 4096, 37, [18, 18, 1]),  # a one-segment last chunk leaves one half empty
+        (3, 2048, 125, [85, 40]),  # an odd segment count in a chunk
+        (7, 1024, 164, [73, 73, 18]),  # the chain7 benchmark's shape, whose last chunk is 18
+        # halves of 4 (then 2 and 3) segments in tiles of 3, 8193 bins in groups of 3276
+        (5, 16384, 13, [8, 5]),
     ],
     ids=["one-chunk", "one-segment-tail", "odd-chunk", "benchmark-shape", "ragged-tiles"],
 )
@@ -229,12 +229,15 @@ def test_estimate_cpsd_matches_serial_chunk_loop(n, L, n_seg, chunks):
 
 
 def test_estimate_cpsd_keeps_one_chunk_workspace():
-    # F (bins, n, chunk) is the only chunk-sized buffer; a segment copy of
-    # the chunk or a conjugated copy of F would each add about as much again
+    # F (bins, n, chunk) is the only chunk-sized buffer; beside it sit two
+    # threads' 2 MiB segment tiles and 1 MiB sample spans and the 2 MiB
+    # conjugated group of bins. A segment copy of the chunk or a conjugated
+    # copy of F would each add as much as F again
     n, L = 7, 1024
     params = WelchParams(segment_length=L)
-    panel = white_panel(n=n, t=L + 1168 * params.hop, seed=7)
-    bins, chunk = L // 2 + 1, 1168
+    bins = L // 2 + 1
+    chunk = spectral.WORKSPACE // (n * bins)
+    panel = white_panel(n=n, t=L + 2 * chunk * params.hop, seed=7)
     assert params.segment_count(panel.data.shape[1]) > chunk
     tracemalloc.start()
     try:
@@ -242,7 +245,24 @@ def test_estimate_cpsd_keeps_one_chunk_workspace():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * bins * n * chunk * np.dtype(np.complex128).itemsize
+    f_bytes = bins * n * chunk * np.dtype(np.complex128).itemsize
+    assert peak < f_bytes + 5 * 2**21
+
+
+@pytest.mark.parametrize(
+    "t", [1, 7, 8, 127, 128, 129, 2**10 - 1, 2**10 + 1, 2**16 - 1, 2**16 + 1, 1_000_003]
+)
+def test_row_mean_is_numpy_mean_bit_for_bit(tmp_path, t):
+    # the mean pass sums a row in pieces that fit its buffer, along numpy's
+    # pairwise tree; an offset makes every piece's rounding show in the mean
+    data = 1e3 + np.random.default_rng(t).standard_normal((2, t))
+    panel = TimeSeriesPanel(data, ["a", "b"])
+    with PanelReader(save_panel(panel, tmp_path / "panel.bin")) as reader:
+        for source in (panel, reader):
+            for room in (128, 1_000, 2**13, 2**17):
+                for i in range(2):
+                    mean = spectral._row_mean(source, i, np.empty(room))
+                    assert mean.tobytes() == data[i].mean().tobytes(), (source, room, i)
 
 
 def test_estimate_cpsd_joins_its_threads_and_checks_before_starting(monkeypatch):

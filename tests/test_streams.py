@@ -153,14 +153,21 @@ def sequential_simulation(model, length, seed, burn_in, block):
     (9_973, 9_972, 12_000),  # the first block yields one sample
     (9_973, 5, 25_000),
     (streams.SPAN + 7_000, 3, 75_000),  # blocks longer than one scan call
+    # blocks of three scan calls, burn-in ending inside the first block's second span
+    (2 * streams.SPAN + 5_000, streams.SPAN + 1_234, 40_000),
 ])
 def test_simulation_carries_the_scan_state_across_blocks(monkeypatch, block, burn_in, length):
     model = near_margin_model()
     assert np.abs(np.linalg.eigvals(model.companion_matrix())).max() > 0.998
     monkeypatch.setattr(streams, "BLOCK", block)
-    panel = streams.simulate(model, length, seed=12, burn_in=burn_in)
+    pieces = list(streams.simulate_blocks(model, length, seed=12, burn_in=burn_in))
+    # each scan call's output is yielded as it is filtered: pieces at most
+    # SPAN wide, back to back in time over exactly [0, length)
+    ends = [lo + samples.shape[1] for lo, samples in pieces]
+    assert [lo for lo, _ in pieces] == [0] + ends[:-1] and ends[-1] == length
+    assert all(0 < samples.shape[1] <= streams.SPAN for _, samples in pieces)
     expected = sequential_simulation(model, length, 12, burn_in, block)
-    assert row_relative_gap(panel.data, expected) <= 1e-13
+    assert row_relative_gap(np.hstack([x for _, x in pieces]), expected) <= 1e-13
 
 
 BLOCK_EDGE_SPECS = (
