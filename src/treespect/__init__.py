@@ -29,7 +29,7 @@ from .errors import (
     TreespectError,
 )
 from .graphs import UndirectedGraph, connected_components, is_tree, neighborhood_is_clique
-from .instances import Instance, chain7_corruption, chain7_model, random_instance
+from .instances import Instance, random_instance
 from .ltisim import (
     GenerativeModel,
     analytic_inverse_psd,

@@ -10,14 +10,15 @@ block at a time, and spectra reads spans of that, so no stage holds a
 whole panel or a whole row and memory does not grow with the trajectory.
 A panel is written to a temporary name that replaces the artifact only
 when the stage succeeds.  Simulate hashes its panel by reading the
-finished file back, corrupt hashes its rows as it writes them, in file
-order; both hash on the stage's helper thread.  Within one `pipeline` run, corrupt and spectra take
-their input's hash from the stage that wrote it, so no panel is hashed
-twice; a stage run alone hashes its input file while it works.  Detect and
-learn take the spectra stage's `SpectralMatrix` in memory, so a `pipeline`
-run inverts its spectrum once; they still hash the spectra file for their
-manifests.  Spectra and reports are hashed from their files.  Exit codes:
-0 ok, 2 config, 3 data, 4 numerical, 5 assumption violation.
+finished file back, on its own thread; corrupt hashes its rows as it
+writes them, in file order, on a helper thread.  Within one `pipeline`
+run, corrupt and spectra take their input's hash from the stage that
+wrote it, so no panel is hashed twice; a stage run alone hashes its input
+file on a helper thread while it works.  Detect and learn take the
+spectra stage's `SpectralMatrix` in memory, so a `pipeline` run inverts
+its spectrum once; they still hash the spectra file for their manifests.
+Spectra and reports are hashed from their files.  Exit codes: 0 ok,
+2 config, 3 data, 4 numerical, 5 assumption violation.
 """
 
 from __future__ import annotations
@@ -107,11 +108,11 @@ def _require(path: Path, hint: str) -> Path:
     return path
 
 
-# Simulate's block writes and every panel hash run on the stage's helper
-# thread (hashlib and file I/O release the GIL), so they overlap the stage's
-# own work.  The helper calls sha256_parts, never sha256_file: the
-# benchmark's tracer wraps this module's sha256_file, and its span stack is
-# the main thread's.
+# Corrupt's row hashing and the hash of a stage's input panel run on the
+# stage's helper thread (hashlib and file I/O release the GIL), so they
+# overlap the stage's own work.  Panels are hashed with sha256_parts, never
+# sha256_file: the benchmark's tracer wraps this module's sha256_file, for
+# the small files, and its span stack is the main thread's.
 #
 # `handoff` maps a panel file name to its SHA-256 for a panel an earlier
 # stage of the same run wrote; the stage that reads it pops the entry, so no
@@ -146,12 +147,12 @@ def _in_order(helper: ThreadPoolExecutor, call, items) -> None:
 def stage_simulate(cfg: ExperimentConfig, out: Path, handoff: dict) -> list[Path]:
     blocks = simulate_blocks(cfg.model, cfg.trajectory_length, cfg.seed, burn_in=cfg.burn_in)
     path = out / PANEL_CLEAN
-    with ThreadPoolExecutor(max_workers=1) as helper:
-        with PanelWriter(path, cfg.model.labels, cfg.trajectory_length) as writer:
-            _in_order(helper, writer.put, blocks)
-        # blocks land at their offsets in every row, out of file order, so
-        # the file is hashed once it is complete
-        digest = helper.submit(sha256_parts, read_chunks(path)).result()
+    with PanelWriter(path, cfg.model.labels, cfg.trajectory_length) as writer:
+        for lo, block in blocks:
+            writer.put(lo, block)
+    # blocks land at their offsets in every row, out of file order, so the
+    # file is hashed once it is complete
+    digest = sha256_parts(read_chunks(path))
     handoff[path.name] = digest
     _write_manifest(out, "simulate", cfg, {}, {path.name: digest})
     return [path]

@@ -1,5 +1,5 @@
 """Random radial-system instances whose corruptions satisfy the 3-hop
-placement rule, plus the bundled 7-node chain demo system.
+placement rule.
 
 The sampler is constructive: corrupt nodes are laid out on a backbone path
 with gaps of at least three hops and at least three hops of slack before
@@ -147,30 +147,3 @@ def adversarial_instance(rng: np.random.Generator, n: int) -> Instance:
     specs = (draw_delay_spec(rng, 3), draw_delay_spec(rng, 5))
     return Instance(model, specs)
 
-
-# ---------------------------------------------------------------------------
-# the bundled 7-node chain demo system
-
-def chain7_model() -> GenerativeModel:
-    """The 7-node bidirectional chain used by the demo experiment."""
-    b = {
-        (0, 1): 0.5,
-        (1, 0): 0.36, (1, 2): 0.6,
-        (2, 1): 0.95, (2, 3): -1.7,
-        (3, 2): 0.51, (3, 4): 0.55,
-        (4, 3): 1.5, (4, 5): 0.6,
-        (5, 4): 0.7, (5, 6): 0.5,
-        (6, 5): 0.65,
-    }
-    return GenerativeModel(
-        UndirectedGraph.chain(7),
-        b,
-        (((0.0,),) * 7),
-        np.ones(7),
-        tuple(str(i + 1) for i in range(7)),
-    )
-
-
-def chain7_corruption() -> tuple[CorruptionSpec, ...]:
-    """Random delay on node 4: two samples late with probability 0.7."""
-    return (CorruptionSpec(node=3, kind="random_delay", p=0.7, t1=-2, t2=0),)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.signal import lfilter
 
+from treespect.config import bundled_config_path, load_config
 from treespect.corruption import CorruptionSignature
 from treespect.errors import DataError
 from treespect.graphs import UndirectedGraph, bfs_distances, is_tree
@@ -12,6 +13,13 @@ from treespect.ltisim import GenerativeModel, analytic_inverse_psd, spectral_rad
 from treespect.oracles import H_FLOOR, woodbury_chain_inverse
 from treespect.panel import TimeSeriesPanel, panel_header
 from treespect.spectral import COND_CAP, WelchParams, estimate_cpsd, hermitize
+
+
+def chain7():
+    """The bundled 7-node chain system: `(model, corruption specs)` of the
+    `chain7` config."""
+    cfg = load_config(bundled_config_path("chain7"))
+    return cfg.model, cfg.corruption
 
 
 def prufer_tree(seq: list[int], n: int) -> UndirectedGraph:

@@ -27,8 +27,6 @@ from treespect.errors import AssumptionViolation
 from treespect.graphs import UndirectedGraph
 from treespect.instances import (
     Instance,
-    chain7_corruption,
-    chain7_model,
     draw_delay_spec,
     draw_model,
     random_instance,
@@ -49,6 +47,7 @@ from treespect.spectral import FrequencyGrid, WelchParams, estimate_cpsd, invert
 from treespect.streams import apply_corruption, simulate
 
 from conftest import (
+    chain7,
     draw_ar_model,
     estimate_signature,
     moral_graph,
@@ -111,10 +110,10 @@ def chain_run():
     samples = int(os.environ.get("TREESPECT_ACCEPT_SAMPLES", 10_000_000))
     welch = WelchParams(segment_length=1024 if samples >= 4_000_000 else 256)
     params = EdgeDecisionParams(welch.segment_count(samples))
-    model = chain7_model()
+    model, specs = chain7()
     t0 = time.perf_counter()
     panel = simulate(model, samples, seed=7)
-    corrupted = apply_corruption(panel, list(chain7_corruption()), seed=7)
+    corrupted = apply_corruption(panel, list(specs), seed=7)
     psd = estimate_cpsd(corrupted, welch)
     inv = invert_spectrum(psd)
     rep = detect(inv, params)
@@ -336,7 +335,7 @@ def test_criterion_5_sweep_reports_rates(tmp_path):
 # criterion 6: corruption signature estimation
 
 def test_criterion_6_signatures():
-    model = chain7_model()
+    model, _ = chain7()
     panel = simulate(model, 1_000_000, seed=606)
     specs = [
         CorruptionSpec(node=3, kind="random_delay", p=0.7, t1=-2, t2=0),

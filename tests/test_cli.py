@@ -13,17 +13,16 @@ import pytest
 from treespect import spectral, streams
 from treespect.cli import main, run_stages
 from treespect.config import bundled_config_path, config_from_dict, load_config
-from treespect.instances import chain7_model
 from treespect.ltisim import model_to_dict
 from treespect.panel import TimeSeriesPanel, panel_header, save_panel
 from treespect.spectral import estimate_cpsd, save_spectra_binary
 from treespect.streams import apply_corruption, simulate
 
-from conftest import rtsp_file, two_sided, whole_channel_corruption
+from conftest import chain7, rtsp_file, two_sided, whole_channel_corruption
 
 # small, fast experiment: clean 7-chain, short record
 TINY = {
-    "model": model_to_dict(chain7_model()),
+    "model": model_to_dict(chain7()[0]),
     "corruption": [],
     "trajectory_length": 120_000,
     "seed": 5,
@@ -603,7 +602,8 @@ def test_non_finite_spectra_exits_3(tmp_path, capsys):
     from treespect.spectral import FrequencyGrid, SpectralMatrix, save_spectra_binary
 
     cfg = bundled_config_path("chain7_quick")
-    psd = analytic_psd(chain7_model(), FrequencyGrid.welch_bins(256))
+    model, _ = chain7()
+    psd = analytic_psd(model, FrequencyGrid.welch_bins(256))
     values = psd.values.copy()
     values[40, 2, 5] = np.nan
     out = tmp_path / "run"

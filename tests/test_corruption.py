@@ -3,18 +3,18 @@ import pytest
 
 from treespect.corruption import CorruptionSpec, CorruptionSignature, analytic_signature
 from treespect.errors import DataError
-from treespect.instances import chain7_corruption, chain7_model
 from treespect.spectral import FrequencyGrid, WelchParams
 from treespect.streams import apply_corruption, simulate
 
-from conftest import estimate_signature, panel_copy
+from conftest import chain7, estimate_signature, panel_copy
 
 WELCH = WelchParams(segment_length=256)
 
 
 @pytest.fixture(scope="module")
 def chain_panel():
-    return simulate(chain7_model(), 300_000, seed=11)
+    model, _ = chain7()
+    return simulate(model, 300_000, seed=11)
 
 
 # ---------------------------------------------------------------------------
@@ -56,7 +56,7 @@ def test_none_and_degenerate_drop_are_identity(chain_panel):
 
 
 def test_delay_realizes_shift_mixture(chain_panel):
-    spec = chain7_corruption()[0]
+    _, (spec,) = chain7()
     out = apply_corruption(panel_copy(chain_panel), [spec], seed=7)
     x, u = chain_panel.data[3], out.data[3]
     t = np.arange(2, x.size)
@@ -76,7 +76,8 @@ def test_packet_drop_holds_last_value(chain_panel):
 
 
 def test_uncorrupted_channels_untouched(chain_panel):
-    out = apply_corruption(panel_copy(chain_panel), list(chain7_corruption()), seed=3)
+    _, specs = chain7()
+    out = apply_corruption(panel_copy(chain_panel), list(specs), seed=3)
     for i in range(7):
         if i != 3:
             np.testing.assert_array_equal(out.data[i], chain_panel.data[i])
@@ -108,7 +109,8 @@ def test_apply_rejects_bad_nodes(chain_panel):
 
 def test_apply_rewrites_listed_channels_in_place(chain_panel):
     panel = panel_copy(chain_panel)
-    specs = [CorruptionSpec(node=1, kind="packet_drop", p=0.8), chain7_corruption()[0]]
+    _, (spec,) = chain7()
+    specs = [CorruptionSpec(node=1, kind="packet_drop", p=0.8), spec]
     assert apply_corruption(panel, specs, seed=3) is panel
     for i in range(7):
         same = panel.data[i].tobytes() == chain_panel.data[i].tobytes()
@@ -148,10 +150,10 @@ def test_trivial_signature_for_clean_channel(chain_panel):
 def test_delay_signature_matches_monte_carlo(chain_panel):
     # the analytic mixture response is validated against the empirical
     # estimate, which is the ground truth here
-    spec = chain7_corruption()[0]
+    model, (spec,) = chain7()
     out = apply_corruption(panel_copy(chain_panel), [spec], seed=31)
     est = estimate_signature(chain_panel.data[3], out.data[3], WELCH)
-    ana = analytic_signature(spec, est.grid, chain7_model())
+    ana = analytic_signature(spec, est.grid, model)
     assert np.abs(est.h - ana.h).max() < 0.12
     assert np.abs(est.d - ana.d).max() < 0.12
     # additive level frozen from the companion Lyapunov solve
@@ -182,7 +184,7 @@ def test_estimated_d_nonnegative_for_all_kinds(chain_panel):
 
 
 def test_different_seeds_same_signature(chain_panel):
-    spec = chain7_corruption()[0]
+    _, (spec,) = chain7()
     a = apply_corruption(panel_copy(chain_panel), [spec], seed=1)
     b = apply_corruption(panel_copy(chain_panel), [spec], seed=2)
     assert not np.array_equal(a.data[3], b.data[3])

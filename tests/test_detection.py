@@ -20,7 +20,7 @@ from treespect.detection import (
 )
 from treespect.errors import NumericalError
 from treespect.graphs import UndirectedGraph
-from treespect.instances import chain7_corruption, chain7_model, random_instance
+from treespect.instances import random_instance
 from treespect.ltisim import GenerativeModel, analytic_inverse_psd
 from treespect.oracles import analytic_corrupted_psd, analytic_signatures
 from treespect.panel import TimeSeriesPanel
@@ -34,7 +34,7 @@ from treespect.spectral import (
 )
 from treespect.streams import apply_corruption, simulate
 
-from conftest import moral_graph, perturbed_graph, two_sided
+from conftest import chain7, moral_graph, perturbed_graph, two_sided
 
 GRID = FrequencyGrid.welch_bins(256)
 
@@ -44,14 +44,15 @@ CHAIN7_PERTURBED = CHAIN7_MORAL | {(1, 4), (1, 5), (2, 5)}
 
 @pytest.fixture(scope="module")
 def chain_inverse():
-    model = chain7_model()
-    sigs = analytic_signatures(model, chain7_corruption(), GRID)
+    model, specs = chain7()
+    sigs = analytic_signatures(model, specs, GRID)
     return invert_spectrum(analytic_corrupted_psd(model, sigs, GRID))
 
 
 @pytest.fixture(scope="module")
 def clean_chain_inverse():
-    return analytic_inverse_psd(chain7_model(), GRID)
+    model, _ = chain7()
+    return analytic_inverse_psd(model, GRID)
 
 
 # ---------------------------------------------------------------------------
@@ -134,8 +135,8 @@ def _two_sided_statistics(inv, i, j, decision):
 
 @pytest.fixture(scope="module")
 def welch_chain_inverse():
-    model = chain7_model()
-    panel = apply_corruption(simulate(model, 200_000, seed=3), chain7_corruption(), seed=3)
+    model, specs = chain7()
+    panel = apply_corruption(simulate(model, 200_000, seed=3), specs, seed=3)
     return invert_spectrum(estimate_cpsd(panel, WelchParams(segment_length=256)))
 
 
@@ -264,7 +265,7 @@ def test_detect_recovers_corrupt_and_leaves_on_random_instances():
 
 
 def test_detect_is_permutation_equivariant():
-    model = chain7_model()
+    model, (spec,) = chain7()
     perm = [3, 0, 5, 1, 6, 2, 4]  # image of each original node
     inv_perm = np.argsort(perm)
     edges = [(perm[a], perm[b]) for a, b in model.topology.edges]
@@ -275,7 +276,6 @@ def test_detect_is_permutation_equivariant():
         model.noise_variance[inv_perm],
         tuple(model.labels[inv_perm[i]] for i in range(7)),
     )
-    spec = chain7_corruption()[0]
     base = detect(
         invert_spectrum(
             analytic_corrupted_psd(

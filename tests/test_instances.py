@@ -7,13 +7,13 @@ from treespect.graphs import bfs_distances, is_tree
 from treespect.instances import (
     Instance,
     adversarial_instance,
-    chain7_corruption,
-    chain7_model,
     draw_model,
     random_instance,
     tree_with_deep_nodes,
 )
 from treespect.ltisim import spectral_radius
+
+from conftest import chain7
 
 
 def min_leaf_distance(tree, node):
@@ -90,18 +90,17 @@ def test_adversarial_instance_violates_spacing(rng):
 
 
 def test_bundled_chain_definition():
-    model = chain7_model()
+    model, (spec,) = chain7()
     assert model.labels == tuple(str(i + 1) for i in range(7))
     assert model.topology.edges == frozenset((i, i + 1) for i in range(6))
     assert model.coupling[(2, 3)] == -1.7
     assert model.coupling[(4, 3)] == 1.5
     rho = spectral_radius(model.topology, model.coupling, model.self_dynamics)
     assert rho == pytest.approx(0.8556, abs=1e-4)
-    (spec,) = chain7_corruption()
     assert (spec.node, spec.p, spec.t1, spec.t2) == (3, 0.7, -2, 0)
 
 
 def test_instance_properties():
-    inst = Instance(chain7_model(), chain7_corruption())
+    inst = Instance(*chain7())
     assert inst.corrupt == {3}
     assert inst.topology is inst.model.topology

@@ -8,8 +8,6 @@ from treespect.detection import ANALYTIC_DECISION, phase_nonconstancy_score
 from treespect.graphs import bfs_distances
 from treespect.instances import (
     adversarial_instance,
-    chain7_corruption,
-    chain7_model,
     draw_delay_spec,
     random_instance,
 )
@@ -27,15 +25,14 @@ from treespect.spectral import (
 )
 from treespect.streams import apply_corruption, simulate
 
-from conftest import one_step_inverse, reference_woodbury
+from conftest import chain7, one_step_inverse, reference_woodbury
 
 GRID = FrequencyGrid.welch_bins(256)
 
 
 @pytest.fixture(scope="module")
 def chain_setup():
-    model = chain7_model()
-    specs = chain7_corruption()
+    model, specs = chain7()
     sigs = analytic_signatures(model, specs, GRID)
     return model, specs, sigs
 

@@ -5,12 +5,11 @@ import numpy as np
 import pytest
 
 from treespect.cli import main
+from treespect.corruption import CorruptionSpec
 from treespect.detection import ANALYTIC_DECISION, detect
 from treespect.errors import AssumptionViolation
 from treespect.graphs import UndirectedGraph
 from treespect.instances import (
-    chain7_corruption,
-    chain7_model,
     draw_model,
     random_instance,
     tree_with_deep_nodes,
@@ -27,7 +26,7 @@ from treespect.reconstruction import (
 )
 from treespect.spectral import FrequencyGrid, invert_spectrum
 
-from conftest import moral_graph
+from conftest import chain7, moral_graph
 
 GRID = FrequencyGrid.welch_bins(256)
 
@@ -41,8 +40,8 @@ CHAIN7_EDGES = frozenset((i, i + 1) for i in range(6))
 
 @pytest.fixture(scope="module")
 def chain_setup():
-    model = chain7_model()
-    sigs = analytic_signatures(model, chain7_corruption(), GRID)
+    model, specs = chain7()
+    sigs = analytic_signatures(model, specs, GRID)
     psd = analytic_corrupted_psd(model, sigs, GRID)
     report = detect(invert_spectrum(psd), ANALYTIC_DECISION)
     return model, psd, report
@@ -205,8 +204,8 @@ def test_hide_and_learn_recovers_chain(chain_setup):
 def test_detect_then_hide_and_learn_inverts_once(monkeypatch):
     # one stacked inversion serves both steps, and no bin of this spectrum
     # is near enough to the conditioning cap to need eigvalsh
-    model = chain7_model()
-    psd = analytic_corrupted_psd(model, analytic_signatures(model, chain7_corruption(), GRID), GRID)
+    model, specs = chain7()
+    psd = analytic_corrupted_psd(model, analytic_signatures(model, specs, GRID), GRID)
     calls = []
     inv, eigvalsh = np.linalg.inv, np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "inv", lambda a: calls.append(a.shape) or inv(a))
@@ -298,7 +297,7 @@ def test_hide_and_learn_permutation_equivariant(chain_setup):
         model.noise_variance[inv_perm],
         tuple(model.labels[inv_perm[i]] for i in range(7)),
     )
-    spec = chain7_corruption()[0]
+    _, (spec,) = chain7()
     pspec = type(spec)(node=perm[spec.node], kind=spec.kind, p=spec.p, t1=spec.t1, t2=spec.t2)
     ppsd = analytic_corrupted_psd(
         permuted, analytic_signatures(permuted, [pspec], GRID), GRID
@@ -326,7 +325,7 @@ def test_corrupt_node_near_leaf_never_silently_succeeds():
         ((0.0,),) * 5,
         np.ones(5),
     )
-    spec = type(chain7_corruption()[0])(node=2, kind="random_delay", p=0.7, t1=-2, t2=0)
+    spec = CorruptionSpec(node=2, kind="random_delay", p=0.7, t1=-2, t2=0)
     sigs = analytic_signatures(model, [spec], GRID)
     psd = analytic_corrupted_psd(model, sigs, GRID)
     report = detect(invert_spectrum(psd), ANALYTIC_DECISION)
@@ -361,8 +360,8 @@ def test_adjacent_corrupt_nodes_never_silently_succeed():
     tree = UndirectedGraph.chain(9)
     model = draw_model(rng, tree)
     specs = [
-        type(chain7_corruption()[0])(node=3, kind="random_delay", p=0.7, t1=-1, t2=0),
-        type(chain7_corruption()[0])(node=5, kind="random_delay", p=0.8, t1=2, t2=0),
+        CorruptionSpec(node=3, kind="random_delay", p=0.7, t1=-1, t2=0),
+        CorruptionSpec(node=5, kind="random_delay", p=0.8, t1=2, t2=0),
     ]
     sigs = analytic_signatures(model, specs, GRID)
     psd = analytic_corrupted_psd(model, sigs, GRID)
