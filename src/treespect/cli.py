@@ -10,8 +10,8 @@ block at a time, and spectra reads spans of that, so no stage holds a
 whole panel or a whole row and memory does not grow with the trajectory.
 A panel is written to a temporary name that replaces the artifact only
 when the stage succeeds.  Simulate hashes its panel by reading the
-finished file back, on its own thread; corrupt hashes its rows as it
-writes them, in file order, on a helper thread.  Within one `pipeline`
+finished file back once its writer has closed; corrupt hashes its rows
+as it writes them, in file order, on a helper thread.  Within one `pipeline`
 run, corrupt and spectra take their input's hash from the stage that
 wrote it, so no panel is hashed twice; a stage run alone hashes its input
 file on a helper thread while it works.  Detect and learn take the

@@ -28,11 +28,11 @@ CHECK_SPAN = 1 << 16  # samples per finiteness check of a read, so its mask stay
 
 
 def check_layout(n: int, t: int, labels: Sequence[str]) -> tuple[str, ...]:
-    """The labels as strings, if `n` channels of `t` samples named by
-    `labels` make a panel; else a DataError."""
+    """The labels as strings, if `n` channels of `t` samples (or spectral
+    bins) named by `labels` make a panel; else a DataError."""
     labels = tuple(str(x) for x in labels)
     if n < 2 or t < 1:
-        raise DataError(f"panel needs >=2 channels and >=1 sample, got {n}x{t}")
+        raise DataError(f"need >= 2 channels and >= 1 sample, got {n}x{t}")
     if len(labels) != n:
         raise DataError("label count does not match channel count")
     if len(set(labels)) != n:
@@ -64,8 +64,8 @@ class TimeSeriesPanel:
     def n_samples(self) -> int:
         return self.data.shape[1]
 
-    def row(self, i: int, lo: int = 0, hi: int | None = None, out=None) -> np.ndarray:
-        """Samples lo..hi of channel `i`, a view; `out` is not needed."""
+    def row(self, i: int, lo: int = 0, hi: int | None = None) -> np.ndarray:
+        """Samples lo..hi of channel `i`, a view."""
         return self.data[i, lo:hi]
 
     def read(self, lo: int, hi: int, out: np.ndarray | None = None) -> np.ndarray:
@@ -175,11 +175,10 @@ class PanelReader:
             if not np.isfinite(out[a:a + CHECK_SPAN]).all():
                 raise DataError(f"{self.path}: channel {i} has non-finite samples")
 
-    def row(self, i: int, lo: int = 0, hi: int | None = None, out=None) -> np.ndarray:
-        """Samples lo..hi of channel `i`, read into the leading entries of
-        `out` (a contiguous float64 buffer; a new array if None)."""
+    def row(self, i: int, lo: int = 0, hi: int | None = None) -> np.ndarray:
+        """Samples lo..hi of channel `i`, in a new array."""
         hi = self.n_samples if hi is None else hi
-        out = np.empty(hi - lo, dtype="<f8") if out is None else out[:hi - lo]
+        out = np.empty(hi - lo, dtype="<f8")
         self._fill(out, i, lo)
         return out
 

@@ -23,7 +23,9 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DataError, NumericalError
-from .panel import PanelReader, TimeSeriesPanel, expect_payload, read_exact, read_labels
+from .panel import (
+    PanelReader, TimeSeriesPanel, check_layout, expect_payload, read_exact, read_labels
+)
 
 SPECTRA_MAGIC = b"RTSM"
 BAND_EDGE_BINS = 2  # bins this many spacings from omega = 0 or pi are not interior
@@ -215,29 +217,32 @@ def estimate_cpsd(source: TimeSeriesPanel | PanelReader, params: WelchParams) ->
     """Welch-averaged cross power spectral density for all channel pairs of
     `source`, an in-memory panel or a panel file open for reading.
 
-    Segments are strided views of the samples, demeaned and windowed one
+    Segments are strided views of the samples, shifted and windowed one
     chunk at a time, transformed once per channel, and averaged as per-bin
     outer products F_k F_k^H, so the estimate is Hermitian by construction.
     The real FFT gives bins k = 0..L/2, which is the whole spectrum: the
-    bins at -omega are the conjugates.
+    bins at -omega are the conjugates. The shift is the first segment's
+    channel means. A constant moves only bins 0 and 1 of a periodic-Hann
+    segment, by L/2 and -L/4 times itself, so at the end those two bins are
+    corrected in closed form for the channel means, from their summed
+    segment transforms and the sum of the shifted samples; the shift keeps
+    that correction small, so a large offset cancels in the samples.
 
-    The channel means come first, one row at a time, each summed in pieces
-    read into F's memory along numpy's own summation tree (`_row_mean`), so
-    the mean pass holds no row and matches `row.mean()` bit for bit. Then
-    two threads demean, window and transform half of each chunk's segments
-    each, a tile of a few segments at a time: each reads the tile's sample
-    span (a view of an in-memory panel, a read of a file into a ~2 MB buffer
-    of its own) and writes the real FFT straight into a bin-major workspace
-    F of shape (L/2+1, N, chunk) through a ~2 MB scratch buffer. The main
-    thread then conjugates a ~2 MB group of F's bins at a time into a small
-    buffer and adds F_k conj(F_k)^T into the accumulator; with the segment
-    axis contiguous, that product is one BLAS call per bin. F, about 4 MB,
-    is the only chunk-sized workspace and is allocated once per call; the
-    tiles and the group stay in cache, so memory does not grow with the
-    record. The chunk length depends only on N and L, and the chunks are
-    summed in order, so every FFT line and every bin's product sees the same
-    operands as a serial loop would, and the estimate depends neither on how
-    the work is split nor on where the samples come from.
+    One forward pass reads the source once, in chunk order. Two threads
+    transform half of each chunk's segments each, a tile of a few segments
+    at a time: each reads the tile's sample span (a view of an in-memory
+    panel, a read of a file into a ~2 MB buffer of its own) and writes the
+    real FFT straight into a bin-major workspace F of shape (L/2+1, N,
+    chunk) through a ~2 MB scratch buffer. The main thread then conjugates
+    a ~2 MB group of F's bins at a time into a small buffer and adds F_k
+    conj(F_k)^T into the accumulator; with the segment axis contiguous,
+    that product is one BLAS call per bin. F, about 4 MB, is the only
+    chunk-sized workspace and is allocated once per call; the tiles and the
+    group stay in cache, so memory does not grow with the record. The chunk
+    length depends only on N and L, and the chunks are summed in order, so
+    every FFT line and every bin's product sees the same operands as a
+    serial loop would, and the estimate depends neither on how the work is
+    split nor on where the samples come from.
     """
     n, t = source.n_channels, source.n_samples
     L, hop = params.segment_length, params.hop
@@ -250,6 +255,7 @@ def estimate_cpsd(source: TimeSeriesPanel | PanelReader, params: WelchParams) ->
     scale = 1.0 / (n_seg * np.sum(window**2))
     bins = L // 2 + 1
     acc = np.zeros((bins, n, n), dtype=np.complex128)
+    low = np.zeros((2, n), dtype=np.complex128)  # bins 0 and 1, summed over segments
     # bound F to ~4 MB regardless of trajectory length; tiles and groups to ~2 MB
     chunk = max(8, WORKSPACE // (n * bins))
     width = min(chunk, n_seg)
@@ -257,52 +263,42 @@ def estimate_cpsd(source: TimeSeriesPanel | PanelReader, params: WelchParams) ->
     group = min(bins, max(1, 2**17 // (n * width)))
     F = np.empty((bins, n, width), dtype=np.complex128)
     g = np.empty((group, n, width), dtype=np.complex128)
-    room = F.view(np.float64).reshape(-1)
-    mean = np.array([_row_mean(source, i, room) for i in range(n)])[:, None, None]
+    shift = source.read(0, L).mean(axis=1, keepdims=True)
 
-    def transform(lo, a, b):
+    def transform(lo, a, b):  # returns the sum of its segments' first hops, shifted
         seg = np.empty((n, tile, L))
         span = np.empty((n, (tile + 1) * hop))
+        total = np.zeros(n)
         for c in range(a, b, tile):
             d = min(c + tile, b)
             start = (lo + c) * hop
             samples = source.read(start, start + (d - c + 1) * hop, span)
             x = seg[:, :d - c]
-            np.subtract(sliding_window_view(samples, L, axis=1)[:, ::hop], mean, out=x)
+            np.subtract(sliding_window_view(samples, L, axis=1)[:, ::hop], shift[:, None], out=x)
+            total += x[:, :, :hop].sum(axis=(1, 2))
             x *= window
             np.fft.rfft(x, axis=-1, out=F[:, :, c:d].transpose(1, 2, 0))
+        return total
 
+    total = np.zeros(n)
     with ThreadPoolExecutor(max_workers=2) as pool:
         for lo in range(0, n_seg, chunk):
             m = min(chunk, n_seg - lo)
-            list(pool.map(transform, (lo, lo), (0, m // 2), (m // 2, m)))
+            total += sum(pool.map(transform, (lo, lo), (0, m // 2), (m // 2, m)))
+            low += F[:2, :, :m].sum(axis=2)
             for k0 in range(0, bins, group):
                 k1 = min(k0 + group, bins)
                 h = g[:k1 - k0, :, :m]
                 np.conjugate(F[k0:k1, :, :m], out=h)
                 acc[k0:k1] += F[k0:k1, :, :m] @ h.transpose(0, 2, 1)
+    total += (source.read(n_seg * hop, t) - shift).sum(axis=1)
+    delta = total / t  # the channel mean less the shift
+    # a segment less delta transforms to F_k - W_k delta, W the window's DFT
+    for k, m in ((0, L / 2 * delta), (1, -L / 4 * delta)):
+        d = np.outer(low[k], m)
+        acc[k] += n_seg * np.outer(m, m) - (d + d.conj().T)
     acc *= scale
     return SpectralMatrix(FrequencyGrid.welch_bins(L), acc, source.labels)
-
-
-def _row_mean(source: TimeSeriesPanel | PanelReader, i: int, room: np.ndarray) -> np.float64:
-    """`row.mean()` of channel `i` of `source`, bit for bit, read through
-    `room`, a float64 buffer of at least 128 entries, and never the whole row.
-
-    numpy sums a contiguous float64 row pairwise: it splits a piece of m >
-    128 samples at h = m // 2 - (m // 2) % 8 and adds the sums of the two
-    halves.  The pieces are split the same way until they fit in `room`, and
-    numpy sums each of those, so the total follows numpy's summation tree.
-    """
-
-    def total(lo, hi):
-        m = hi - lo
-        if m > room.size:
-            h = m // 2 - (m // 2) % 8
-            return total(lo, lo + h) + total(lo + h, hi)
-        return np.add.reduce(source.row(i, lo, hi, out=room), initial=0.0)
-
-    return total(0, source.n_samples) / source.n_samples
 
 
 def hermitize(m: np.ndarray) -> np.ndarray:
@@ -368,6 +364,10 @@ def load_spectra_binary(path: str | Path) -> SpectralMatrix:
         if f < 9:
             raise DataError(f"{path}: {f} frequency bins, need >= 9")
         labels = read_labels(fh, blob_len, path)
+        try:
+            labels = check_layout(n, f, labels)
+        except DataError as exc:
+            raise DataError(f"{path}: {exc}") from None
         expect_payload(fh, f * (9 + 16 * n * n), path)
         grid = FrequencyGrid.welch_bins(2 * (f - 1))
         if read_exact(fh, f * 8, path) != grid.frequencies.astype("<f8").tobytes():

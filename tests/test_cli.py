@@ -253,9 +253,9 @@ def pipeline_peak(tmp_path, length: int) -> int:
 def test_pipeline_memory_does_not_grow_with_the_record(tmp_path, monkeypatch):
     # with F, the Welch workspace, cut to 0.5 MB and 16384-sample blocks, a
     # panel is more than twice F; the peak stays under one panel, and
-    # nothing grows with the record: the mean pass reads each row in pieces
-    # through F, so a record four times as long adds under 1 MiB (one of
-    # its rows is 16 MiB)
+    # nothing grows with the record: Welch reads tile spans into buffers of
+    # its own, so a record four times as long adds under 1 MiB (one of its
+    # rows is 16 MiB)
     monkeypatch.setattr(spectral, "WORKSPACE", 2**15)
     monkeypatch.setattr(streams, "BLOCK", 2**14)
     monkeypatch.setattr(streams, "ROW_BLOCK", 2**14)
@@ -593,6 +593,24 @@ def test_spectra_file_off_the_welch_grid_exits_3(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert str(spectra) in err and "Traceback" not in err
     assert ("need >= 9" if case == "eight_bins" else "not the") in err
+
+
+@pytest.mark.parametrize("case", ["no_channels", "one_channel", "duplicate_label"])
+def test_spectra_file_that_is_no_panel_layout_exits_3(tmp_path, capsys, case):
+    # the loader applies the panel's layout rule: >= 2 channels, unique labels
+    cfg, out, s = spectra_of_tiny(tmp_path)
+    labels, values = list(s.labels), s.values
+    if case == "duplicate_label":
+        labels[1] = labels[0]
+    else:
+        keep = 0 if case == "no_channels" else 1
+        labels, values = labels[:keep], values[:, :keep, :keep]
+    spectra = out / "spectra_corrupt.rtsm"
+    write_rtsm(spectra, labels, s.grid.frequencies, values, s.flagged)
+    assert main(["detect", "--config", str(cfg), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert str(spectra) in err and "Traceback" not in err
+    assert ("duplicate" if case == "duplicate_label" else "need >= 2 channels") in err
 
 
 def test_non_finite_spectra_exits_3(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import math
 import sys
 import threading
 import tracemalloc
@@ -159,7 +160,16 @@ def test_matches_scipy_csd():
     )
 
 
-def test_matches_scipy_csd_across_chunks():
+def two_step_demeaned(data):
+    """`data` less its row means, taken in two steps so that the reference
+    does not round the mean: first subtract a sample, which is exact while
+    a row stays within a factor of two of it, then the `math.fsum` mean."""
+    x = data - data[:, :1]
+    return x - np.array([[math.fsum(row) / row.size] for row in x])
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e3, 1e6], ids=["offset-1", "offset-1e3", "offset-1e6"])
+def test_matches_scipy_csd_across_chunks(scale):
     # at n=3, L=4096 the ~4 MB workspace bound gives chunks of 42
     # segments; 800 segments make 19 full chunks and one partial chunk
     n, L = 3, 4096
@@ -167,10 +177,10 @@ def test_matches_scipy_csd_across_chunks():
     t = L + 799 * params.hop
     assert params.segment_count(t) == 800
     panel = white_panel(n=n, t=t, seed=13)
-    offset = np.array([[-3.0], [0.5], [7.0]])  # one mean per record, not per chunk
+    offset = scale * np.array([[-3.0], [0.5], [7.0]])  # one mean per record, not per chunk
     panel = TimeSeriesPanel(panel.data + offset, panel.labels)
     mine = estimate_cpsd(panel, params)
-    x = panel.data - panel.data.mean(axis=1, keepdims=True)
+    x = two_step_demeaned(panel.data)
     tol = 1e-12 * np.abs(mine.values).max()
     for i in range(n):
         for j in range(i, n):
@@ -183,17 +193,17 @@ def test_matches_scipy_csd_across_chunks():
             )
 
 
-def serial_chunk_loop(panel, params):
-    """The Welch sum on one thread: same chunks, same bin-major operands."""
+def serial_chunk_loop(panel, params, shift):
+    """The Welch sum on one thread, of segments less `shift`, one value per
+    channel: same chunks, same bin-major operands."""
     n, t = panel.data.shape
     L, bins = params.segment_length, params.segment_length // 2 + 1
     n_seg = params.segment_count(t)
     segments = sliding_window_view(panel.data, L, axis=1)[:, ::params.hop]
-    mean = panel.data.mean(axis=1)[:, None, None]
     chunk = max(8, spectral.WORKSPACE // (n * bins))
     acc = np.zeros((bins, n, n), dtype=np.complex128)
     for lo in range(0, n_seg, chunk):
-        seg = segments[:, lo:lo + chunk] - mean
+        seg = segments[:, lo:lo + chunk] - shift[:, None, None]
         seg *= params.window
         F = np.ascontiguousarray(np.fft.rfft(seg, axis=-1).transpose(2, 0, 1))
         acc += F @ np.conj(F).transpose(0, 2, 1)
@@ -217,15 +227,23 @@ def test_estimate_cpsd_matches_serial_chunk_loop(n, L, n_seg, chunks):
     params = WelchParams(segment_length=L)
     t = L + (n_seg - 1) * params.hop
     panel = white_panel(n=n, t=t, seed=n)
-    ref, chunk = serial_chunk_loop(panel, params)
+    # a constant shift moves bins 0 and 1 only: the bins above see the same
+    # operands as segments less the first segment's mean, and bins 0 and 1,
+    # once corrected, match segments less the channel mean to rounding
+    ref, chunk = serial_chunk_loop(panel, params, panel.data[:, :L].mean(axis=1))
+    demeaned, _ = serial_chunk_loop(panel, params, panel.data.mean(axis=1))
     assert [min(chunk, n_seg - lo) for lo in range(0, n_seg, chunk)] == chunks
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # hand the interpreter lock between workers often
     try:
-        mine = estimate_cpsd(panel, params).values
+        mine, again = (estimate_cpsd(panel, params).values for _ in range(2))
     finally:
         sys.setswitchinterval(interval)
-    assert np.array_equal(mine, ref)
+    assert mine.tobytes() == again.tobytes()
+    assert np.array_equal(mine[2:], ref[2:])
+    np.testing.assert_allclose(
+        mine[:2], demeaned[:2], rtol=0, atol=1e-14 * np.abs(demeaned).max()
+    )
 
 
 def test_estimate_cpsd_keeps_one_chunk_workspace():
@@ -249,20 +267,24 @@ def test_estimate_cpsd_keeps_one_chunk_workspace():
     assert peak < f_bytes + 5 * 2**21
 
 
-@pytest.mark.parametrize(
-    "t", [1, 7, 8, 127, 128, 129, 2**10 - 1, 2**10 + 1, 2**16 - 1, 2**16 + 1, 1_000_003]
-)
-def test_row_mean_is_numpy_mean_bit_for_bit(tmp_path, t):
-    # the mean pass sums a row in pieces that fit its buffer, along numpy's
-    # pairwise tree; an offset makes every piece's rounding show in the mean
-    data = 1e3 + np.random.default_rng(t).standard_normal((2, t))
-    panel = TimeSeriesPanel(data, ["a", "b"])
+def test_estimate_cpsd_reads_its_source_once(tmp_path, monkeypatch):
+    # at the chain7 shape, one pass reads every sample once, plus the first
+    # segment for the shift, the tail from the last segment's second half
+    # on and one hop per tile; a second pass would double the bytes read
+    n, L = 7, 1024
+    params = WelchParams(segment_length=L)
+    panel = white_panel(n=n, t=L + 163 * params.hop, seed=7)
+    fill, read = PanelReader._fill, []
+
+    def counted(self, out, i, lo):
+        read.append(out.nbytes)
+        fill(self, out, i, lo)
+
+    monkeypatch.setattr(PanelReader, "_fill", counted)
     with PanelReader(save_panel(panel, tmp_path / "panel.bin")) as reader:
-        for source in (panel, reader):
-            for room in (128, 1_000, 2**13, 2**17):
-                for i in range(2):
-                    mean = spectral._row_mean(source, i, np.empty(room))
-                    assert mean.tobytes() == data[i].mean().tobytes(), (source, room, i)
+        s = estimate_cpsd(reader, params)
+    assert sum(read) <= 1.1 * panel.data.nbytes
+    assert s.values.tobytes() == estimate_cpsd(panel, params).values.tobytes()
 
 
 def test_estimate_cpsd_joins_its_threads_and_checks_before_starting(monkeypatch):
