@@ -57,7 +57,7 @@ from .detection import (
     report_to_json,
 )
 from .errors import ConfigError, DataError, TreespectError
-from .instances import adversarial_instance, random_instance
+from .instances import adversarial_instance, max_deep_nodes, random_instance
 from .oracles import analytic_corrupted_psd, analytic_signatures
 from .panel import PanelReader, PanelWriter
 from .panel import load_panel, save_panel  # noqa: F401  wrapped by benchmark/layers.py
@@ -280,12 +280,6 @@ def _sweep_value(payload: dict, key: str, default, valid, expected: str):
     return value
 
 
-def _max_corrupt(n: int, hi_k: int) -> int:
-    """Most corrupt nodes a sweep draws on an n-node tree: k of them need
-    3k + 4 nodes."""
-    return min(hi_k, max(0, (n - 4) // 3))
-
-
 def _sweep_row(task) -> dict:
     idx, n, k, trajectory, cfg_payload, violate = task
     rng = np.random.default_rng([cfg_payload["seed"], idx])
@@ -344,7 +338,7 @@ def cmd_sweep(args) -> int:
         "a [low, high] pair of integers >= 2",
     )
     lo_k, hi_k = _sweep_value(payload, "corrupt", [1, 3], _is_range, pair)
-    if lo_k > _max_corrupt(lo_n, hi_k):
+    if lo_k > min(hi_k, max_deep_nodes(lo_n)):
         raise ConfigError(
             f"sweep config 'corrupt' low {lo_k} is more than a {lo_n}-node tree can host"
         )
@@ -369,7 +363,7 @@ def cmd_sweep(args) -> int:
     tasks = []
     for idx in range(count):
         n = int(rng.integers(lo_n, hi_n + 1))
-        k = int(rng.integers(lo_k, _max_corrupt(n, hi_k) + 1))
+        k = int(rng.integers(lo_k, min(hi_k, max_deep_nodes(n)) + 1))
         for trajectory in trajectories:
             tasks.append((idx, n, k, trajectory, cfg_payload, violate))
 

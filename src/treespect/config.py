@@ -11,7 +11,7 @@ from pathlib import Path
 from .corruption import CorruptionSpec
 from .errors import ConfigError, DataError, NumericalError
 from .ltisim import DEFAULT_BURN_IN, GenerativeModel, model_from_dict, model_to_dict
-from .spectral import WelchParams
+from .spectral import MIN_WELCH_SEGMENTS, WelchParams
 
 EXPERIMENT_KEYS = frozenset({
     "model", "model_path", "corruption", "trajectory_length", "seed", "burn_in",
@@ -48,7 +48,7 @@ class ExperimentConfig:
             )
         if not is_count(self.burn_in):
             raise ConfigError(f"burn_in must be an integer >= 0, got {self.burn_in!r}")
-        if self.welch.segment_count(self.trajectory_length) < 8:
+        if self.welch.segment_count(self.trajectory_length) < MIN_WELCH_SEGMENTS:
             raise ConfigError(
                 f"trajectory_length {self.trajectory_length} too short for "
                 f"Welch segments of {self.welch.segment_length}"

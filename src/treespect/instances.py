@@ -47,6 +47,11 @@ class Instance:
         return self.model.topology
 
 
+def max_deep_nodes(n: int) -> int:
+    """Most deep nodes an n-node tree can host: k of them need 3k + 4 nodes."""
+    return max(0, (n - 4) // 3)
+
+
 def tree_with_deep_nodes(
     rng: np.random.Generator, n: int, k: int
 ) -> tuple[UndirectedGraph, tuple[int, ...]]:
@@ -54,9 +59,8 @@ def tree_with_deep_nodes(
     from each other."""
     if k < 0:
         raise DataError("need k >= 0 marked nodes")
-    min_nodes = 3 * k + 4 if k else (4 if n >= 4 else n)
-    if n < min_nodes:
-        raise DataError(f"{n} nodes cannot host {k} deep nodes (need >= {min_nodes})")
+    if k > max_deep_nodes(n):
+        raise DataError(f"{n} nodes cannot host {k} deep nodes (need >= {3 * k + 4})")
     if k == 0:
         # any non-star tree keeps every interior node two hops from somewhere
         if n <= 3:

@@ -27,17 +27,22 @@ SAMPLE_INTERVAL = 1.0
 CHECK_SPAN = 1 << 16  # samples per finiteness check of a read, so its mask stays small
 
 
-def check_layout(n: int, t: int, labels: Sequence[str]) -> tuple[str, ...]:
+def check_layout(
+    n: int, t: int, labels: Sequence[str], path: str | Path | None = None
+) -> tuple[str, ...]:
     """The labels as strings, if `n` channels of `t` samples (or spectral
-    bins) named by `labels` make a panel; else a DataError."""
+    bins) named by `labels` make a panel; else a DataError, naming the file
+    `path` if one is given."""
     labels = tuple(str(x) for x in labels)
     if n < 2 or t < 1:
-        raise DataError(f"need >= 2 channels and >= 1 sample, got {n}x{t}")
-    if len(labels) != n:
-        raise DataError("label count does not match channel count")
-    if len(set(labels)) != n:
-        raise DataError("duplicate channel labels")
-    return labels
+        problem = f"need >= 2 channels and >= 1 sample, got {n}x{t}"
+    elif len(labels) != n:
+        problem = "label count does not match channel count"
+    elif len(set(labels)) != n:
+        problem = "duplicate channel labels"
+    else:
+        return labels
+    raise DataError(problem if path is None else f"{path}: {problem}")
 
 
 @dataclass(frozen=True)
@@ -149,7 +154,7 @@ class PanelReader:
                 raise DataError(f"{path}: sample interval {dt!r}, not {SAMPLE_INTERVAL}")
             labels = read_labels(fh, blob_len, path)
             expect_payload(fh, n * t * 8, path)
-            self.labels = check_layout(n, t, labels)
+            self.labels = check_layout(n, t, labels, path)
         except BaseException:
             fh.close()
             raise

@@ -104,22 +104,23 @@ def true_edges_by_separation(
 def _alignment_trials(
     theta_i: frozenset[int],
     theta_j: frozenset[int],
-    comp_adj: dict[int, frozenset[int]],
+    pruned: UndirectedGraph,
     corrupt: Sequence[int],
     perturbed: UndirectedGraph,
     inv_full: SpectralMatrix,
     decision: EdgeDecisionParams,
 ):
-    """Every clique-compatible (p,q,l,r,s) alignment with the edge pair
+    """Every clique-compatible (p,q,l,r,s) alignment, with p-q an edge of
+    the pruned tree in theta_i and r-s one in theta_j, with the edge pair
     {q-l, l-r} it proposes and the W of its (p,s) entry."""
-    adj = perturbed.adjacency()
+    adj, tree = perturbed.adjacency(), pruned.adjacency()
     out = []
     for l in corrupt:
         rs = sorted(theta_j & adj[l])
         for q in sorted(theta_i & adj[l]):
-            for p in sorted(comp_adj[q] & theta_i):
+            for p in sorted(tree[q] & theta_i):
                 for r in rs:
-                    for s in sorted(comp_adj[r] & theta_j):
+                    for s in sorted(tree[r] & theta_j):
                         five = [p, q, l, r, s]
                         if len(set(five)) != 5:
                             continue
@@ -133,25 +134,27 @@ def _alignment_trials(
 
 def place_corrupt_nodes(
     true_edges: frozenset[Edge],
-    observed: frozenset[int],
-    corrupt: frozenset[int],
-    perturbed: UndirectedGraph,
+    observed_support: UndirectedGraph,
+    report: DetectionReport,
     inv_full: SpectralMatrix,
     decision: EdgeDecisionParams,
 ) -> TopologyEstimate:
-    """Reconnect the pruned components through the corrupt nodes.
+    """Reconnect the pruned components through the corrupt nodes and
+    return the finished estimate.
 
     For every component pair and corrupt node l, each alignment takes an
     edge p-q in one component and s-r in the other and demands that
-    {p,q,l,r,s} is a clique of the perturbed graph and that the (p,s)
-    inverse-PSD entry has constant phase; the passing alignment contributes
-    the edges q-l and l-r.  All passing alignments are recorded, and
-    disagreeing ones raise a conflict diagnostic instead of a guess.
+    {p,q,l,r,s} is a clique of the report's support graph and that the
+    (p,s) inverse-PSD entry has constant phase; the passing alignment
+    contributes the edges q-l and l-r.  All passing alignments are
+    recorded, and disagreeing ones raise a conflict diagnostic instead of a
+    guess.  The estimate lists the report's diagnostics before its own and
+    keeps `observed_support`, the marginal support the pruning started from.
     """
-    n = perturbed.node_count
+    corrupt, observed = report.corrupt, report.observed
+    n = report.support_graph.node_count
     etree = UndirectedGraph(n, true_edges)
     comps = connected_components(etree, within=observed)
-    comp_adj = {v: etree.neighbors(v) for v in observed}
 
     diagnostics: list[Diagnostic] = []
     for comp in comps:
@@ -167,12 +170,12 @@ def place_corrupt_nodes(
 
     cut = decision.thresholds(inv_full)["phase"]
     placement: set[Edge] = set()
-    placed: set[int] = set()
     trials: list[PlacementTrial] = []
     for i in range(len(comps)):
         for j in range(i + 1, len(comps)):
             tried = _alignment_trials(
-                comps[i], comps[j], comp_adj, sorted(corrupt), perturbed, inv_full, decision
+                comps[i], comps[j], etree, sorted(corrupt), report.support_graph,
+                inv_full, decision,
             )
             # distinct edge pairs passing the constant-phase test, in trial order
             edge_sets = list(dict.fromkeys(es for _, es, w in tried if w < cut))
@@ -180,8 +183,6 @@ def place_corrupt_nodes(
             trials.extend(
                 PlacementTrial(*cfg, w, w < cut and es == adopted_set) for cfg, es, w in tried
             )
-            if not edge_sets:
-                continue
             if len(edge_sets) > 1:
                 diagnostics.append(
                     Diagnostic(
@@ -194,8 +195,8 @@ def place_corrupt_nodes(
                     )
                 )
             placement |= adopted_set
-            placed |= {v for e in adopted_set for v in e if v in corrupt}
 
+    placed = {v for e in placement for v in e}
     for l in sorted(corrupt - placed):
         diagnostics.append(
             Diagnostic(
@@ -206,11 +207,9 @@ def place_corrupt_nodes(
             )
         )
 
-    provenance: dict[Edge, str] = {}
-    for e in true_edges:
-        provenance[e] = "separation_edge"
-    for e in placement:
-        provenance[e] = "placement_edge"
+    provenance: dict[Edge, str] = dict.fromkeys(true_edges, "separation_edge")
+    provenance |= dict.fromkeys(placement, "placement_edge")
+    provenance |= dict.fromkeys(report.leaf_edges, "leaf_edge")
     graph = UndirectedGraph(n, frozenset(true_edges | placement))
     if not diagnostics and not is_tree(graph):
         diagnostics.append(
@@ -227,8 +226,8 @@ def place_corrupt_nodes(
         graph=graph,
         provenance=provenance,
         components_before_placement=tuple(comps),
-        observed_support=etree,
-        diagnostics=tuple(diagnostics),
+        observed_support=observed_support,
+        diagnostics=report.diagnostics + tuple(diagnostics),
         labels=inv_full.labels,
         placements=tuple(trials),
         thresholds={"phase": cut},
@@ -255,22 +254,7 @@ def hide_and_learn(
     inv_full = invert_spectrum(psd)
     t_m = observed_support_graph(inv_full, corrupt, decision)
     etree = true_edges_by_separation(t_m, observed, report.leaves, report.leaf_edges)
-    estimate = place_corrupt_nodes(
-        etree, observed, corrupt, report.support_graph, inv_full, decision
-    )
-    provenance = dict(estimate.provenance)
-    for e in report.leaf_edges:
-        provenance[e] = "leaf_edge"
-    return TopologyEstimate(
-        graph=estimate.graph,
-        provenance=provenance,
-        components_before_placement=estimate.components_before_placement,
-        observed_support=t_m,
-        diagnostics=report.diagnostics + estimate.diagnostics,
-        labels=estimate.labels,
-        placements=estimate.placements,
-        thresholds=estimate.thresholds,
-    )
+    return place_corrupt_nodes(etree, t_m, report, inv_full, decision)
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ SPECTRA_MAGIC = b"RTSM"
 BAND_EDGE_BINS = 2  # bins this many spacings from omega = 0 or pi are not interior
 COND_CAP = 1e12  # inversion flags a bin whose 2-norm condition number exceeds this
 WORKSPACE = 2**18  # complex entries of the Welch workspace F, ~4 MB
+MIN_WELCH_SEGMENTS = 8  # fewest segments a Welch estimate averages
 
 
 @dataclass(frozen=True)
@@ -247,9 +248,10 @@ def estimate_cpsd(source: TimeSeriesPanel | PanelReader, params: WelchParams) ->
     n, t = source.n_channels, source.n_samples
     L, hop = params.segment_length, params.hop
     n_seg = params.segment_count(t)
-    if n_seg < 8:
+    if n_seg < MIN_WELCH_SEGMENTS:
         raise DataError(
-            f"{t} samples give {n_seg} Welch segments of length {L}; need >= 8"
+            f"{t} samples give {n_seg} Welch segments of length {L}; "
+            f"need >= {MIN_WELCH_SEGMENTS}"
         )
     window = params.window
     scale = 1.0 / (n_seg * np.sum(window**2))
@@ -363,11 +365,7 @@ def load_spectra_binary(path: str | Path) -> SpectralMatrix:
         f, n, blob_len = struct.unpack("<QQI", read_exact(fh, 20, path))
         if f < 9:
             raise DataError(f"{path}: {f} frequency bins, need >= 9")
-        labels = read_labels(fh, blob_len, path)
-        try:
-            labels = check_layout(n, f, labels)
-        except DataError as exc:
-            raise DataError(f"{path}: {exc}") from None
+        labels = check_layout(n, f, read_labels(fh, blob_len, path), path)
         expect_payload(fh, f * (9 + 16 * n * n), path)
         grid = FrequencyGrid.welch_bins(2 * (f - 1))
         if read_exact(fh, f * 8, path) != grid.frequencies.astype("<f8").tobytes():

@@ -613,6 +613,29 @@ def test_spectra_file_that_is_no_panel_layout_exits_3(tmp_path, capsys, case):
     assert ("duplicate" if case == "duplicate_label" else "need >= 2 channels") in err
 
 
+@pytest.mark.parametrize("stage, name", [
+    ("corrupt", "panel_clean.bin"), ("spectra", "panel_corrupt.bin"),
+])
+@pytest.mark.parametrize("labels, n, message", [
+    ([], 0, "need >= 2 channels"),
+    (["1"], 1, "need >= 2 channels"),
+    (["1", "1"], 2, "duplicate"),
+    (["1"], 2, "label count"),
+], ids=["no_channels", "one_channel", "duplicate_label", "label_count"])
+def test_panel_file_that_is_no_panel_layout_exits_3(
+    tmp_path, capsys, stage, name, labels, n, message
+):
+    # a panel file is held to the same layout rule, and its refusal names it
+    cfg = write_tiny(tmp_path, trajectory_length=20_000, burn_in=100)
+    out = tmp_path / "run"
+    out.mkdir()
+    panel = out / name
+    panel.write_bytes(panel_header(n, 100, labels) + bytes(8 * n * 100))
+    assert main([stage, "--config", str(cfg), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert str(panel) in err and message in err and "Traceback" not in err
+
+
 def test_non_finite_spectra_exits_3(tmp_path, capsys):
     # one NaN in an unflagged bin of a chain7_quick spectra file is refused
     # when the file is read, before inversion can fail on it

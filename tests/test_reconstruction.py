@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 from treespect.cli import main
 from treespect.corruption import CorruptionSpec
-from treespect.detection import ANALYTIC_DECISION, detect
+from treespect.detection import ANALYTIC_DECISION, Diagnostic, detect
 from treespect.errors import AssumptionViolation
 from treespect.graphs import UndirectedGraph
 from treespect.instances import (
@@ -121,14 +122,7 @@ def test_placement_reconnects_chain(chain_setup):
     _, psd, report = chain_setup
     t_m = observed_support_graph(invert_spectrum(psd), report.corrupt, ANALYTIC_DECISION)
     kept = true_edges_by_separation(t_m, report.observed, report.leaves, report.leaf_edges)
-    est = place_corrupt_nodes(
-        kept,
-        report.observed,
-        report.corrupt,
-        report.support_graph,
-        invert_spectrum(psd),
-        ANALYTIC_DECISION,
-    )
+    est = place_corrupt_nodes(kept, t_m, report, invert_spectrum(psd), ANALYTIC_DECISION)
     assert est.graph.edges == CHAIN7_EDGES
     assert est.provenance[(2, 3)] == "placement_edge"
     assert est.provenance[(3, 4)] == "placement_edge"
@@ -140,12 +134,10 @@ def test_placement_without_corrupt_is_identity(chain_setup):
     model, _, _ = chain_setup
     psd = analytic_psd(model, GRID)
     report = detect(invert_spectrum(psd), ANALYTIC_DECISION)
+    assert report.corrupt == frozenset()
     t_m = observed_support_graph(invert_spectrum(psd), frozenset(), ANALYTIC_DECISION)
     kept = true_edges_by_separation(t_m, report.observed, report.leaves, report.leaf_edges)
-    est = place_corrupt_nodes(
-        kept, report.observed, frozenset(), report.support_graph,
-        invert_spectrum(psd), ANALYTIC_DECISION,
-    )
+    est = place_corrupt_nodes(kept, t_m, report, invert_spectrum(psd), ANALYTIC_DECISION)
     assert est.graph.edges == kept == CHAIN7_EDGES
 
 
@@ -160,10 +152,7 @@ def test_conflicting_placements_are_reported(chain_setup):
     vals[:, 2, 4] = 0.3
     vals[:, 4, 2] = 0.3
     doctored = type(inv)(inv.grid, vals, inv.labels, inv.flagged.copy())
-    est = place_corrupt_nodes(
-        kept, report.observed, report.corrupt, report.support_graph, doctored,
-        ANALYTIC_DECISION,
-    )
+    est = place_corrupt_nodes(kept, t_m, report, doctored, ANALYTIC_DECISION)
     assert any(d.kind == "conflicting_placements" for d in est.diagnostics)
 
 
@@ -179,10 +168,7 @@ def test_unplaced_corrupt_node_is_reported(chain_setup):
     vals[:, 1, 5] = rot
     vals[:, 5, 1] = np.conj(rot)
     doctored = type(inv)(inv.grid, vals, inv.labels, inv.flagged.copy())
-    est = place_corrupt_nodes(
-        kept, report.observed, report.corrupt, report.support_graph, doctored,
-        ANALYTIC_DECISION,
-    )
+    est = place_corrupt_nodes(kept, t_m, report, doctored, ANALYTIC_DECISION)
     assert any(d.kind == "unplaced_corrupt_node" for d in est.diagnostics)
     assert not est.is_tree()
 
@@ -199,6 +185,23 @@ def test_hide_and_learn_recovers_chain(chain_setup):
     assert est.provenance[(0, 1)] == "leaf_edge"
     assert est.provenance[(1, 2)] == "separation_edge"
     assert est.provenance[(3, 4)] == "placement_edge"
+
+
+def test_estimate_lists_report_diagnostics_first_and_keeps_leaf_labels(chain_setup):
+    # a report diagnostic does not stand in for placement's own tree check,
+    # and a leaf edge keeps its label over the separation one
+    _, psd, report = chain_setup
+    planted = Diagnostic(kind="planted", subject="report", message="carried through")
+    doctored = dataclasses.replace(
+        report, leaf_edges=report.leaf_edges | {(0, 2)}, diagnostics=(planted,)
+    )
+    est = hide_and_learn(psd, doctored, ANALYTIC_DECISION)
+    assert est.diagnostics[0] == planted
+    assert [d.kind for d in est.diagnostics] == ["planted", "estimate_not_tree"]
+    assert est.provenance[(0, 2)] == "leaf_edge"
+    assert est.observed_support == observed_support_graph(
+        invert_spectrum(psd), report.corrupt, ANALYTIC_DECISION
+    )
 
 
 def test_detect_then_hide_and_learn_inverts_once(monkeypatch):
