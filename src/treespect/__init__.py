@@ -42,7 +42,6 @@ from .reconstruction import hide_and_learn
 from .spectral import (
     FrequencyGrid,
     SpectralMatrix,
-    WelchParams,
     estimate_cpsd,
     invert_spectrum,
     marginal_inverse_psd,

@@ -40,6 +40,7 @@ import numpy as np
 from . import __version__
 from .config import (
     ExperimentConfig,
+    check_welch_length,
     is_count,
     load_config,
     read_chunks,
@@ -281,9 +282,8 @@ def _sweep_value(payload: dict, key: str, default, valid, expected: str):
 
 
 def _sweep_row(task) -> dict:
-    idx, n, k, trajectory, cfg_payload, violate = task
-    rng = np.random.default_rng([cfg_payload["seed"], idx])
-    welch = cfg_payload["welch"]
+    idx, n, k, trajectory, seed, welch, violate = task
+    rng = np.random.default_rng([seed, idx])
     row = {
         "instance": idx,
         "n_nodes": n,
@@ -357,15 +357,17 @@ def cmd_sweep(args) -> int:
     violate = _sweep_value(
         payload, "violate_assumption", False, lambda v: isinstance(v, bool), "true or false"
     )
-    cfg_payload = {"seed": seed, "welch": welch_params(payload)}
+    welch = welch_params(payload)
+    for trajectory in (t for t in trajectories if t != "analytic"):
+        check_welch_length(trajectory, welch)
 
-    rng = np.random.default_rng(cfg_payload["seed"])
+    rng = np.random.default_rng(seed)
     tasks = []
     for idx in range(count):
         n = int(rng.integers(lo_n, hi_n + 1))
         k = int(rng.integers(lo_k, min(hi_k, max_deep_nodes(n)) + 1))
         for trajectory in trajectories:
-            tasks.append((idx, n, k, trajectory, cfg_payload, violate))
+            tasks.append((idx, n, k, trajectory, seed, welch, violate))
 
     # the pool forks all its workers at the first submit, so never ask for
     # more than there are rows or cores

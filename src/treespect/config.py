@@ -11,7 +11,7 @@ from pathlib import Path
 from .corruption import CorruptionSpec
 from .errors import ConfigError, DataError, NumericalError
 from .ltisim import DEFAULT_BURN_IN, GenerativeModel, model_from_dict, model_to_dict
-from .spectral import MIN_WELCH_SEGMENTS, WelchParams
+from .spectral import MIN_WELCH_SEGMENTS, FrequencyGrid
 
 EXPERIMENT_KEYS = frozenset({
     "model", "model_path", "corruption", "trajectory_length", "seed", "burn_in",
@@ -20,6 +20,7 @@ EXPERIMENT_KEYS = frozenset({
 MODEL_KEYS = frozenset({"labels", "edges", "self_dynamics", "noise_variance"})
 EDGE_KEYS = frozenset({"a", "b", "ab", "ba"})
 CORRUPTION_KEYS = frozenset(f.name for f in fields(CorruptionSpec))
+WELCH_KEYS = frozenset({"segment_length"})
 HASH_CHUNK = 1 << 20  # bytes per read when a file is hashed
 
 
@@ -36,8 +37,8 @@ class ExperimentConfig:
     corruption: tuple[CorruptionSpec, ...]
     trajectory_length: int
     seed: int
+    welch: FrequencyGrid
     burn_in: int = DEFAULT_BURN_IN
-    welch: WelchParams = WelchParams()
 
     def __post_init__(self):
         if not is_count(self.seed):
@@ -48,11 +49,7 @@ class ExperimentConfig:
             )
         if not is_count(self.burn_in):
             raise ConfigError(f"burn_in must be an integer >= 0, got {self.burn_in!r}")
-        if self.welch.segment_count(self.trajectory_length) < MIN_WELCH_SEGMENTS:
-            raise ConfigError(
-                f"trajectory_length {self.trajectory_length} too short for "
-                f"Welch segments of {self.welch.segment_length}"
-            )
+        check_welch_length(self.trajectory_length, self.welch)
         for spec in self.corruption:
             if not 0 <= spec.node < self.model.n_nodes:
                 raise ConfigError(f"corruption references unknown node {spec.node}")
@@ -77,12 +74,27 @@ def refuse_unknown_keys(payload: dict, known: frozenset[str], where: str) -> Non
         raise ConfigError(f"unknown {where} key(s): {', '.join(map(repr, unknown))}")
 
 
-def welch_params(payload: dict) -> WelchParams:
-    """The `welch` block of an experiment or sweep config."""
-    try:
-        return WelchParams(**payload.get("welch", {}))
-    except (DataError, TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid welch block: {exc}") from exc
+def welch_params(payload: dict) -> FrequencyGrid:
+    """The Welch grid of an experiment or sweep config's `welch` block: its
+    `segment_length`, 1024 if absent, which a config admits only as a power
+    of two >= 16 (the grid and `estimate_cpsd` take any even length >= 16)."""
+    block = payload.get("welch", {})
+    refuse_unknown_keys(block, WELCH_KEYS, "welch")
+    L = block.get("segment_length", 1024)
+    if not is_count(L) or L < 16 or L & (L - 1):
+        raise ConfigError(
+            f"invalid welch block: segment_length must be a power of two >= 16, got {L!r}"
+        )
+    return FrequencyGrid(L)
+
+
+def check_welch_length(trajectory_length: int, welch: FrequencyGrid) -> None:
+    """ConfigError unless `trajectory_length` samples fill `MIN_WELCH_SEGMENTS` of `welch`."""
+    if welch.segment_count(trajectory_length) < MIN_WELCH_SEGMENTS:
+        raise ConfigError(
+            f"trajectory_length {trajectory_length} too short for "
+            f"Welch segments of {welch.segment_length}"
+        )
 
 
 def _checked_model(payload: dict) -> GenerativeModel:

@@ -112,7 +112,8 @@ def _alignment_trials(
 ):
     """Every clique-compatible (p,q,l,r,s) alignment, with p-q an edge of
     the pruned tree in theta_i and r-s one in theta_j, with the edge pair
-    {q-l, l-r} it proposes and the W of its (p,s) entry."""
+    {q-l, l-r} it proposes and the W of its (p,s) entry.  The five are
+    distinct: p-q and r-s lie in disjoint components, the corrupt l in neither."""
     adj, tree = perturbed.adjacency(), pruned.adjacency()
     out = []
     for l in corrupt:
@@ -122,8 +123,6 @@ def _alignment_trials(
                 for r in rs:
                     for s in sorted(tree[r] & theta_j):
                         five = [p, q, l, r, s]
-                        if len(set(five)) != 5:
-                            continue
                         if not all(b in adj[a] for ai, a in enumerate(five) for b in five[ai + 1:]):
                             continue
                         w = phase_nonconstancy_score(inv_full, p, s, decision)

@@ -36,10 +36,10 @@ MIN_WELCH_SEGMENTS = 8  # fewest segments a Welch estimate averages
 
 @dataclass(frozen=True)
 class FrequencyGrid:
-    """The DFT bins k = 0..L/2 of a length-L segment, at angular
-    frequencies 2 pi k / L in [0, pi]: one half of a spectrum whose other
-    half, at -omega, is the conjugate.  Two grids are equal when their
-    segment lengths are."""
+    """The DFT bins k = 0..L/2 of a Hann-windowed Welch segment of length L,
+    which overlaps the next by half (`hop` = L/2), at angular frequencies
+    2 pi k / L in [0, pi]: one half of a spectrum whose other half, at
+    -omega, is the conjugate.  Two grids are equal when their L are."""
 
     segment_length: int
 
@@ -56,6 +56,21 @@ class FrequencyGrid:
     @property
     def size(self) -> int:
         return self.segment_length // 2 + 1
+
+    @property
+    def hop(self) -> int:
+        return self.segment_length // 2
+
+    @property
+    def window(self) -> np.ndarray:
+        """The periodic Hann taper of length L (scipy's `get_window("hann", L)`)."""
+        L = self.segment_length
+        return 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, L + 1)[:-1])
+
+    def segment_count(self, n_samples: int) -> int:
+        if n_samples < self.segment_length:
+            return 0
+        return 1 + (n_samples - self.segment_length) // self.hop
 
     @cached_property
     def frequencies(self) -> np.ndarray:
@@ -186,43 +201,15 @@ def _over_cap(mats: np.ndarray) -> np.ndarray:
     return ~np.isfinite(cond) | (cond > COND_CAP)
 
 
-@dataclass(frozen=True)
-class WelchParams:
-    """Welch segment length L; segments are Hann-windowed and overlap by
-    50 %, so `hop` is L/2."""
+def estimate_cpsd(source: TimeSeriesPanel | PanelReader, grid: FrequencyGrid) -> SpectralMatrix:
+    """Welch-averaged cross power spectral density on `grid` for all channel
+    pairs of `source`, an in-memory panel or a panel file open for reading.
 
-    segment_length: int = 1024
-
-    def __post_init__(self):
-        L = self.segment_length
-        if isinstance(L, bool) or not isinstance(L, int) or L < 16 or (L & (L - 1)) != 0:
-            raise DataError(f"segment_length must be a power of two >= 16, got {L!r}")
-
-    @property
-    def hop(self) -> int:
-        return self.segment_length // 2
-
-    @property
-    def window(self) -> np.ndarray:
-        """The periodic Hann taper of length L (scipy's `get_window("hann", L)`)."""
-        L = self.segment_length
-        return 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, L + 1)[:-1])
-
-    def segment_count(self, n_samples: int) -> int:
-        if n_samples < self.segment_length:
-            return 0
-        return 1 + (n_samples - self.segment_length) // self.hop
-
-
-def estimate_cpsd(source: TimeSeriesPanel | PanelReader, params: WelchParams) -> SpectralMatrix:
-    """Welch-averaged cross power spectral density for all channel pairs of
-    `source`, an in-memory panel or a panel file open for reading.
-
-    Segments are strided views of the samples, shifted and windowed one
-    chunk at a time, transformed once per channel, and averaged as per-bin
-    outer products F_k F_k^H, so the estimate is Hermitian by construction.
-    The real FFT gives bins k = 0..L/2, which is the whole spectrum: the
-    bins at -omega are the conjugates. The shift is the first segment's
+    Segments of the grid's length L, any even L >= 16, are strided views of
+    the samples, shifted and windowed one chunk at a time, transformed once
+    per channel, and averaged as per-bin outer products F_k F_k^H, so the
+    estimate is Hermitian by construction. The real FFT gives the grid's
+    bins k = 0..L/2, the whole spectrum. The shift is the first segment's
     channel means. A constant moves only bins 0 and 1 of a periodic-Hann
     segment, by L/2 and -L/4 times itself, so at the end those two bins are
     corrected in closed form for the channel means, from their summed
@@ -246,14 +233,14 @@ def estimate_cpsd(source: TimeSeriesPanel | PanelReader, params: WelchParams) ->
     split nor on where the samples come from.
     """
     n, t = source.n_channels, source.n_samples
-    L, hop = params.segment_length, params.hop
-    n_seg = params.segment_count(t)
+    L, hop = grid.segment_length, grid.hop
+    n_seg = grid.segment_count(t)
     if n_seg < MIN_WELCH_SEGMENTS:
         raise DataError(
             f"{t} samples give {n_seg} Welch segments of length {L}; "
             f"need >= {MIN_WELCH_SEGMENTS}"
         )
-    window = params.window
+    window = grid.window
     scale = 1.0 / (n_seg * np.sum(window**2))
     bins = L // 2 + 1
     acc = np.zeros((bins, n, n), dtype=np.complex128)
@@ -300,7 +287,7 @@ def estimate_cpsd(source: TimeSeriesPanel | PanelReader, params: WelchParams) ->
         d = np.outer(low[k], m)
         acc[k] += n_seg * np.outer(m, m) - (d + d.conj().T)
     acc *= scale
-    return SpectralMatrix(FrequencyGrid.welch_bins(L), acc, source.labels)
+    return SpectralMatrix(grid, acc, source.labels)
 
 
 def hermitize(m: np.ndarray) -> np.ndarray:

@@ -12,7 +12,7 @@ from treespect.instances import TARGET_RADIUS
 from treespect.ltisim import GenerativeModel, analytic_inverse_psd, spectral_radius
 from treespect.oracles import H_FLOOR, woodbury_chain_inverse
 from treespect.panel import TimeSeriesPanel, panel_header
-from treespect.spectral import COND_CAP, WelchParams, estimate_cpsd, hermitize
+from treespect.spectral import COND_CAP, FrequencyGrid, estimate_cpsd, hermitize
 
 
 def chain7():
@@ -207,7 +207,7 @@ def whole_channel_corruption(x: np.ndarray, spec, rng: np.random.Generator) -> n
 
 
 def estimate_signature(
-    clean: np.ndarray, corrupt: np.ndarray, params: WelchParams
+    clean: np.ndarray, corrupt: np.ndarray, params: FrequencyGrid
 ) -> CorruptionSignature:
     """Estimate (h, d) of one corrupted channel from paired observations.
 

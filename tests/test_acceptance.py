@@ -43,7 +43,7 @@ from treespect.reconstruction import (
     observed_support_graph,
     true_edges_by_separation,
 )
-from treespect.spectral import FrequencyGrid, WelchParams, estimate_cpsd, invert_spectrum
+from treespect.spectral import FrequencyGrid, estimate_cpsd, invert_spectrum
 from treespect.streams import apply_corruption, simulate
 
 from conftest import (
@@ -108,7 +108,7 @@ class ChainRun:
 @pytest.fixture(scope="module")
 def chain_run():
     samples = int(os.environ.get("TREESPECT_ACCEPT_SAMPLES", 10_000_000))
-    welch = WelchParams(segment_length=1024 if samples >= 4_000_000 else 256)
+    welch = FrequencyGrid(segment_length=1024 if samples >= 4_000_000 else 256)
     params = EdgeDecisionParams(welch.segment_count(samples))
     model, specs = chain7()
     t0 = time.perf_counter()
@@ -343,7 +343,7 @@ def test_criterion_6_signatures():
         CorruptionSpec(node=5, kind="noisy_filter", taps=(1.0, -0.45, 0.15), noise_variance=0.25),
     ]
     corrupted = apply_corruption(panel_copy(panel), specs, seed=607)
-    welch = WelchParams(segment_length=256)
+    welch = FrequencyGrid(segment_length=256)
     d_ok = True
     for spec in specs:
         sig = estimate_signature(panel.data[spec.node], corrupted.data[spec.node], welch)

@@ -883,6 +883,41 @@ def test_sweep_invalid_welch_block_exits_2(tmp_path):
     assert not (out / "sweep_summary.csv").exists()
 
 
+def test_sweep_trajectory_too_short_for_welch_exits_2(tmp_path, capsys):
+    # 1000 samples make 6 segments of 256, under the 8 Welch needs: the sweep
+    # refuses the length before any row runs, as a pipeline config does
+    message = "trajectory_length 1000 too short for Welch segments of 256"
+    welch = {"segment_length": 256}
+    cfg = write_tiny(tmp_path, trajectory_length=1000, welch=welch)
+    assert main(["pipeline", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+    assert message in capsys.readouterr().err
+    sweep_cfg = tmp_path / "sweep.json"
+    sweep_cfg.write_text(
+        json.dumps({"instances": 1, "trajectories": ["analytic", 1000], "welch": welch})
+    )
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", str(sweep_cfg), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (out / "sweep_summary.csv").exists()
+
+
+@pytest.mark.parametrize("welch, message", [
+    ({"window": "hann"}, "unknown welch key(s): 'window'"),
+    (256, "welch must be a JSON object"),
+    ({"segment_length": 96}, "segment_length must be a power of two >= 16, got 96"),
+], ids=["unknown-key", "not-an-object", "even-not-a-power-of-two"])
+def test_welch_block_refused_by_pipeline_and_sweep(tmp_path, capsys, welch, message):
+    cfg = write_tiny(tmp_path, welch=welch)
+    sweep_cfg = tmp_path / "sweep.json"
+    sweep_cfg.write_text(json.dumps({"instances": 1, "welch": welch}))
+    for command, path in (("pipeline", cfg), ("sweep", sweep_cfg)):
+        out = tmp_path / command
+        assert main([command, "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not out.exists()
+
+
 def test_sweep_invalid_decision_block_exits_2(tmp_path, capsys):
     # any decision block: the rule follows from each row's segment count
     sweep_cfg = tmp_path / "sweep.json"

@@ -3,12 +3,12 @@ import pytest
 
 from treespect.corruption import CorruptionSpec, CorruptionSignature, analytic_signature
 from treespect.errors import DataError
-from treespect.spectral import FrequencyGrid, WelchParams
+from treespect.spectral import FrequencyGrid
 from treespect.streams import apply_corruption, simulate
 
 from conftest import chain7, estimate_signature, panel_copy
 
-WELCH = WelchParams(segment_length=256)
+WELCH = FrequencyGrid(segment_length=256)
 
 
 @pytest.fixture(scope="module")

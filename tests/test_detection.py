@@ -28,7 +28,6 @@ from treespect.spectral import (
     BAND_EDGE_BINS,
     FrequencyGrid,
     SpectralMatrix,
-    WelchParams,
     estimate_cpsd,
     invert_spectrum,
 )
@@ -137,10 +136,10 @@ def _two_sided_statistics(inv, i, j, decision):
 def welch_chain_inverse():
     model, specs = chain7()
     panel = apply_corruption(simulate(model, 200_000, seed=3), specs, seed=3)
-    return invert_spectrum(estimate_cpsd(panel, WelchParams(segment_length=256)))
+    return invert_spectrum(estimate_cpsd(panel, FrequencyGrid(segment_length=256)))
 
 
-WELCH_DECISION = EdgeDecisionParams(WelchParams(segment_length=256).segment_count(200_000))
+WELCH_DECISION = EdgeDecisionParams(FrequencyGrid(segment_length=256).segment_count(200_000))
 
 
 @pytest.mark.parametrize("source", ["welch", "analytic", "analytic_flagged"])
@@ -182,7 +181,7 @@ def test_white_noise_exceedances_stay_within_a_binomial_bound_of_alpha():
     # twice as often as ALPHA, its per-bin terms being t- rather than
     # chi-square-distributed
     rng = np.random.default_rng(2024)
-    welch = WelchParams(segment_length=64)
+    welch = FrequencyGrid(segment_length=64)
     samples, channels, panels = 400 * 32 + 32, 64, 50
     decision = EdgeDecisionParams(welch.segment_count(samples))
     band_hits = w_hits = tests = 0

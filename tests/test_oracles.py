@@ -19,7 +19,6 @@ from treespect.oracles import (
 )
 from treespect.spectral import (
     FrequencyGrid,
-    WelchParams,
     estimate_cpsd,
     invert_spectrum,
 )
@@ -100,7 +99,7 @@ def test_corrupted_psd_matches_empirical_estimate(chain_setup):
     model, specs, _ = chain_setup
     panel = simulate(model, 1_000_000, seed=51)
     corrupted = apply_corruption(panel, list(specs), seed=52)
-    est = estimate_cpsd(corrupted, WelchParams(segment_length=256))
+    est = estimate_cpsd(corrupted, FrequencyGrid(segment_length=256))
     ana = analytic_corrupted_psd(model, analytic_signatures(model, specs, est.grid), est.grid)
     rel = np.linalg.norm(est.values - ana.values, axis=(1, 2)) / np.linalg.norm(
         ana.values, axis=(1, 2)

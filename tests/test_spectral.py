@@ -17,7 +17,6 @@ from treespect.spectral import (
     COND_CAP,
     FrequencyGrid,
     SpectralMatrix,
-    WelchParams,
     estimate_cpsd,
     invert_spectrum,
     load_spectra_binary,
@@ -102,7 +101,7 @@ def test_grid_masks_match_the_frequency_formulas():
 
 def test_white_noise_diagonal_flat():
     panel = white_panel(sigma=2.0)
-    params = WelchParams(segment_length=128)
+    params = FrequencyGrid(segment_length=128)
     s = estimate_cpsd(panel, params)
     diag = s.values[:, range(3), range(3)].real
     assert np.abs(diag.mean() - 4.0) < 0.15
@@ -112,7 +111,7 @@ def test_white_noise_diagonal_flat():
 
 
 def test_autospectrum_real_nonnegative():
-    s = estimate_cpsd(white_panel(), WelchParams(segment_length=128))
+    s = estimate_cpsd(white_panel(), FrequencyGrid(segment_length=128))
     for i in range(s.n_nodes):
         e = s.entry(i, i)
         assert np.abs(e.imag).max() < 1e-12
@@ -120,7 +119,7 @@ def test_autospectrum_real_nonnegative():
 
 
 def test_hermitian_by_construction():
-    s = estimate_cpsd(white_panel(), WelchParams(segment_length=128))
+    s = estimate_cpsd(white_panel(), FrequencyGrid(segment_length=128))
     gap = np.linalg.norm(s.values - np.conj(np.swapaxes(s.values, 1, 2)), axis=(1, 2))
     assert np.max(gap / np.linalg.norm(s.values, axis=(1, 2))) < 1e-14
 
@@ -130,7 +129,7 @@ def test_conjugate_symmetry_across_zero():
     # conjugate at -omega, so the half grid loses nothing
     panel = white_panel(n=2, t=30_000, seed=11)
     L = 128
-    mine = estimate_cpsd(panel, WelchParams(segment_length=L)).entry(0, 1)
+    mine = estimate_cpsd(panel, FrequencyGrid(segment_length=L)).entry(0, 1)
     x = panel.data - panel.data.mean(axis=1, keepdims=True)
     f, pxy = csd(
         x[1], x[0], fs=1.0, window="hann", nperseg=L, noverlap=L // 2,
@@ -143,9 +142,18 @@ def test_conjugate_symmetry_across_zero():
 
 
 def test_matches_scipy_csd():
+    assert_matches_scipy_csd(256)
+
+
+def test_matches_scipy_csd_at_an_even_length_not_a_power_of_two():
+    # the grid takes any even L >= 16; only a config insists on a power of two
+    assert_matches_scipy_csd(96)
+
+
+def assert_matches_scipy_csd(L):
     panel = white_panel(n=2, t=30_000, seed=11)
-    L = 256
-    mine = estimate_cpsd(panel, WelchParams(segment_length=L))
+    mine = estimate_cpsd(panel, FrequencyGrid(segment_length=L))
+    assert mine.grid == FrequencyGrid(L)
     x = panel.data - panel.data.mean(axis=1, keepdims=True)
     # our convention transforms E[x_i[n+k] x_j[n]], which is scipy's csd with
     # the argument order swapped; scipy's one-sided density counts each bin
@@ -173,7 +181,7 @@ def test_matches_scipy_csd_across_chunks(scale):
     # at n=3, L=4096 the ~4 MB workspace bound gives chunks of 42
     # segments; 800 segments make 19 full chunks and one partial chunk
     n, L = 3, 4096
-    params = WelchParams(segment_length=L)
+    params = FrequencyGrid(segment_length=L)
     t = L + 799 * params.hop
     assert params.segment_count(t) == 800
     panel = white_panel(n=n, t=t, seed=13)
@@ -224,7 +232,7 @@ def serial_chunk_loop(panel, params, shift):
     ids=["one-chunk", "one-segment-tail", "odd-chunk", "benchmark-shape", "ragged-tiles"],
 )
 def test_estimate_cpsd_matches_serial_chunk_loop(n, L, n_seg, chunks):
-    params = WelchParams(segment_length=L)
+    params = FrequencyGrid(segment_length=L)
     t = L + (n_seg - 1) * params.hop
     panel = white_panel(n=n, t=t, seed=n)
     # a constant shift moves bins 0 and 1 only: the bins above see the same
@@ -252,7 +260,7 @@ def test_estimate_cpsd_keeps_one_chunk_workspace():
     # conjugated group of bins. A segment copy of the chunk or a conjugated
     # copy of F would each add as much as F again
     n, L = 7, 1024
-    params = WelchParams(segment_length=L)
+    params = FrequencyGrid(segment_length=L)
     bins = L // 2 + 1
     chunk = spectral.WORKSPACE // (n * bins)
     panel = white_panel(n=n, t=L + 2 * chunk * params.hop, seed=7)
@@ -272,7 +280,7 @@ def test_estimate_cpsd_reads_its_source_once(tmp_path, monkeypatch):
     # segment for the shift, the tail from the last segment's second half
     # on and one hop per tile; a second pass would double the bytes read
     n, L = 7, 1024
-    params = WelchParams(segment_length=L)
+    params = FrequencyGrid(segment_length=L)
     panel = white_panel(n=n, t=L + 163 * params.hop, seed=7)
     fill, read = PanelReader._fill, []
 
@@ -289,7 +297,7 @@ def test_estimate_cpsd_reads_its_source_once(tmp_path, monkeypatch):
 
 def test_estimate_cpsd_joins_its_threads_and_checks_before_starting(monkeypatch):
     before = threading.active_count()
-    estimate_cpsd(white_panel(t=20_000), WelchParams(segment_length=128))
+    estimate_cpsd(white_panel(t=20_000), FrequencyGrid(segment_length=128))
     assert threading.active_count() == before
 
     def no_pool(*args, **kwargs):
@@ -297,23 +305,23 @@ def test_estimate_cpsd_joins_its_threads_and_checks_before_starting(monkeypatch)
 
     monkeypatch.setattr(spectral, "ThreadPoolExecutor", no_pool)
     with pytest.raises(DataError, match="need >= 8"):
-        estimate_cpsd(white_panel(t=900), WelchParams(segment_length=256))
+        estimate_cpsd(white_panel(t=900), FrequencyGrid(segment_length=256))
 
 
 @pytest.mark.parametrize("L", [16, 256, 1024, 4096])
 def test_welch_window_is_scipy_hann_bit_for_bit(L):
-    assert WelchParams(segment_length=L).window.tobytes() == get_window("hann", L).tobytes()
+    assert FrequencyGrid(segment_length=L).window.tobytes() == get_window("hann", L).tobytes()
 
 
 def test_too_short_panel_rejected():
     with pytest.raises(DataError):
-        estimate_cpsd(white_panel(t=900), WelchParams(segment_length=256))
+        estimate_cpsd(white_panel(t=900), FrequencyGrid(segment_length=256))
 
 
 def test_estimate_tracks_analytic_psd():
     model = chain3_model()
     panel = simulate(model, 200_000, seed=21)
-    est = estimate_cpsd(panel, WelchParams(segment_length=256))
+    est = estimate_cpsd(panel, FrequencyGrid(segment_length=256))
     ana = analytic_psd(model, est.grid)
     rel = np.linalg.norm(est.values - ana.values, axis=(1, 2)) / np.linalg.norm(
         ana.values, axis=(1, 2)
@@ -328,7 +336,7 @@ def test_estimate_error_shrinks_with_t():
     errs = []
     for t, seg in ((10_000, 64), (100_000, 256), (1_000_000, 1024)):
         panel = simulate(model, t, seed=33)
-        est = estimate_cpsd(panel, WelchParams(segment_length=seg))
+        est = estimate_cpsd(panel, FrequencyGrid(segment_length=seg))
         ana = analytic_psd(model, est.grid)
         errs.append(
             float(
@@ -595,7 +603,7 @@ def test_marginal_needs_two_nodes():
 # file formats
 
 def test_spectra_binary_roundtrip(tmp_path):
-    s = estimate_cpsd(white_panel(t=20_000), WelchParams(segment_length=128))
+    s = estimate_cpsd(white_panel(t=20_000), FrequencyGrid(segment_length=128))
     path = tmp_path / "s.rtsm"
     save_spectra_binary(s, path)
     back = load_spectra_binary(path)
@@ -605,7 +613,7 @@ def test_spectra_binary_roundtrip(tmp_path):
 
 
 def test_spectra_binary_refuses_non_finite_unflagged_bins(tmp_path):
-    s = estimate_cpsd(white_panel(t=20_000), WelchParams(segment_length=128))
+    s = estimate_cpsd(white_panel(t=20_000), FrequencyGrid(segment_length=128))
     values = s.values.copy()
     values[3, 0, 1] = np.inf
     values[9, 1, 1] = np.nan
