@@ -18,8 +18,8 @@ from .detection import (
     Diagnostic,
     EdgeDecisionParams,
     detect,
-    infer_support_graph,
     phase_nonconstancy_score,
+    support_graph,
 )
 from .errors import (
     AssumptionViolation,

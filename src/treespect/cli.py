@@ -44,6 +44,7 @@ from .config import (
     is_count,
     load_config,
     read_chunks,
+    read_json,
     refuse_unknown_keys,
     sha256_file,
     sha256_parts,
@@ -245,8 +246,18 @@ STAGES = {
 }
 
 
+def _output_dir(out: Path) -> Path:
+    """`out`, made if absent; a ConfigError naming it if it cannot be a
+    directory."""
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out {out} is not a usable directory: {exc.strerror}") from exc
+    return out
+
+
 def run_stages(names, cfg: ExperimentConfig, out: Path) -> None:
-    out.mkdir(parents=True, exist_ok=True)
+    _output_dir(out)
     handoff: dict = {}
     for name in names:
         t0 = time.perf_counter()
@@ -322,13 +333,7 @@ def _sweep_row(task) -> dict:
 
 
 def cmd_sweep(args) -> int:
-    path = Path(args.config)
-    if not path.exists():
-        raise ConfigError(f"sweep config not found: {path}")
-    try:
-        payload = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
+    payload = read_json(Path(args.config), "sweep config")
     refuse_unknown_keys(payload, SWEEP_KEYS, "sweep config")
     count = _sweep_value(payload, "instances", 0, is_count, "an integer >= 0")
     pair = "a [low, high] pair of integers >= 0"
@@ -368,6 +373,7 @@ def cmd_sweep(args) -> int:
         k = int(rng.integers(lo_k, min(hi_k, max_deep_nodes(n)) + 1))
         for trajectory in trajectories:
             tasks.append((idx, n, k, trajectory, seed, welch, violate))
+    out = _output_dir(Path(args.out))
 
     # the pool forks all its workers at the first submit, so never ask for
     # more than there are rows or cores
@@ -378,8 +384,6 @@ def cmd_sweep(args) -> int:
     else:
         rows = [_sweep_row(t) for t in tasks]
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     summary = out / "sweep_summary.csv"
     fields = [
         "instance", "n_nodes", "n_corrupt", "trajectory",

@@ -17,7 +17,8 @@ EXPERIMENT_KEYS = frozenset({
     "model", "model_path", "corruption", "trajectory_length", "seed", "burn_in",
     "welch",
 })
-MODEL_KEYS = frozenset({"labels", "edges", "self_dynamics", "noise_variance"})
+# each model key and the JSON type of its value
+MODEL_TYPES = {"labels": list, "edges": list, "self_dynamics": dict, "noise_variance": dict}
 EDGE_KEYS = frozenset({"a", "b", "ab", "ba"})
 CORRUPTION_KEYS = frozenset(f.name for f in fields(CorruptionSpec))
 WELCH_KEYS = frozenset({"segment_length"})
@@ -97,10 +98,26 @@ def check_welch_length(trajectory_length: int, welch: FrequencyGrid) -> None:
         )
 
 
+def read_json(path: Path, what: str):
+    """The JSON value in the file at `path`; a ConfigError naming `what`
+    and the path if the file is missing, unreadable or not JSON."""
+    if not path.exists():
+        raise ConfigError(f"{what} not found: {path}")
+    try:
+        return json.loads(path.read_text())
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc.strerror}") from exc
+
+
 def _checked_model(payload: dict) -> GenerativeModel:
-    """The model block, inline or from `model_path`, with its keys and each
-    `edges[]` entry's keys checked."""
-    refuse_unknown_keys(payload, MODEL_KEYS, "model")
+    """The model block, inline or from `model_path`, with its keys, the
+    JSON type of each key's value and each `edges[]` entry's keys checked."""
+    refuse_unknown_keys(payload, frozenset(MODEL_TYPES), "model")
+    for key, kind in MODEL_TYPES.items():
+        if key in payload and not isinstance(payload[key], kind):
+            raise ConfigError(f"model {key!r} must be a JSON {'array' if kind is list else 'object'}")
     for i, edge in enumerate(payload.get("edges", [])):
         refuse_unknown_keys(edge, EDGE_KEYS, f"edges[{i}]")
     return model_from_dict(payload)
@@ -117,9 +134,7 @@ def config_from_dict(payload: dict, base_dir: Path | None = None) -> ExperimentC
             path = Path(payload["model_path"])
             if base_dir is not None and not path.is_absolute():
                 path = base_dir / path
-            if not path.exists():
-                raise ConfigError(f"model file not found: {path}")
-            model = _checked_model(json.loads(path.read_text()))
+            model = _checked_model(read_json(path, "model file"))
         else:
             raise ConfigError("config needs 'model' or 'model_path'")
         entries = payload.get("corruption", [])
@@ -145,13 +160,7 @@ def config_from_dict(payload: dict, base_dir: Path | None = None) -> ExperimentC
 
 def load_config(path: str | Path) -> ExperimentConfig:
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
-    try:
-        payload = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
-    return config_from_dict(payload, base_dir=path.parent)
+    return config_from_dict(read_json(path, "config file"), base_dir=path.parent)
 
 
 def bundled_config_path(name: str) -> Path:

@@ -115,30 +115,22 @@ class CorruptionSignature:
         if np.any(d < 0):
             raise DataError("additive spectrum d must be nonnegative")
 
-    @classmethod
-    def trivial(cls, grid: FrequencyGrid) -> "CorruptionSignature":
-        return cls(grid, np.ones(grid.size, dtype=complex), np.zeros(grid.size))
-
 
 def analytic_signature(
-    spec: CorruptionSpec, grid: FrequencyGrid, model: GenerativeModel | None = None
+    spec: CorruptionSpec, grid: FrequencyGrid, model: GenerativeModel
 ) -> CorruptionSignature:
     """Exact signature where the corruption model admits one in closed form.
 
-    random_delay needs the generating model, because its additive level
+    random_delay reads the generating model, because its additive level
     depends on the clean autocovariance; packet_drop has no closed-form d
-    here and must be estimated from data.
+    here and must be estimated from data, and kind none has no signature.
     """
     w = grid.frequencies
-    if spec.kind == "none":
-        return CorruptionSignature.trivial(grid)
     if spec.kind == "noisy_filter":
         taps = np.asarray(spec.taps)
         h = np.sum(taps[None, :] * np.exp(-1j * np.outer(w, np.arange(taps.size))), axis=1)
         return CorruptionSignature(grid, h, np.full(grid.size, float(spec.noise_variance)))
     if spec.kind == "random_delay":
-        if model is None:
-            raise DataError("random_delay signature needs the generating model")
         h = spec.p * np.exp(1j * w * spec.t1) + (1 - spec.p) * np.exp(1j * w * spec.t2)
         lag = abs(spec.t1 - spec.t2)
         R = stationary_autocovariance(model, [0, lag])

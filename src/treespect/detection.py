@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DataError, NumericalError
-from .graphs import Edge, UndirectedGraph, graph_to_dot, neighborhood_is_clique, sorted_edges
+from .graphs import Edge, UndirectedGraph, graph_to_dot, neighborhood_is_clique
 from .spectral import SpectralMatrix
 
 ALPHA = 0.01  # family-wise level of the edge tests and of the phase tests on one matrix
@@ -111,13 +111,15 @@ def band_statistics(inv: SpectralMatrix) -> np.ndarray:
     return np.mean(np.abs(rho) ** 2, axis=0)
 
 
-def _support(stats: np.ndarray, cut: float) -> UndirectedGraph:
-    return UndirectedGraph.from_edges(len(stats), np.argwhere(np.triu(stats >= cut, 1)).tolist())
-
-
-def infer_support_graph(inv: SpectralMatrix, decision: EdgeDecisionParams) -> UndirectedGraph:
-    """Edges whose band statistic reaches its threshold."""
-    return _support(band_statistics(inv), decision.thresholds(inv)["band"])
+def support_graph(
+    inv: SpectralMatrix, decision: EdgeDecisionParams
+) -> tuple[UndirectedGraph, np.ndarray, dict[str, float]]:
+    """The edges whose band statistic reaches its cut, with the band
+    statistics (`band_statistics`) and the cuts (`decision.thresholds`)."""
+    stats = band_statistics(inv)
+    thresholds = decision.thresholds(inv)
+    edges = np.argwhere(np.triu(stats >= thresholds["band"], 1)).tolist()
+    return UndirectedGraph(inv.n_nodes, edges), stats, thresholds
 
 
 def phase_nonconstancy_score(
@@ -164,9 +166,7 @@ def detect(inv: SpectralMatrix, decision: EdgeDecisionParams) -> DetectionReport
     theory (leaves always keep their true edge), so it is surfaced as a
     diagnostic rather than guessed either way.
     """
-    stats = band_statistics(inv)
-    thresholds = decision.thresholds(inv)
-    support = _support(stats, thresholds["band"])
+    support, stats, thresholds = support_graph(inv, decision)
     n = inv.n_nodes
     candidates = frozenset(i for i in range(n) if neighborhood_is_clique(support, i))
     corrupt: set[int] = set()
@@ -228,7 +228,7 @@ def report_to_dict(report: DetectionReport) -> dict:
                 "band": report.edge_scores[a, b],
                 "margin": report.edge_scores[a, b] / cut["band"],
             }
-            for a, b in sorted_edges(report.support_graph)
+            for a, b in sorted(report.support_graph.edges)
         ],
         "candidates": sorted(labs[i] for i in report.candidates),
         "corrupt": sorted(labs[i] for i in report.corrupt),
@@ -256,7 +256,7 @@ def report_from_dict(payload: dict, labels: Sequence[str]) -> DetectionReport:
         support_edges = [
             (index[e["a"]], index[e["b"]]) for e in payload["support_edges"]
         ]
-        support = UndirectedGraph.from_edges(len(labels), support_edges)
+        support = UndirectedGraph(len(labels), support_edges)
         edge_scores = {
             (min(a, b), max(a, b)): float(e["band"])
             for (a, b), e in zip(support_edges, payload["support_edges"])

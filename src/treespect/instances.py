@@ -69,8 +69,8 @@ def tree_with_deep_nodes(
             edges = []
             for v in range(1, n):
                 edges.append((v, int(rng.integers(0, v))))
-            tree = UndirectedGraph.from_edges(n, edges)
-            if max(tree.degree(i) for i in range(n)) < n - 1:
+            tree = UndirectedGraph(n, edges)
+            if max(map(len, tree.adjacency)) < n - 1:
                 return tree, ()
 
     positions = [int(rng.integers(3, 5))]
@@ -101,7 +101,7 @@ def tree_with_deep_nodes(
             dist_to_marked.append(dist_to_marked[prev] + 1)
             prev = next_node
             next_node += 1
-    tree = UndirectedGraph.from_edges(n, adj_edges)
+    tree = UndirectedGraph(n, adj_edges)
     return tree, marked
 
 

@@ -269,5 +269,5 @@ def model_from_dict(payload: Mapping) -> GenerativeModel:
         sigma = np.array([float(var_raw.get(lab, 1.0)) for lab in labels])
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"malformed model description: {exc}") from exc
-    topo = UndirectedGraph.from_edges(n, edges)
+    topo = UndirectedGraph(n, edges)
     return GenerativeModel(topo, coupling, dynamics, sigma, tuple(labels))

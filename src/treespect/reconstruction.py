@@ -18,18 +18,11 @@ from .detection import (
     DetectionReport,
     Diagnostic,
     EdgeDecisionParams,
-    infer_support_graph,
     phase_nonconstancy_score,
+    support_graph,
 )
 from .errors import AssumptionViolation, DataError
-from .graphs import (
-    Edge,
-    UndirectedGraph,
-    connected_components,
-    graph_to_dot,
-    is_tree,
-    sorted_edges,
-)
+from .graphs import Edge, UndirectedGraph, connected_components, graph_to_dot, is_tree
 from .spectral import SpectralMatrix, invert_spectrum, marginal_inverse_psd
 
 
@@ -59,9 +52,6 @@ class TopologyEstimate:
     placements: tuple[PlacementTrial, ...] = ()
     thresholds: dict[str, float] = field(default_factory=dict)
 
-    def is_tree(self) -> bool:
-        return is_tree(self.graph)
-
 
 def observed_support_graph(
     inv: SpectralMatrix,
@@ -73,9 +63,8 @@ def observed_support_graph(
     corrupt = frozenset(corrupt)
     observed = sorted(set(range(inv.n_nodes)) - corrupt)
     marg = marginal_inverse_psd(inv, observed)
-    sub = infer_support_graph(marg, decision)
-    edges = [(observed[a], observed[b]) for a, b in sub.edges]
-    return UndirectedGraph.from_edges(inv.n_nodes, edges)
+    sub, _, _ = support_graph(marg, decision)
+    return UndirectedGraph(inv.n_nodes, [(observed[a], observed[b]) for a, b in sub.edges])
 
 
 def true_edges_by_separation(
@@ -90,7 +79,7 @@ def true_edges_by_separation(
     """
     non_leaf = observed - leaves
     kept: set[Edge] = set(leaf_edges)
-    for p, q in sorted_edges(t_m):
+    for p, q in sorted(t_m.edges):
         if p not in non_leaf or q not in non_leaf:
             continue
         rest = observed - {p, q}
@@ -114,7 +103,7 @@ def _alignment_trials(
     the pruned tree in theta_i and r-s one in theta_j, with the edge pair
     {q-l, l-r} it proposes and the W of its (p,s) entry.  The five are
     distinct: p-q and r-s lie in disjoint components, the corrupt l in neither."""
-    adj, tree = perturbed.adjacency(), pruned.adjacency()
+    adj, tree = perturbed.adjacency, pruned.adjacency
     out = []
     for l in corrupt:
         rs = sorted(theta_j & adj[l])
@@ -269,14 +258,14 @@ def estimate_to_dict(est: TopologyEstimate) -> dict:
                 "b": labs[b],
                 "provenance": est.provenance.get((a, b), "unknown"),
             }
-            for a, b in sorted_edges(est.graph)
+            for a, b in sorted(est.graph.edges)
         ],
-        "is_tree": est.is_tree(),
+        "is_tree": is_tree(est.graph),
         "components_before_placement": [
             sorted(labs[v] for v in comp) for comp in est.components_before_placement
         ],
         "observed_support_edges": [
-            [labs[a], labs[b]] for a, b in sorted_edges(est.observed_support)
+            [labs[a], labs[b]] for a, b in sorted(est.observed_support.edges)
         ],
         "placements": [
             {

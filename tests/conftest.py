@@ -7,7 +7,7 @@ from scipy.signal import lfilter
 from treespect.config import bundled_config_path, load_config
 from treespect.corruption import CorruptionSignature
 from treespect.errors import DataError
-from treespect.graphs import UndirectedGraph, bfs_distances, is_tree
+from treespect.graphs import UndirectedGraph, is_tree
 from treespect.instances import TARGET_RADIUS
 from treespect.ltisim import GenerativeModel, analytic_inverse_psd, spectral_radius
 from treespect.oracles import H_FLOOR, woodbury_chain_inverse
@@ -41,14 +41,14 @@ def prufer_tree(seq: list[int], n: int) -> UndirectedGraph:
     a = heapq.heappop(leaves)
     b = heapq.heappop(leaves)
     edges.append((a, b))
-    return UndirectedGraph.from_edges(n, edges)
+    return UndirectedGraph(n, edges)
 
 
 def random_tree(rng: np.random.Generator, n: int) -> UndirectedGraph:
     if n == 1:
         return UndirectedGraph(1)
     if n == 2:
-        return UndirectedGraph.from_edges(2, [(0, 1)])
+        return UndirectedGraph(2, [(0, 1)])
     seq = [int(x) for x in rng.integers(0, n, size=n - 2)]
     return prufer_tree(seq, n)
 
@@ -68,6 +68,26 @@ def draw_ar_model(rng: np.random.Generator, tree: UndirectedGraph, ar: bool = Tr
     coupling = {key: v * scale for key, v in coupling.items()}
     dyn = tuple(tuple(a * scale for a in c) for c in dyn)
     return GenerativeModel(tree, coupling, dyn, sigma)
+
+
+def bfs_distances(g: UndirectedGraph, source: int) -> list[int]:
+    """Shortest-path hop counts from source; -1 for unreachable nodes."""
+    g._check_node(source)
+    dist = [-1] * g.node_count
+    dist[source] = 0
+    queue = deque([source])
+    while queue:
+        v = queue.popleft()
+        for w in g.adjacency[v]:
+            if dist[w] < 0:
+                dist[w] = dist[v] + 1
+                queue.append(w)
+    return dist
+
+
+def leaves(g: UndirectedGraph) -> frozenset[int]:
+    """The nodes of degree one."""
+    return frozenset(i for i, nbrs in enumerate(g.adjacency) if len(nbrs) == 1)
 
 
 def n_hop_neighbors(g: UndirectedGraph, i: int, n: int) -> frozenset[int]:
@@ -101,7 +121,7 @@ def perturbed_graph(moral: UndirectedGraph, corrupt: frozenset[int] | set[int]) 
     corrupt = frozenset(corrupt)
     for v in corrupt:
         moral._check_node(v)
-    adj = moral.adjacency()
+    adj = moral.adjacency
     edges = set(moral.edges)
     seen: set[int] = set()
     for start in sorted(corrupt):

@@ -20,8 +20,8 @@ from treespect.detection import (
     ANALYTIC_DECISION,
     EdgeDecisionParams,
     detect,
-    infer_support_graph,
     phase_nonconstancy_score,
+    support_graph,
 )
 from treespect.errors import AssumptionViolation
 from treespect.graphs import UndirectedGraph
@@ -50,6 +50,7 @@ from conftest import (
     chain7,
     draw_ar_model,
     estimate_signature,
+    leaves,
     moral_graph,
     one_step_inverse,
     panel_copy,
@@ -195,7 +196,7 @@ def test_criterion_2b_woodbury_vs_dense():
 
 
 def _alignment_configs(topology, l):
-    adj = topology.adjacency()
+    adj = topology.adjacency
     for q in sorted(adj[l]):
         for r in sorted(adj[l]):
             if q == r:
@@ -238,7 +239,7 @@ def test_criterion_3_support_equivalence(analytic_pool):
     for inst in analytic_pool:
         sigs = analytic_signatures(inst.model, inst.specs, GRID)
         inv = invert_spectrum(analytic_corrupted_psd(inst.model, sigs, GRID))
-        support = infer_support_graph(inv, ANALYTIC_DECISION)
+        support, _, _ = support_graph(inv, ANALYTIC_DECISION)
         truth = perturbed_graph(moral_graph(inst.topology), inst.corrupt)
         mismatches += support.edges != truth.edges
     report(
@@ -260,7 +261,7 @@ def test_criterion_4_classification_and_phase_table(analytic_pool):
         rep = detect(inv, ANALYTIC_DECISION)
         if (
             rep.corrupt != inst.corrupt
-            or rep.leaves != inst.topology.leaves()
+            or rep.leaves != leaves(inst.topology)
             or rep.diagnostics
         ):
             misclassified += 1

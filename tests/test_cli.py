@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from treespect import spectral, streams
+from treespect import cli, spectral, streams
 from treespect.cli import main, run_stages
 from treespect.config import bundled_config_path, config_from_dict, load_config
 from treespect.ltisim import model_to_dict
@@ -525,6 +525,60 @@ def test_unknown_config_key_exits_2(tmp_path, capsys, overrides, key):
     assert f"'{key}'" in capsys.readouterr().err
     assert not out.exists()
 
+
+
+@pytest.mark.parametrize("key, value, expected", [
+    ("labels", "1234567", "array"),
+    ("edges", {}, "array"),
+    ("self_dynamics", [0.0] * 7, "object"),
+    ("noise_variance", [1.0] * 7, "object"),
+    ("noise_variance", None, "object"),
+], ids=["labels-string", "edges-object", "self-dynamics-array", "noise-variance-array",
+        "noise-variance-null"])
+@pytest.mark.parametrize("source", ["inline", "model_path"])
+def test_model_value_of_the_wrong_json_type_exits_2(
+    tmp_path, capsys, key, value, expected, source
+):
+    model = {**MODEL, key: value}
+    if source == "inline":
+        cfg = write_tiny(tmp_path, model=model)
+    else:
+        (tmp_path / "model.json").write_text(json.dumps(model))
+        cfg = tmp_path / "config.json"
+        payload = {k: v for k, v in TINY.items() if k != "model"}
+        cfg.write_text(json.dumps({**payload, "model_path": "model.json"}))
+    out = tmp_path / "run"
+    assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"model '{key}' must be a JSON {expected}" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["pipeline", "sweep"])
+def test_config_directory_or_out_file_exits_2_naming_the_path(
+    tmp_path, capsys, monkeypatch, command
+):
+    if command == "sweep":
+        cfg = tmp_path / "sweep.json"
+        cfg.write_text(json.dumps({"instances": 1, "nodes": [7, 7], "corrupt": [1, 1]}))
+    else:
+        cfg = write_tiny(tmp_path)
+    assert main([command, "--config", str(tmp_path), "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert f"cannot read {'sweep config' if command == 'sweep' else 'config file'} {tmp_path}" in err
+    assert "Traceback" not in err
+    # --out is checked before any stage or sweep row runs
+    ran = []
+    monkeypatch.setitem(cli.STAGES, "simulate", lambda *a: ran.append(a))
+    monkeypatch.setattr(cli, "_sweep_row", lambda task: ran.append(task))
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory")
+    assert main([command, "--config", str(cfg), "--out", str(taken)]) == 2
+    err = capsys.readouterr().err
+    assert f"--out {taken} is not a usable directory" in err
+    assert "Traceback" not in err
+    assert ran == [] and taken.read_text() == "not a directory"
 
 def test_missing_upstream_artifact_exits_3(tmp_path):
     cfg = write_tiny(tmp_path)

@@ -166,7 +166,7 @@ def test_filter_signature_matches_fir_response(chain_panel):
     )
     out = apply_corruption(panel_copy(chain_panel), [spec], seed=17)
     est = estimate_signature(chain_panel.data[2], out.data[2], WELCH)
-    ana = analytic_signature(spec, est.grid)
+    ana = analytic_signature(spec, est.grid, chain7()[0])
     assert (np.abs(est.h - ana.h) / np.abs(ana.h)).max() < 0.05
     assert np.abs(est.d - 0.3).max() < 0.05
 
@@ -198,5 +198,5 @@ def test_signature_validation_and_csv():
     grid = FrequencyGrid.welch_bins(16)
     with pytest.raises(DataError):
         CorruptionSignature(grid, np.ones(grid.size), -np.ones(grid.size))
-    sig = CorruptionSignature.trivial(grid)
-    assert np.all(sig.h == 1.0) and np.all(sig.d == 0.0)
+    sig = CorruptionSignature(grid, np.ones(grid.size), np.zeros(grid.size))
+    assert sig.h.dtype == np.complex128 and sig.d.dtype == np.float64

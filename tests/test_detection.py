@@ -13,10 +13,10 @@ from treespect.detection import (
     band_statistics,
     detect,
     gamma_quantile,
-    infer_support_graph,
     phase_nonconstancy_score,
     report_to_dot,
     report_to_json,
+    support_graph,
 )
 from treespect.errors import NumericalError
 from treespect.graphs import UndirectedGraph
@@ -33,7 +33,7 @@ from treespect.spectral import (
 )
 from treespect.streams import apply_corruption, simulate
 
-from conftest import chain7, moral_graph, perturbed_graph, two_sided
+from conftest import chain7, leaves, moral_graph, perturbed_graph, two_sided
 
 GRID = FrequencyGrid.welch_bins(256)
 
@@ -58,19 +58,19 @@ def clean_chain_inverse():
 # support graph
 
 def test_corrupted_support_is_perturbed_graph(chain_inverse):
-    support = infer_support_graph(chain_inverse, ANALYTIC_DECISION)
+    support, _, _ = support_graph(chain_inverse, ANALYTIC_DECISION)
     assert support.edges == CHAIN7_PERTURBED
 
 
 def test_clean_support_is_moral_graph(clean_chain_inverse):
-    support = infer_support_graph(clean_chain_inverse, ANALYTIC_DECISION)
+    support, _, _ = support_graph(clean_chain_inverse, ANALYTIC_DECISION)
     assert support.edges == CHAIN7_MORAL
 
 
 def test_diagonal_spectrum_gives_edgeless_graph():
     vals = np.einsum("f,ij->fij", np.linspace(1, 2, GRID.size), np.eye(3)).astype(complex)
     s = SpectralMatrix(GRID, vals, ["a", "b", "c"])
-    assert infer_support_graph(s, ANALYTIC_DECISION).edges == frozenset()
+    assert support_graph(s, ANALYTIC_DECISION)[0].edges == frozenset()
 
 
 def test_raising_threshold_never_adds_edges(welch_chain_inverse):
@@ -78,8 +78,8 @@ def test_raising_threshold_never_adds_edges(welch_chain_inverse):
     few, many = EdgeDecisionParams(40), EdgeDecisionParams(4000)
     cuts = [d.thresholds(welch_chain_inverse)["band"] for d in (few, many)]
     assert cuts[0] > cuts[1]
-    lo = infer_support_graph(welch_chain_inverse, many)
-    hi = infer_support_graph(welch_chain_inverse, few)
+    lo, _, _ = support_graph(welch_chain_inverse, many)
+    hi, _, _ = support_graph(welch_chain_inverse, few)
     assert hi.edges <= lo.edges
     stats = band_statistics(welch_chain_inverse)
     assert np.allclose(np.diag(stats), 1.0)
@@ -94,7 +94,7 @@ def test_support_matches_graph_construction_on_random_instances():
         inst = random_instance(rng, n, k)
         sigs = analytic_signatures(inst.model, inst.specs, GRID)
         inv = invert_spectrum(analytic_corrupted_psd(inst.model, sigs, GRID))
-        support = infer_support_graph(inv, ANALYTIC_DECISION)
+        support, _, _ = support_graph(inv, ANALYTIC_DECISION)
         truth = perturbed_graph(moral_graph(inst.topology), inst.corrupt)
         assert support.edges == truth.edges
 
@@ -232,7 +232,7 @@ def test_detect_on_clean_chain(clean_chain_inverse):
 
 def test_detect_two_node_system():
     model = GenerativeModel(
-        UndirectedGraph.from_edges(2, [(0, 1)]),
+        UndirectedGraph(2, [(0, 1)]),
         {(0, 1): 0.5, (1, 0): 0.4},
         ((0.0,), (0.0,)),
         np.ones(2),
@@ -253,7 +253,7 @@ def test_detect_recovers_corrupt_and_leaves_on_random_instances():
         inv = invert_spectrum(analytic_corrupted_psd(inst.model, sigs, GRID))
         report = detect(inv, ANALYTIC_DECISION)
         assert report.corrupt == inst.corrupt
-        assert report.leaves == inst.topology.leaves()
+        assert report.leaves == leaves(inst.topology)
         assert report.diagnostics == ()
         # report invariants
         assert report.corrupt | report.leaves == report.candidates
@@ -269,7 +269,7 @@ def test_detect_is_permutation_equivariant():
     inv_perm = np.argsort(perm)
     edges = [(perm[a], perm[b]) for a, b in model.topology.edges]
     permuted = GenerativeModel(
-        UndirectedGraph.from_edges(7, edges),
+        UndirectedGraph(7, edges),
         {(perm[a], perm[b]): v for (a, b), v in model.coupling.items()},
         tuple(model.self_dynamics[inv_perm[i]] for i in range(7)),
         model.noise_variance[inv_perm],

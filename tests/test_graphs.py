@@ -8,15 +8,20 @@ from hypothesis import strategies as st
 from treespect.errors import DataError
 from treespect.graphs import (
     UndirectedGraph,
-    bfs_distances,
     connected_components,
     graph_to_dot,
     is_tree,
     neighborhood_is_clique,
-    sorted_edges,
 )
 
-from conftest import moral_graph, n_hop_neighbors, perturbed_graph, random_tree
+from conftest import (
+    bfs_distances,
+    leaves,
+    moral_graph,
+    n_hop_neighbors,
+    perturbed_graph,
+    random_tree,
+)
 
 CHAIN7 = UndirectedGraph.chain(7)
 # 0-indexed moral graph of the 7-chain: chain edges plus every 2-hop pair
@@ -31,7 +36,7 @@ CHAIN7_PERTURBED_EDGES = CHAIN7_MORAL_EDGES | {(1, 4), (1, 5), (2, 5)}
 # brute-force oracles
 
 def all_simple_paths(g: UndirectedGraph, a: int, b: int):
-    adj = g.adjacency()
+    adj = g.adjacency
     stack = [(a, [a])]
     while stack:
         v, path = stack.pop()
@@ -63,7 +68,7 @@ def test_chain_hops_match_figure():
 
 
 def test_hops_of_isolated_node_empty():
-    g = UndirectedGraph.from_edges(4, [(1, 2), (2, 3)])
+    g = UndirectedGraph(4, [(1, 2), (2, 3)])
     assert n_hop_neighbors(g, 0, 1) == frozenset()
     assert n_hop_neighbors(g, 0, 3) == frozenset()
 
@@ -77,31 +82,30 @@ def test_hop_errors():
 
 def test_is_tree():
     assert is_tree(CHAIN7)
-    assert not is_tree(UndirectedGraph.from_edges(7, list(CHAIN7.edges) + [(0, 6)]))
+    assert not is_tree(UndirectedGraph(7, list(CHAIN7.edges) + [(0, 6)]))
     assert is_tree(UndirectedGraph(1))
     assert not is_tree(UndirectedGraph(3))  # disconnected
+    # n - 1 edges, but a cycle and an isolated node
+    assert not is_tree(UndirectedGraph(4, [(0, 1), (1, 2), (0, 2)]))
 
 
 def test_adjacency_is_built_once_and_matches_the_edges():
     g = random_tree(np.random.default_rng(4), 30)
-    adj = g.adjacency()
-    assert g.adjacency() is adj
+    adj = g.adjacency
+    assert g.adjacency is adj
     assert all(isinstance(s, frozenset) for s in adj) and len(adj) == 30
     for i in range(30):
         assert g.neighbors(i) is adj[i]
-        assert g.degree(i) == sum(i in e for e in g.edges)
+        assert len(adj[i]) == sum(i in e for e in g.edges)
         for j in range(30):
-            assert g.has_edge(i, j) == ((min(i, j), max(i, j)) in g.edges)
-    # equal or out-of-range nodes are never adjacent
-    for a, b in [(3, 3), (-1, 0), (0, -1), (0, 30), (30, 0), (29, 30)]:
-        assert not g.has_edge(a, b)
+            assert (j in adj[i]) == ((min(i, j), max(i, j)) in g.edges)
     with pytest.raises(DataError):
         g.neighbors(30)
 
 
 def test_no_self_loops():
     with pytest.raises(DataError):
-        UndirectedGraph.from_edges(3, [(1, 1)])
+        UndirectedGraph(3, [(1, 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -112,12 +116,12 @@ def test_chain7_moral_graph_matches_figure():
 
 
 def test_two_node_moral_graph_unchanged():
-    g = UndirectedGraph.from_edges(2, [(0, 1)])
+    g = UndirectedGraph(2, [(0, 1)])
     assert moral_graph(g).edges == g.edges
 
 
 def test_star_moral_graph_is_complete():
-    star = UndirectedGraph.from_edges(5, [(0, i) for i in range(1, 5)])
+    star = UndirectedGraph(5, [(0, i) for i in range(1, 5)])
     expected = frozenset(
         (a, b) for a in range(5) for b in range(a + 1, 5)
     )  # enumerated by hand: star edges plus all leaf pairs
@@ -126,7 +130,7 @@ def test_star_moral_graph_is_complete():
 
 def test_moral_graph_rejects_non_tree():
     with pytest.raises(DataError):
-        moral_graph(UndirectedGraph.from_edges(3, [(0, 1), (1, 2), (0, 2)]))
+        moral_graph(UndirectedGraph(3, [(0, 1), (1, 2), (0, 2)]))
 
 
 @settings(max_examples=60, deadline=None)
@@ -166,7 +170,7 @@ def test_perturbed_agrees_with_path_enumeration(n, data):
     k = int(rng.integers(0, max(1, n * (n - 1) // 3)))
     pairs = list(itertools.combinations(range(n), 2))
     chosen = [pairs[i] for i in rng.choice(len(pairs), size=min(k, len(pairs)), replace=False)]
-    g = UndirectedGraph.from_edges(n, chosen)
+    g = UndirectedGraph(n, chosen)
     corrupt = frozenset(int(v) for v in rng.choice(n, size=int(rng.integers(0, n)), replace=False))
     assert perturbed_graph(g, corrupt).edges == perturbed_by_path_enumeration(g, corrupt).edges
 
@@ -204,17 +208,17 @@ def test_clique_neighborhoods_are_exactly_leaves_and_corrupt():
         tree, marked = tree_with_deep_nodes(rng, n, k)
         gu = perturbed_graph(moral_graph(tree), frozenset(marked))
         found = {i for i in range(n) if neighborhood_is_clique(gu, i)}
-        assert found == tree.leaves() | set(marked)
+        assert found == leaves(tree) | set(marked)
 
 
 def test_single_neighbor_is_clique():
-    g = UndirectedGraph.from_edges(3, [(0, 1), (1, 2)])
+    g = UndirectedGraph(3, [(0, 1), (1, 2)])
     assert neighborhood_is_clique(g, 0)
     assert not neighborhood_is_clique(g, 1)
 
 
 def test_components_of_pruned_graph():
-    g = UndirectedGraph.from_edges(7, [(0, 1), (1, 2), (4, 5), (5, 6)])
+    g = UndirectedGraph(7, [(0, 1), (1, 2), (4, 5), (5, 6)])
     comps = connected_components(g, within={0, 1, 2, 4, 5, 6})
     assert comps == [frozenset({0, 1, 2}), frozenset({4, 5, 6})]
 
@@ -232,7 +236,6 @@ def test_components_trivial_cases():
 # serialization
 
 def test_dot_output_canonical_order():
-    g = UndirectedGraph.from_edges(3, [(1, 2), (0, 1)])
+    g = UndirectedGraph(3, [(1, 2), (0, 1)])
     dot = graph_to_dot(g, ["a", "b", "c"])
     assert dot.index('"a" -- "b"') < dot.index('"b" -- "c"')
-    assert sorted_edges(g) == [(0, 1), (1, 2)]

@@ -7,7 +7,7 @@ import scipy.linalg
 
 from treespect import streams
 from treespect.errors import DataError, NumericalError
-from treespect.graphs import UndirectedGraph, bfs_distances
+from treespect.graphs import UndirectedGraph
 from treespect.instances import tree_with_deep_nodes
 from treespect.ltisim import (
     GenerativeModel,
@@ -21,12 +21,12 @@ from treespect.ltisim import (
 from treespect.spectral import FrequencyGrid
 from treespect.streams import simulate
 
-from conftest import draw_ar_model, moral_graph, random_tree
+from conftest import bfs_distances, draw_ar_model, moral_graph, random_tree
 
 
 def two_node_model():
     return GenerativeModel(
-        UndirectedGraph.from_edges(2, [(0, 1)]),
+        UndirectedGraph(2, [(0, 1)]),
         {(0, 1): 0.5, (1, 0): 0.4},
         ((0.0,), (0.0,)),
         np.ones(2),
@@ -43,7 +43,7 @@ def random_stable_model(rng, n=6, ar=False):
 def test_rejects_unstable_model():
     with pytest.raises(NumericalError):
         GenerativeModel(
-            UndirectedGraph.from_edges(2, [(0, 1)]),
+            UndirectedGraph(2, [(0, 1)]),
             {(0, 1): 1.2, (1, 0): 1.1},
             ((0.0,), (0.0,)),
             np.ones(2),
@@ -51,7 +51,7 @@ def test_rejects_unstable_model():
 
 
 def test_rejects_zero_coupling_and_bad_sigma():
-    g = UndirectedGraph.from_edges(2, [(0, 1)])
+    g = UndirectedGraph(2, [(0, 1)])
     with pytest.raises(DataError):
         GenerativeModel(g, {(0, 1): 0.0, (1, 0): 0.4}, ((0.0,), (0.0,)), np.ones(2))
     with pytest.raises(DataError):
@@ -59,7 +59,7 @@ def test_rejects_zero_coupling_and_bad_sigma():
 
 
 def test_companion_of_higher_order_dynamics():
-    g = UndirectedGraph.from_edges(2, [(0, 1)])
+    g = UndirectedGraph(2, [(0, 1)])
     m = GenerativeModel(g, {(0, 1): 0.3, (1, 0): 0.2}, ((0.2, 0.1), (0.1,)), np.ones(2))
     C = m.companion_matrix()
     assert C.shape == (4, 4)
@@ -113,7 +113,7 @@ def test_eigen_and_loop_paths_agree(monkeypatch):
 )
 def test_eigen_path_real_and_conjugate_modes(monkeypatch, b21, dynamics, complex_modes):
     m = GenerativeModel(
-        UndirectedGraph.from_edges(2, [(0, 1)]),
+        UndirectedGraph(2, [(0, 1)]),
         {(0, 1): 0.5, (1, 0): b21},
         dynamics,
         np.ones(2),
@@ -329,7 +329,7 @@ def test_inverse_psd_matches_four_case_closed_form():
     #   (i,j):   exactly 0 beyond two hops
     # Asymmetric couplings and unequal variances make a sign or transpose
     # slip in B show.
-    tree = UndirectedGraph.from_edges(7, [(0, 1), (1, 2), (2, 3), (1, 4), (4, 5), (2, 6)])
+    tree = UndirectedGraph(7, [(0, 1), (1, 2), (2, 3), (1, 4), (4, 5), (2, 6)])
     rng = np.random.default_rng(29)
     coupling = {}
     for a, b in tree.edges:

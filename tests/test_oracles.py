@@ -5,7 +5,6 @@ import pytest
 
 from treespect.corruption import CorruptionSignature
 from treespect.detection import ANALYTIC_DECISION, phase_nonconstancy_score
-from treespect.graphs import bfs_distances
 from treespect.instances import (
     adversarial_instance,
     draw_delay_spec,
@@ -24,7 +23,7 @@ from treespect.spectral import (
 )
 from treespect.streams import apply_corruption, simulate
 
-from conftest import chain7, one_step_inverse, reference_woodbury
+from conftest import bfs_distances, chain7, leaves, one_step_inverse, reference_woodbury
 
 GRID = FrequencyGrid.welch_bins(256)
 
@@ -77,7 +76,8 @@ def test_signatures_share_one_lyapunov_solve(monkeypatch):
 
 def test_trivial_signatures_give_clean_psd(chain_setup):
     model, _, _ = chain_setup
-    trivial = {i: CorruptionSignature.trivial(GRID) for i in range(3)}
+    identity = CorruptionSignature(GRID, np.ones(GRID.size), np.zeros(GRID.size))
+    trivial = dict.fromkeys(range(3), identity)
     psd = analytic_corrupted_psd(model, trivial, GRID)
     np.testing.assert_allclose(psd.values, analytic_psd(model, GRID).values, atol=1e-12)
 
@@ -213,8 +213,7 @@ def test_candidate_rows_settle_after_one_update():
     model = inst.model
     sigs = analytic_signatures(model, inst.specs, GRID)
     full, _ = woodbury_chain_inverse(model, sigs, GRID)
-    leaves = model.topology.leaves()
-    for i in sorted(leaves | inst.corrupt):
+    for i in sorted(leaves(model.topology) | inst.corrupt):
         dist = bfs_distances(model.topology, i)
         nearest = min(inst.corrupt, key=lambda v: dist[v])
         psi1 = one_step_inverse(model, sigs, nearest, GRID)
@@ -230,7 +229,7 @@ def test_far_pair_locality_around_each_corrupt_node():
     model = inst.model
     sigs = analytic_signatures(model, inst.specs, GRID)
     full, _ = woodbury_chain_inverse(model, sigs, GRID)
-    adj = model.topology.adjacency()
+    adj = model.topology.adjacency
     for l in sorted(inst.corrupt):
         psi1 = one_step_inverse(model, sigs, l, GRID)
         dist = bfs_distances(model.topology, l)

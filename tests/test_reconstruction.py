@@ -9,7 +9,7 @@ from treespect.cli import main
 from treespect.corruption import CorruptionSpec
 from treespect.detection import ANALYTIC_DECISION, Diagnostic, detect
 from treespect.errors import AssumptionViolation
-from treespect.graphs import UndirectedGraph
+from treespect.graphs import UndirectedGraph, is_tree
 from treespect.instances import (
     draw_model,
     random_instance,
@@ -27,7 +27,7 @@ from treespect.reconstruction import (
 )
 from treespect.spectral import FrequencyGrid, invert_spectrum
 
-from conftest import chain7, moral_graph
+from conftest import bfs_distances, chain7, moral_graph
 
 GRID = FrequencyGrid.welch_bins(256)
 
@@ -77,8 +77,6 @@ def test_hiding_middle_of_three_chain_creates_spurious_edge():
 
 
 def test_marginal_support_within_four_hops():
-    from treespect.graphs import bfs_distances
-
     rng = np.random.default_rng(3)
     for _ in range(5):
         inst = random_instance(rng, 12, 2)
@@ -110,7 +108,7 @@ def test_interior_edges_of_clean_tree_all_survive():
 
 
 def test_complete_graph_keeps_nothing():
-    k4 = UndirectedGraph.from_edges(4, [(a, b) for a in range(4) for b in range(a + 1, 4)])
+    k4 = UndirectedGraph(4, [(a, b) for a in range(4) for b in range(a + 1, 4)])
     kept = true_edges_by_separation(k4, frozenset(range(4)), frozenset(), frozenset())
     assert kept == frozenset()
 
@@ -170,7 +168,7 @@ def test_unplaced_corrupt_node_is_reported(chain_setup):
     doctored = type(inv)(inv.grid, vals, inv.labels, inv.flagged.copy())
     est = place_corrupt_nodes(kept, t_m, report, doctored, ANALYTIC_DECISION)
     assert any(d.kind == "unplaced_corrupt_node" for d in est.diagnostics)
-    assert not est.is_tree()
+    assert not is_tree(est.graph)
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +178,7 @@ def test_hide_and_learn_recovers_chain(chain_setup):
     _, psd, report = chain_setup
     est = hide_and_learn(psd, report, ANALYTIC_DECISION)
     assert est.graph.edges == CHAIN7_EDGES
-    assert est.is_tree()
+    assert is_tree(est.graph)
     assert est.diagnostics == ()
     assert est.provenance[(0, 1)] == "leaf_edge"
     assert est.provenance[(1, 2)] == "separation_edge"
@@ -221,7 +219,7 @@ def test_detect_then_hide_and_learn_inverts_once(monkeypatch):
 
 def test_two_node_system_trivial_recovery():
     model = GenerativeModel(
-        UndirectedGraph.from_edges(2, [(0, 1)]),
+        UndirectedGraph(2, [(0, 1)]),
         {(0, 1): 0.5, (1, 0): 0.4},
         ((0.0,), (0.0,)),
         np.ones(2),
@@ -257,7 +255,7 @@ def test_random_instances_recover_exactly():
         assert est.diagnostics == ()
         # estimate invariants: a tree with n-1 edges, leaf provenance matching
         # the report, and every placement edge touching a corrupt node
-        assert est.is_tree() and len(est.graph.edges) == n - 1
+        assert is_tree(est.graph) and len(est.graph.edges) == n - 1
         assert {e for e, p in est.provenance.items() if p == "leaf_edge"} == report.leaf_edges
         for (a, b), prov in est.provenance.items():
             if prov == "placement_edge":
@@ -294,7 +292,7 @@ def test_hide_and_learn_permutation_equivariant(chain_setup):
     inv_perm = np.argsort(perm)
     edges = [(perm[a], perm[b]) for a, b in model.topology.edges]
     permuted = GenerativeModel(
-        UndirectedGraph.from_edges(7, edges),
+        UndirectedGraph(7, edges),
         {(perm[a], perm[b]): v for (a, b), v in model.coupling.items()},
         tuple(model.self_dynamics[inv_perm[i]] for i in range(7)),
         model.noise_variance[inv_perm],
@@ -347,7 +345,7 @@ def test_uncorrupted_star_stays_loud():
     # a star has no 2-hop neighbors for its center, the one shape where the
     # clique characterization misfires; the center gets misread as corrupt
     # and the pipeline must surface diagnostics rather than claim success
-    star = UndirectedGraph.from_edges(5, [(0, i) for i in range(1, 5)])
+    star = UndirectedGraph(5, [(0, i) for i in range(1, 5)])
     model = draw_model(np.random.default_rng(3), star)
     psd = analytic_psd(model, GRID)
     report = detect(invert_spectrum(psd), ANALYTIC_DECISION)
@@ -373,7 +371,7 @@ def test_adjacent_corrupt_nodes_never_silently_succeed():
         est = hide_and_learn(psd, report, ANALYTIC_DECISION)
     except AssumptionViolation:
         return
-    claims_success = est.is_tree() and not est.diagnostics and not report.diagnostics
+    claims_success = is_tree(est.graph) and not est.diagnostics and not report.diagnostics
     assert not claims_success or est.graph.edges != tree.edges or report.corrupt != {3, 5}
 
 

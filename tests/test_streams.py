@@ -124,7 +124,7 @@ def near_margin_model() -> GenerativeModel:
     """A 3-node chain with a real mode and a conjugate pair near `RADIUS`."""
     r, theta = 0.9975, 0.4
     return GenerativeModel(
-        UndirectedGraph.from_edges(3, [(0, 1), (1, 2)]),
+        UndirectedGraph(3, [(0, 1), (1, 2)]),
         {(0, 1): 0.01, (1, 0): 0.01, (1, 2): -0.01, (2, 1): 0.01},
         ((0.998,), (2 * r * np.cos(theta), -r * r), (-0.99,)),
         np.array([1.0, 0.5, 2.0]),
