@@ -9,16 +9,15 @@ time, corrupt reads the clean panel and writes the corrupted one a row
 block at a time, and spectra reads spans of that, so no stage holds a
 whole panel or a whole row and memory does not grow with the trajectory.
 A panel is written to a temporary name that replaces the artifact only
-when the stage succeeds.  Simulate hashes its panel by reading the
-finished file back once its writer has closed; corrupt hashes its rows
-as it writes them, in file order, on a helper thread.  Within one `pipeline`
-run, corrupt and spectra take their input's hash from the stage that
-wrote it, so no panel is hashed twice; a stage run alone hashes its input
-file on a helper thread while it works.  Detect and learn take the
-spectra stage's `SpectralMatrix` in memory, so a `pipeline` run inverts
-its spectrum once; they still hash the spectra file for their manifests.
-Spectra and reports are hashed from their files.  Exit codes: 0 ok,
-2 config, 3 data, 4 numerical, 5 assumption violation.
+when the stage succeeds.  Each panel is hashed once per run, from its
+finished file, on the run's one helper thread, which also writes the
+manifests in stage order; a stage that reads a panel written earlier in
+the same run takes that hash, and a stage run alone hashes its input panel
+while it works.  Detect and learn take the spectra stage's
+`SpectralMatrix` in memory, so a `pipeline` run inverts its spectrum once;
+they refuse a spectra file from another Welch segment length.  Spectra
+and reports are hashed from their files on the main thread.  Exit codes:
+0 ok, 2 config, 3 data, 4 numerical, 5 assumption violation.
 """
 
 from __future__ import annotations
@@ -26,12 +25,11 @@ from __future__ import annotations
 import argparse
 import csv
 import datetime
-import hashlib
 import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -88,20 +86,23 @@ def _digests(paths) -> dict[str, str]:
     return {p.name: sha256_file(p) for p in paths}
 
 
-def _write_manifest(out: Path, stage: str, cfg: ExperimentConfig, inputs, outputs, extra=None):
-    """`inputs` and `outputs` map file names to their SHA-256 digests."""
+def _write_manifest(out: Path, stage: str, cfg: ExperimentConfig, entries: dict) -> None:
+    """Write `manifest_<stage>.json` from the stage's `entries`, whose
+    `inputs` and `outputs` map file names to SHA-256 digests or, for the
+    panels, to futures of them that the helper has already run."""
     manifest = {
         "stage": stage,
         "version": __version__,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "config": cfg.to_dict(),
-        "inputs": inputs,
-        "outputs": outputs,
+        **entries,
     }
-    manifest.update(extra or {})
+    for key in ("inputs", "outputs"):
+        manifest[key] = {
+            name: d.result() if isinstance(d, Future) else d for name, d in entries[key].items()
+        }
     path = out / f"manifest_{stage}.json"
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True))
-    return path
 
 
 def _require(path: Path, hint: str) -> Path:
@@ -110,131 +111,110 @@ def _require(path: Path, hint: str) -> Path:
     return path
 
 
-# Corrupt's row hashing and the hash of a stage's input panel run on the
-# stage's helper thread (hashlib and file I/O release the GIL), so they
-# overlap the stage's own work.  Panels are hashed with sha256_parts, never
-# sha256_file: the benchmark's tracer wraps this module's sha256_file, for
-# the small files, and its span stack is the main thread's.
+# A stage returns its manifest's entries; `run_stages` hands them to the
+# run's one helper thread, which writes the manifests in stage order.  The
+# helper also hashes each panel from its finished file (hashlib and file I/O
+# release the GIL), so the hash overlaps the next stage's work.  It hashes
+# with sha256_parts, never sha256_file: the benchmark's tracer wraps this
+# module's sha256_file, for the small files, and its span stack is the main
+# thread's.
 #
-# `handoff` maps a panel file name to its SHA-256 for a panel an earlier
-# stage of the same run wrote; the stage that reads it pops the entry, so no
-# stage hashes its input again.  Under `SPECTRA` it holds the
-# spectra stage's estimate, which detect reads and learn pops.
+# `handoff` maps a panel file name to the future of its SHA-256 for a panel
+# an earlier stage of the same run wrote; the stage that reads it pops the
+# entry, so no panel is hashed twice.  Under `SPECTRA` it holds the spectra
+# stage's estimate, which detect reads and learn pops.
 
-def _input_digest(handoff: dict, path: Path, hint: str, helper: ThreadPoolExecutor):
-    """A function returning the SHA-256 of the panel file at `path`: the
-    upstream stage's output digest if it ran in this process, else the
-    file's, hashed on `helper` meanwhile."""
+def _hash_panel(helper: ThreadPoolExecutor, path: Path) -> Future:
+    """The SHA-256 of the finished panel file at `path`, hashed on `helper`."""
+    return helper.submit(sha256_parts, read_chunks(path))
+
+
+def _input_digest(handoff: dict, path: Path, hint: str, helper: ThreadPoolExecutor) -> Future:
+    """The SHA-256 of the input panel at `path`: the one its writer
+    submitted in this run, else one submitted now."""
     _require(path, hint)
-    if path.name in handoff:
-        digest = handoff.pop(path.name)
-        return lambda: digest
-    return helper.submit(sha256_parts, read_chunks(path)).result
+    return handoff.pop(path.name, None) or _hash_panel(helper, path)
 
 
-def _in_order(helper: ThreadPoolExecutor, call, items) -> None:
-    """Run `call(*item)` on `helper` for each of `items`, in order and one
-    at a time, while the caller makes the next item."""
-    pending = None
-    try:
-        for item in items:
-            if pending is not None:
-                pending.result()
-            pending = helper.submit(call, *item)
-    finally:
-        if pending is not None:
-            pending.result()
-
-
-def stage_simulate(cfg: ExperimentConfig, out: Path, handoff: dict) -> list[Path]:
+def stage_simulate(cfg: ExperimentConfig, out: Path, handoff: dict, helper) -> dict:
     blocks = simulate_blocks(cfg.model, cfg.trajectory_length, cfg.seed, burn_in=cfg.burn_in)
     path = out / PANEL_CLEAN
     with PanelWriter(path, cfg.model.labels, cfg.trajectory_length) as writer:
         for lo, block in blocks:
             writer.put(lo, block)
-    # blocks land at their offsets in every row, out of file order, so the
-    # file is hashed once it is complete
-    digest = sha256_parts(read_chunks(path))
-    handoff[path.name] = digest
-    _write_manifest(out, "simulate", cfg, {}, {path.name: digest})
-    return [path]
+    handoff[path.name] = _hash_panel(helper, path)
+    return {"inputs": {}, "outputs": {path.name: handoff[path.name]}}
 
 
-def stage_corrupt(cfg: ExperimentConfig, out: Path, handoff: dict) -> list[Path]:
+def stage_corrupt(cfg: ExperimentConfig, out: Path, handoff: dict, helper) -> dict:
     src = out / PANEL_CLEAN
+    src_digest = _input_digest(handoff, src, "treespect simulate", helper)
     path = out / PANEL_CORRUPT
-    # two helpers: a stage run alone hashes its input on one while the
-    # other hashes the output
-    with ThreadPoolExecutor(max_workers=2) as helper:
-        src_digest = _input_digest(handoff, src, "treespect simulate", helper)
-        with PanelReader(src) as reader:
-            with PanelWriter(path, reader.labels, reader.n_samples) as writer:
-
-                def written():
-                    for i, lo, samples in corrupted_blocks(reader, cfg.corruption, cfg.seed):
-                        writer.write(i, lo, samples)
-                        yield (samples,)
-
-                # rows come in file order, so the file is hashed as written
-                digest = hashlib.sha256(writer.header)
-                _in_order(helper, digest.update, written())
-    handoff[path.name] = digest.hexdigest()
-    _write_manifest(
-        out, "corrupt", cfg, {src.name: src_digest()}, {path.name: handoff[path.name]}
-    )
-    return [path]
+    with PanelReader(src) as reader:
+        with PanelWriter(path, reader.labels, reader.n_samples) as writer:
+            for i, lo, samples in corrupted_blocks(reader, cfg.corruption, cfg.seed):
+                writer.write(i, lo, samples)
+    handoff[path.name] = _hash_panel(helper, path)
+    return {"inputs": {src.name: src_digest}, "outputs": {path.name: handoff[path.name]}}
 
 
-def stage_spectra(cfg: ExperimentConfig, out: Path, handoff: dict) -> list[Path]:
+def stage_spectra(cfg: ExperimentConfig, out: Path, handoff: dict, helper) -> dict:
     src = out / PANEL_CORRUPT
-    with ThreadPoolExecutor(max_workers=1) as helper:
-        src_digest = _input_digest(handoff, src, "treespect corrupt", helper)
-        with PanelReader(src) as reader:
-            spectra = estimate_cpsd(reader, cfg.welch)
+    src_digest = _input_digest(handoff, src, "treespect corrupt", helper)
+    with PanelReader(src) as reader:
+        spectra = estimate_cpsd(reader, cfg.welch)
     path = out / SPECTRA
     save_spectra_binary(spectra, path)
     handoff[SPECTRA] = spectra
-    _write_manifest(out, "spectra", cfg, {src.name: src_digest()}, _digests([path]))
-    return [path]
+    return {"inputs": {src.name: src_digest}, "outputs": _digests([path])}
 
 
-def _decision(cfg: ExperimentConfig) -> EdgeDecisionParams:
-    """The decision rule of the run's spectrum: its Welch segment count."""
+def _decision(cfg: ExperimentConfig, spectra, path: Path) -> EdgeDecisionParams:
+    """The decision rule of the run's spectrum: its Welch segment count.  A
+    DataError if the spectrum from `path` is on another Welch grid, whose
+    segment count would be another."""
+    if spectra.grid != cfg.welch:
+        raise DataError(
+            f"{path} holds spectra of Welch segment length "
+            f"{spectra.grid.segment_length}, but the config's segment_length is "
+            f"{cfg.welch.segment_length}; run `treespect spectra` again"
+        )
     return EdgeDecisionParams(cfg.welch.segment_count(cfg.trajectory_length))
 
 
-def stage_detect(cfg: ExperimentConfig, out: Path, handoff: dict) -> list[Path]:
+def stage_detect(cfg: ExperimentConfig, out: Path, handoff: dict, helper) -> dict:
     src = _require(out / SPECTRA, "treespect spectra")
     spectra = handoff.get(SPECTRA) or load_spectra_binary(src)
+    decision = _decision(cfg, spectra, src)
     inverse = invert_spectrum(spectra)
-    report = detect(inverse, _decision(cfg))
+    report = detect(inverse, decision)
     jpath = out / DETECTION_JSON
     jpath.write_text(report_to_json(report))
     dpath = out / DETECTION_DOT
     dpath.write_text(report_to_dot(report))
-    _write_manifest(
-        out, "detect", cfg, _digests([src]), _digests([jpath, dpath]),
-        extra={"flagged_frequencies": int(inverse.flagged.sum())},
-    )
-    return [jpath, dpath]
+    return {
+        "inputs": _digests([src]),
+        "outputs": _digests([jpath, dpath]),
+        "flagged_frequencies": int(inverse.flagged.sum()),
+    }
 
 
-def stage_learn(cfg: ExperimentConfig, out: Path, handoff: dict) -> list[Path]:
+def stage_learn(cfg: ExperimentConfig, out: Path, handoff: dict, helper) -> dict:
     spath = _require(out / SPECTRA, "treespect spectra")
     rpath = _require(out / DETECTION_JSON, "treespect detect")
     spectra = handoff.pop(SPECTRA, None) or load_spectra_binary(spath)
+    decision = _decision(cfg, spectra, spath)
     try:
         payload = json.loads(rpath.read_text())
     except json.JSONDecodeError as exc:
         raise DataError(f"{rpath.name} is not valid JSON: {exc}") from exc
     report = report_from_dict(payload, spectra.labels)
-    estimate = hide_and_learn(spectra, report, _decision(cfg))
+    estimate = hide_and_learn(spectra, report, decision)
     jpath = out / TOPOLOGY_JSON
     jpath.write_text(estimate_to_json(estimate))
     dpath = out / TOPOLOGY_DOT
     dpath.write_text(estimate_to_dot(estimate))
-    _write_manifest(out, "learn", cfg, _digests([spath, rpath]), _digests([jpath, dpath]))
-    return [jpath, dpath]
+    return {"inputs": _digests([spath, rpath]), "outputs": _digests([jpath, dpath])}
 
 
 STAGES = {
@@ -257,14 +237,21 @@ def _output_dir(out: Path) -> Path:
 
 
 def run_stages(names, cfg: ExperimentConfig, out: Path) -> None:
+    """Run the stages `names` in order with one helper thread, which hashes
+    the panels and writes the manifests; a stage that fails still leaves
+    the manifests of the stages before it."""
     _output_dir(out)
     handoff: dict = {}
-    for name in names:
-        t0 = time.perf_counter()
-        written = STAGES[name](cfg, out, handoff)
-        dt = time.perf_counter() - t0
-        files = ", ".join(p.name for p in written)
-        print(f"[{name}] {dt:.1f}s -> {files}")
+    manifests = []
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        for name in names:
+            t0 = time.perf_counter()
+            entries = STAGES[name](cfg, out, handoff, helper)
+            dt = time.perf_counter() - t0
+            manifests.append(helper.submit(_write_manifest, out, name, cfg, entries))
+            print(f"[{name}] {dt:.1f}s -> {', '.join(entries['outputs'])}")
+    for job in manifests:
+        job.result()
 
 
 # ---------------------------------------------------------------------------
@@ -425,14 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    stage_sets = {
-        "simulate": ["simulate"],
-        "corrupt": ["corrupt"],
-        "spectra": ["spectra"],
-        "detect": ["detect"],
-        "learn": ["learn"],
-        "pipeline": ["simulate", "corrupt", "spectra", "detect", "learn"],
-    }
+    stage_sets = {name: [name] for name in STAGES} | {"pipeline": list(STAGES)}
     for name, names in stage_sets.items():
         p = sub.add_parser(name, help=f"run the {name} stage")
         p.add_argument("--config", required=True, help="experiment config JSON")

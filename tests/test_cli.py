@@ -123,8 +123,9 @@ def file_sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def assert_manifests_hash_files(out: Path):
-    for stage, (inputs, outputs) in STAGE_FILES.items():
+def assert_manifests_hash_files(out: Path, stages=tuple(STAGE_FILES)):
+    for stage in stages:
+        inputs, outputs = STAGE_FILES[stage]
         manifest = json.loads((out / f"manifest_{stage}.json").read_text())
         assert sorted(manifest["inputs"]) == inputs, stage
         assert sorted(manifest["outputs"]) == outputs, stage
@@ -201,6 +202,19 @@ def test_pipeline_hashes_each_panel_once(tmp_path, monkeypatch):
     assert_manifests_hash_files(out)
 
 
+def test_a_failed_panel_hash_fails_the_run(tmp_path, monkeypatch):
+    # like read_chunks, this raises once iterated, which is on the thread
+    # that hashes the panel
+    def unreadable(path):
+        raise OSError(f"cannot read {path}")
+        yield
+
+    monkeypatch.setattr(cli, "read_chunks", unreadable)
+    cfg = write_tiny(tmp_path, trajectory_length=20_000, burn_in=100)
+    with pytest.raises(OSError, match="cannot read .*panel_clean.bin"):
+        main(["pipeline", "--config", str(cfg), "--out", str(tmp_path / "run")])
+
+
 # one of each kind whose state crosses a block edge: a delay window that
 # looks both back and ahead, drop runs, and an FIR filter with noise
 STREAMED = [
@@ -269,6 +283,16 @@ def test_pipeline_memory_does_not_grow_with_the_record(tmp_path, monkeypatch):
     assert short < panel_bytes_t
     assert long < 4 * panel_bytes_t
     assert long - short < 2**20
+
+
+def test_a_failed_stage_leaves_the_manifests_before_it(tmp_path):
+    # on this long record learn exits 5 (see pipeline_peak); the stages
+    # before it still leave manifests that hash their files
+    cfg = write_tiny(tmp_path, trajectory_length=2**21, corruption=STREAMED)
+    out = tmp_path / "run"
+    assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 5
+    assert not (out / "manifest_learn.json").exists()
+    assert_manifests_hash_files(out, ("simulate", "corrupt", "spectra", "detect"))
 
 
 def test_non_finite_sample_in_a_panel_file_exits_3(tmp_path, capsys):
@@ -647,6 +671,25 @@ def test_spectra_file_off_the_welch_grid_exits_3(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert str(spectra) in err and "Traceback" not in err
     assert ("need >= 9" if case == "eight_bins" else "not the") in err
+
+
+@pytest.mark.parametrize("stage", ["detect", "learn"])
+def test_spectra_file_of_another_segment_length_exits_3(tmp_path, capsys, stage):
+    # the decision rule counts the Welch segments of the config's length, so
+    # a spectrum of another length would be cut at another band
+    cfg, out, _ = spectra_of_tiny(tmp_path)
+    assert main(["detect", "--config", str(cfg), "--out", str(out)]) == 0
+    manifests = {p: p.read_bytes() for p in out.glob("manifest_*.json")}
+    capsys.readouterr()
+    cfg = write_tiny(tmp_path, trajectory_length=20_000, burn_in=100, welch={"segment_length": 256})
+    assert main([stage, "--config", str(cfg), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert (
+        f"{out / 'spectra_corrupt.rtsm'} holds spectra of Welch segment length 128, "
+        "but the config's segment_length is 256"
+    ) in err
+    assert "Traceback" not in err
+    assert {p: p.read_bytes() for p in out.glob("manifest_*.json")} == manifests
 
 
 @pytest.mark.parametrize("case", ["no_channels", "one_channel", "duplicate_label"])
