@@ -108,6 +108,8 @@ def _write_manifest(out: Path, stage: str, cfg: ExperimentConfig, entries: dict)
 def _require(path: Path, hint: str) -> Path:
     if not path.exists():
         raise DataError(f"missing {path.name}; run `{hint}` first")
+    if not path.is_file():
+        raise DataError(f"{path} is not a readable file; run `{hint}` again")
     return path
 
 
@@ -206,8 +208,8 @@ def stage_learn(cfg: ExperimentConfig, out: Path, handoff: dict, helper) -> dict
     decision = _decision(cfg, spectra, spath)
     try:
         payload = json.loads(rpath.read_text())
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{rpath.name} is not valid JSON: {exc}") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise DataError(f"{rpath} is not valid JSON: {exc}") from exc
     report = report_from_dict(payload, spectra.labels)
     estimate = hide_and_learn(spectra, report, decision)
     jpath = out / TOPOLOGY_JSON

@@ -26,7 +26,8 @@ def _norm_edge(a: int, b: int) -> Edge:
 class UndirectedGraph:
     """Simple undirected graph; immutable after construction.  `edges` may
     be any iterable of node pairs and is stored as a frozenset of (low,
-    high) tuples."""
+    high) tuples, whose iteration order is no part of the graph: code that
+    draws or writes per edge goes over `sorted(edges)`."""
 
     node_count: int
     edges: frozenset[Edge] = field(default_factory=frozenset)
@@ -34,13 +35,7 @@ class UndirectedGraph:
     def __post_init__(self):
         if self.node_count < 1:
             raise DataError("graph needs at least one node")
-        # an iterable that is not a frozenset is collected into one and then
-        # rebuilt from it: the two passes fix the iteration order of `edges`,
-        # which `instances.draw_model` draws the couplings in
-        edges = self.edges
-        if not isinstance(edges, frozenset):
-            edges = frozenset(_norm_edge(a, b) for a, b in edges)
-        norm = frozenset(_norm_edge(a, b) for a, b in edges)
+        norm = frozenset(_norm_edge(a, b) for a, b in self.edges)
         object.__setattr__(self, "edges", norm)
         for a, b in norm:
             if not (0 <= a < self.node_count and 0 <= b < self.node_count):

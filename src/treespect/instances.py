@@ -106,11 +106,11 @@ def tree_with_deep_nodes(
 
 
 def draw_model(rng: np.random.Generator, tree: UndirectedGraph) -> GenerativeModel:
-    """Random couplings on the tree, no self dynamics, rescaled to a fixed
-    spectral radius."""
+    """Random couplings on the tree, drawn edge by edge in sorted order, no
+    self dynamics, rescaled to a fixed spectral radius."""
     n = tree.node_count
     coupling = {}
-    for a, b in tree.edges:
+    for a, b in sorted(tree.edges):
         coupling[(a, b)] = float(rng.uniform(0.3, 1.0) * rng.choice([-1.0, 1.0]))
         coupling[(b, a)] = float(rng.uniform(0.3, 1.0) * rng.choice([-1.0, 1.0]))
     dyn = ((0.0,),) * n

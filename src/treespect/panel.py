@@ -211,10 +211,11 @@ class PanelWriter:
         self.path = Path(path)
         self.labels = check_layout(len(labels), n_samples, labels)
         self.n_samples = n_samples
-        self.header = panel_header(len(labels), n_samples, self.labels)
+        header = panel_header(len(labels), n_samples, self.labels)
+        self._data_offset = len(header)
         self._part = self.path.with_name(self.path.name + ".part")
         self._fh = self._part.open("wb", buffering=0)
-        self._fh.write(self.header)
+        self._fh.write(header)
         self._left = len(labels) * n_samples * 8  # sample bytes not yet written
 
     def __enter__(self) -> "PanelWriter":
@@ -232,7 +233,7 @@ class PanelWriter:
     def write(self, i: int, lo: int, samples: np.ndarray) -> None:
         """Write `samples` as samples lo.. of channel `i`."""
         view = memoryview(np.ascontiguousarray(samples, dtype="<f8")).cast("B")
-        offset = len(self.header) + (i * self.n_samples + lo) * 8
+        offset = self._data_offset + (i * self.n_samples + lo) * 8
         self._left -= len(view)
         while view:
             done = os.pwrite(self._fh.fileno(), view, offset)

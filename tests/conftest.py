@@ -59,7 +59,7 @@ def draw_ar_model(rng: np.random.Generator, tree: UndirectedGraph, ar: bool = Tr
     with `ar` false it is `draw_model`'s model."""
     n = tree.node_count
     coupling = {}
-    for a, b in tree.edges:
+    for a, b in sorted(tree.edges):
         coupling[(a, b)] = float(rng.uniform(0.3, 1.0) * rng.choice([-1.0, 1.0]))
         coupling[(b, a)] = float(rng.uniform(0.3, 1.0) * rng.choice([-1.0, 1.0]))
     dyn = tuple((float(rng.uniform(-0.4, 0.4)),) if ar else (0.0,) for _ in range(n))

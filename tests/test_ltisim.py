@@ -332,7 +332,7 @@ def test_inverse_psd_matches_four_case_closed_form():
     tree = UndirectedGraph(7, [(0, 1), (1, 2), (2, 3), (1, 4), (4, 5), (2, 6)])
     rng = np.random.default_rng(29)
     coupling = {}
-    for a, b in tree.edges:
+    for a, b in sorted(tree.edges):
         coupling[(a, b)] = float(rng.uniform(0.1, 0.3))
         coupling[(b, a)] = -float(rng.uniform(0.1, 0.3))
     dyn = tuple((float(a),) for a in rng.uniform(-0.4, 0.4, size=7))
