@@ -16,22 +16,37 @@ from pathlib import Path
 from treespect.cli import main as cli_main
 
 
+def trajectory(value: str):
+    """`analytic`, or a sample count >= 1 as an int."""
+    if value == "analytic":
+        return value
+    try:
+        count = int(value)
+    except ValueError:
+        count = 0
+    if count < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be 'analytic' or an integer >= 1, got {value!r}"
+        )
+    return count
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--instances", type=int, default=20)
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--threads", type=int, default=1)
-    ap.add_argument("--trajectories", nargs="+", default=["analytic", "100000", "1000000"])
+    ap.add_argument("--trajectories", nargs="+", type=trajectory,
+                    default=["analytic", 100_000, 1_000_000])
     ap.add_argument("--out", type=Path, default=Path("out/sweep"))
     args = ap.parse_args(argv)
     args.out.mkdir(parents=True, exist_ok=True)
 
-    trajectories = [t if t == "analytic" else int(t) for t in args.trajectories]
     base = {
         "instances": args.instances,
         "nodes": [7, 15],
         "corrupt": [1, 3],
-        "trajectories": trajectories,
+        "trajectories": args.trajectories,
         "seed": args.seed,
         "welch": {"segment_length": 256},
     }

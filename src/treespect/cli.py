@@ -16,8 +16,13 @@ the same run takes that hash, and a stage run alone hashes its input panel
 while it works.  Detect and learn take the spectra stage's
 `SpectralMatrix` in memory, so a `pipeline` run inverts its spectrum once;
 they refuse a spectra file from another Welch segment length.  Spectra
-and reports are hashed from their files on the main thread.  Exit codes:
-0 ok, 2 config, 3 data, 4 numerical, 5 assumption violation.
+and reports are hashed from their files on the main thread.  Each
+manifest's `run` object records what the stage cost: its wall `seconds`,
+the process's `peak_rss_mb` when it ended, and `hash_seconds`, the helper's
+time to hash each panel it names (a panel that one stage writes and the next
+reads is hashed once, and both manifests show that time).  `run` changes
+from run to run and is no part of the digests.  Exit codes: 0 ok, 2 config,
+3 data, 4 numerical, 5 assumption violation.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ import csv
 import datetime
 import json
 import os
+import resource
 import sys
 import time
 from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
@@ -86,10 +92,14 @@ def _digests(paths) -> dict[str, str]:
     return {p.name: sha256_file(p) for p in paths}
 
 
-def _write_manifest(out: Path, stage: str, cfg: ExperimentConfig, entries: dict) -> None:
+def _write_manifest(
+    out: Path, stage: str, cfg: ExperimentConfig, entries: dict, run: dict
+) -> None:
     """Write `manifest_<stage>.json` from the stage's `entries`, whose
     `inputs` and `outputs` map file names to SHA-256 digests or, for the
-    panels, to futures of them that the helper has already run."""
+    panels, to futures of (digest, seconds) that the helper has already run,
+    and from `run`, the stage's cost, to which the panels' hash seconds are
+    added."""
     manifest = {
         "stage": stage,
         "version": __version__,
@@ -97,10 +107,14 @@ def _write_manifest(out: Path, stage: str, cfg: ExperimentConfig, entries: dict)
         "config": cfg.to_dict(),
         **entries,
     }
+    hashed = {}
     for key in ("inputs", "outputs"):
-        manifest[key] = {
-            name: d.result() if isinstance(d, Future) else d for name, d in entries[key].items()
-        }
+        manifest[key] = {}
+        for name, d in entries[key].items():
+            if isinstance(d, Future):
+                d, hashed[name] = d.result()
+            manifest[key][name] = d
+    manifest["run"] = {**run, "hash_seconds": hashed}
     path = out / f"manifest_{stage}.json"
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True))
 
@@ -127,13 +141,18 @@ def _require(path: Path, hint: str) -> Path:
 # stage's estimate, which detect reads and learn pops.
 
 def _hash_panel(helper: ThreadPoolExecutor, path: Path) -> Future:
-    """The SHA-256 of the finished panel file at `path`, hashed on `helper`."""
-    return helper.submit(sha256_parts, read_chunks(path))
+    """The SHA-256 of the finished panel file at `path` and the seconds it
+    took, hashed on `helper`."""
+    def timed():
+        t0 = time.perf_counter()
+        return sha256_parts(read_chunks(path)), time.perf_counter() - t0
+
+    return helper.submit(timed)
 
 
 def _input_digest(handoff: dict, path: Path, hint: str, helper: ThreadPoolExecutor) -> Future:
-    """The SHA-256 of the input panel at `path`: the one its writer
-    submitted in this run, else one submitted now."""
+    """The `_hash_panel` future of the input panel at `path`: the one its
+    writer submitted in this run, else one submitted now."""
     _require(path, hint)
     return handoff.pop(path.name, None) or _hash_panel(helper, path)
 
@@ -238,10 +257,17 @@ def _output_dir(out: Path) -> Path:
     return out
 
 
+def _peak_rss_mb() -> float:
+    """This process's peak resident set so far, in MiB; Linux reports it in
+    KiB, macOS in bytes."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / (1 << 20 if sys.platform == "darwin" else 1 << 10)
+
+
 def run_stages(names, cfg: ExperimentConfig, out: Path) -> None:
     """Run the stages `names` in order with one helper thread, which hashes
-    the panels and writes the manifests; a stage that fails still leaves
-    the manifests of the stages before it."""
+    the panels and writes the manifests, each with the stage's cost; a
+    stage that fails still leaves the manifests of the stages before it."""
     _output_dir(out)
     handoff: dict = {}
     manifests = []
@@ -250,7 +276,8 @@ def run_stages(names, cfg: ExperimentConfig, out: Path) -> None:
             t0 = time.perf_counter()
             entries = STAGES[name](cfg, out, handoff, helper)
             dt = time.perf_counter() - t0
-            manifests.append(helper.submit(_write_manifest, out, name, cfg, entries))
+            run = {"seconds": dt, "peak_rss_mb": _peak_rss_mb()}
+            manifests.append(helper.submit(_write_manifest, out, name, cfg, entries, run))
             print(f"[{name}] {dt:.1f}s -> {', '.join(entries['outputs'])}")
     for job in manifests:
         job.result()

@@ -1,11 +1,13 @@
 """Time series: trajectory simulation and stream corruption, in blocks.
 
-Simulation draws noise in blocks of `BLOCK` samples of every channel and
-yields it filtered `SPAN` samples at a time, corruption runs on blocks of
-`ROW_BLOCK` samples of one channel; both carry their state from one block
-to the next, so a stage can stream a trajectory of any length through the
-panel files.  `simulate` and `apply_corruption` collect the same blocks
-into an in-memory panel.
+Simulation draws noise in blocks of `BLOCK` samples of every channel, each
+into the one noise buffer of the call, and yields it filtered `SPAN`
+samples at a time; corruption runs on blocks of `ROW_BLOCK` samples of one
+channel.  Both carry their state from one block to the next, so a stage
+can stream a trajectory of any length through the panel files.  The noise
+buffer is one large allocation, released when the simulation ends, so no
+freed noise stays resident under the stages that follow.  `simulate` and
+`apply_corruption` collect the same blocks into an in-memory panel.
 
 Like every module of the package, it needs numpy alone: the modal filters
 run as a blocked scan (`_scan`), not through `scipy.signal`.
@@ -112,9 +114,10 @@ def simulate_blocks(
     When the eigenbasis is ill-conditioned (condition number not under
     `EIGEN_COND_CAP`) or C is defective, a direct stepping loop runs the
     recursion verbatim instead.  Both paths consume the identical noise
-    stream, drawn in blocks of `BLOCK` samples, carry the filter state
-    across blocks, and yield each `SPAN` samples as soon as they are
-    filtered, so no output block is held.
+    stream, drawn in blocks of `BLOCK` samples into one buffer per call,
+    which is released when the generator finishes; they carry the
+    filter state across blocks, and yield each `SPAN` samples as soon as
+    they are filtered, so no output block is held.
     The first `burn_in` samples are run to reach stationarity but never
     yielded, so the pieces hold exactly `length` samples; each is a new
     array, checked for finite samples, and the output is bit-reproducible
@@ -145,9 +148,11 @@ def _simulated(model, length, seed, burn_in):
     else:
         state = np.zeros(C.shape[0])
 
+    buf = np.empty(n * min(BLOCK, total))  # every block's noise, drawn in place
     done = 0  # samples filtered, burn-in included
     while done < total:
-        w = rng.standard_normal((n, min(BLOCK, total - done)))
+        w = buf[:n * min(BLOCK, total - done)].reshape(n, -1)
+        rng.standard_normal(out=w)
         w *= sigma[:, None]
         spans = _modal_block(w, groups) if use_eigen else _step_block(C, state, w)
         for out in spans:
@@ -159,7 +164,6 @@ def _simulated(model, length, seed, burn_in):
             if not np.isfinite(out).all():
                 raise NumericalError("simulation produced non-finite samples")
             yield done - burn_in - out.shape[1], out
-        del w, spans  # so the next draw reuses this block's memory instead of growing the heap
 
 
 def simulate(

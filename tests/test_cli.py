@@ -4,6 +4,8 @@ import json
 import os
 import shutil
 import struct
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -42,8 +44,10 @@ def write_tiny(tmp_path, **overrides) -> Path:
 
 
 def manifest_without_timestamp(path: Path) -> dict:
+    # `run` holds the stage's seconds and peak RSS, which differ between runs
     payload = json.loads(path.read_text())
     payload.pop("timestamp")
+    payload.pop("run")
     return payload
 
 
@@ -138,6 +142,30 @@ def test_manifest_hashes_are_file_hashes(tmp_path):
     out = tmp_path / "run"
     assert main(["pipeline", "--config", str(cfg), "--out", str(out)]) == 0
     assert_manifests_hash_files(out)
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux"), reason="the stages' peaks are glibc heap figures"
+)
+def test_pipeline_peaks_at_its_simulate_stage(tmp_path):
+    # in a fresh interpreter, so the peak is this run's alone: no stage
+    # after simulate may stack its work on simulate's leftovers
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    subprocess.run(
+        [sys.executable, "-m", "treespect.cli", "pipeline", "--out", str(tmp_path),
+         "--config", str(bundled_config_path("chain7_quick"))],
+        check=True, capture_output=True, env=env, timeout=300,
+    )
+    runs = {
+        stage: json.loads((tmp_path / f"manifest_{stage}.json").read_text())["run"]
+        for stage in STAGE_FILES
+    }
+    assert set(runs["simulate"]["hash_seconds"]) == {"panel_clean.bin"}
+    assert set(runs["corrupt"]["hash_seconds"]) == {"panel_clean.bin", "panel_corrupt.bin"}
+    assert all(run["seconds"] > 0 for run in runs.values())
+    simulate_peak = runs["simulate"]["peak_rss_mb"]
+    for stage, run in runs.items():
+        assert run["peak_rss_mb"] <= simulate_peak + 2.0, (stage, run, simulate_peak)
 
 
 def test_corrupt_hashes_the_panel_it_reads(tmp_path):

@@ -76,3 +76,19 @@ def test_run_sweep_exits_with_first_nonzero_code(tmp_path, monkeypatch, codes, e
     with pytest.raises(SystemExit) as exc:
         runpy.run_path(str(SCRIPTS / "run_sweep.py"), run_name="__main__")
     assert exc.value.code == expected
+
+
+@pytest.mark.parametrize("value", ["1e6", "0", "-3", "fast"])
+def test_run_sweep_refuses_a_bad_trajectory(tmp_path, monkeypatch, capsys, value):
+    def refuse(argv):
+        raise AssertionError(f"ran {argv}")
+
+    monkeypatch.setattr("treespect.cli.main", refuse)
+    monkeypatch.setattr(sys, "argv", ["run_sweep.py", "--trajectories", "analytic", value,
+                                      "--out", str(tmp_path)])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(SCRIPTS / "run_sweep.py"), run_name="__main__")
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument --trajectories: must be 'analytic' or an integer >= 1, got {value!r}" in err
+    assert "Traceback" not in err

@@ -170,6 +170,28 @@ def test_simulation_carries_the_scan_state_across_blocks(monkeypatch, block, bur
     assert row_relative_gap(np.hstack([x for _, x in pieces]), expected) <= 1e-13
 
 
+def test_simulation_draws_every_block_into_one_buffer(monkeypatch):
+    # a fresh array per block would leave the freed blocks in the heap,
+    # under the later stages' work
+    outs = []
+    default_rng = np.random.default_rng
+
+    class Recording:
+        def __init__(self, seed):
+            self.rng = default_rng(seed)
+
+        def standard_normal(self, size=None, out=None):
+            outs.append(out)
+            return self.rng.standard_normal(size, out=out)
+
+    monkeypatch.setattr(np.random, "default_rng", Recording)
+    monkeypatch.setattr(streams, "BLOCK", 9_973)
+    pieces = list(streams.simulate_blocks(near_margin_model(), 25_000, seed=12, burn_in=5))
+    assert sum(x.shape[1] for _, x in pieces) == 25_000
+    assert len(outs) == 3
+    assert all(out is not None and np.shares_memory(out, outs[0]) for out in outs)
+
+
 BLOCK_EDGE_SPECS = (
     CorruptionSpec(node=0, kind="random_delay", p=0.5, t1=-4, t2=3),
     CorruptionSpec(node=1, kind="random_delay", p=0.5, t1=6, t2=2),
