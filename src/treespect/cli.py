@@ -15,12 +15,15 @@ manifests in stage order; a stage that reads a panel written earlier in
 the same run takes that hash, and a stage run alone hashes its input panel
 while it works.  Detect and learn take the spectra stage's
 `SpectralMatrix` in memory, so a `pipeline` run inverts its spectrum once;
-they refuse a spectra file from another Welch segment length.  Spectra
-and reports are hashed from their files on the main thread.  Each
-manifest's `run` object records what the stage cost: its wall `seconds`,
-the process's `peak_rss_mb` when it ended, and `hash_seconds`, the helper's
-time to hash each panel it names (a panel that one stage writes and the next
-reads is hashed once, and both manifests show that time).  `run` changes
+they refuse a spectra file from another Welch segment length.  Learn
+detects again on that one inverse and refuses a `detection.json` whose
+bytes are not that report's, so it never learns from another run's
+detection.  Spectra and reports are hashed from their files on the main
+thread.  Each manifest's `run` object records what the stage cost: its
+wall `seconds`, the process's `peak_rss_mb` when it ended, and
+`hash_seconds`, the helper's time to hash each panel it names (a panel
+that one stage writes and the next reads is hashed once, and both
+manifests show that time).  `run` changes
 from run to run and is no part of the digests.  Exit codes: 0 ok, 2 config,
 3 data, 4 numerical, 5 assumption violation.
 """
@@ -58,7 +61,6 @@ from .detection import (
     ANALYTIC_DECISION,
     EdgeDecisionParams,
     detect,
-    report_from_dict,
     report_to_dot,
     report_to_json,
 )
@@ -225,11 +227,12 @@ def stage_learn(cfg: ExperimentConfig, out: Path, handoff: dict, helper) -> dict
     rpath = _require(out / DETECTION_JSON, "treespect detect")
     spectra = handoff.pop(SPECTRA, None) or load_spectra_binary(spath)
     decision = _decision(cfg, spectra, spath)
-    try:
-        payload = json.loads(rpath.read_text())
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise DataError(f"{rpath} is not valid JSON: {exc}") from exc
-    report = report_from_dict(payload, spectra.labels)
+    report = detect(invert_spectrum(spectra), decision)
+    if report_to_json(report).encode() != rpath.read_bytes():
+        raise DataError(
+            f"{rpath} is not the detection of {spath} under this config; "
+            "run `treespect detect` again"
+        )
     estimate = hide_and_learn(spectra, report, decision)
     jpath = out / TOPOLOGY_JSON
     jpath.write_text(estimate_to_json(estimate))
@@ -290,6 +293,13 @@ SWEEP_KEYS = frozenset({
     "instances", "nodes", "corrupt", "trajectories", "seed", "violate_assumption", "welch",
 })
 
+# the columns of sweep_summary.csv, in order; `_sweep_row` starts each row
+# from its task and a row that recovered nothing
+SWEEP_COLUMNS = (
+    "instance", "n_nodes", "n_corrupt", "trajectory",
+    "recovered", "n_diagnostics", "diagnostics", "error",
+)
+
 
 def _is_range(v) -> bool:
     return isinstance(v, list) and len(v) == 2 and all(map(is_count, v)) and v[0] <= v[1]
@@ -311,16 +321,7 @@ def _sweep_value(payload: dict, key: str, default, valid, expected: str):
 def _sweep_row(task) -> dict:
     idx, n, k, trajectory, seed, welch, violate = task
     rng = np.random.default_rng([seed, idx])
-    row = {
-        "instance": idx,
-        "n_nodes": n,
-        "n_corrupt": k,
-        "trajectory": trajectory,
-        "recovered": False,
-        "n_diagnostics": 0,
-        "diagnostics": "",
-        "error": "",
-    }
+    row = dict(zip(SWEEP_COLUMNS, (idx, n, k, trajectory, False, 0, "", "")))
     try:
         inst = adversarial_instance(rng, n) if violate else random_instance(rng, n, k)
         row["n_nodes"] = inst.model.n_nodes
@@ -401,12 +402,8 @@ def cmd_sweep(args) -> int:
         rows = [_sweep_row(t) for t in tasks]
 
     summary = out / "sweep_summary.csv"
-    fields = [
-        "instance", "n_nodes", "n_corrupt", "trajectory",
-        "recovered", "n_diagnostics", "diagnostics", "error",
-    ]
     with summary.open("w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields)
+        writer = csv.DictWriter(fh, fieldnames=SWEEP_COLUMNS)
         writer.writeheader()
         writer.writerows(rows)
     for trajectory in trajectories:

@@ -51,9 +51,16 @@ class ExperimentConfig:
         if not is_count(self.burn_in):
             raise ConfigError(f"burn_in must be an integer >= 0, got {self.burn_in!r}")
         check_welch_length(self.trajectory_length, self.welch)
+        seen = set()
         for spec in self.corruption:
             if not 0 <= spec.node < self.model.n_nodes:
                 raise ConfigError(f"corruption references unknown node {spec.node}")
+            if spec.node in seen:
+                raise ConfigError(
+                    f"node {self.model.labels[spec.node]!r} has more than one corruption "
+                    "spec; give at most one corruption spec per node"
+                )
+            seen.add(spec.node)
 
     def to_dict(self) -> dict:
         return {

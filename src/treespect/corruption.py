@@ -82,7 +82,9 @@ class CorruptionSpec:
     def from_dict(cls, payload: dict, labels: Sequence[str] | None = None) -> "CorruptionSpec":
         node = payload["node"]
         if labels is not None:
-            node = list(labels).index(str(node))
+            if str(node) not in labels:
+                raise DataError(f"corruption names unknown node {str(node)!r}")
+            node = labels.index(str(node))
         return cls(
             node=int(node),
             kind=str(payload["kind"]),

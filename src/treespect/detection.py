@@ -18,13 +18,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from statistics import NormalDist
-from typing import Sequence
 
 import numpy as np
 
-from .errors import DataError, NumericalError
+from .errors import NumericalError
 from .graphs import Edge, UndirectedGraph, graph_to_dot, neighborhood_is_clique
 from .spectral import SpectralMatrix
 
@@ -151,8 +150,8 @@ class DetectionReport:
     evidence: dict[int, tuple[tuple[int, float, str], ...]]
     diagnostics: tuple[Diagnostic, ...]
     labels: tuple[str, ...]
-    edge_scores: dict[Edge, float] = field(default_factory=dict)
-    thresholds: dict[str, float] = field(default_factory=dict)
+    edge_scores: dict[Edge, float]
+    thresholds: dict[str, float]
 
     @property
     def observed(self) -> frozenset[int]:
@@ -247,49 +246,6 @@ def report_to_dict(report: DetectionReport) -> dict:
 
 def report_to_json(report: DetectionReport) -> str:
     return json.dumps(report_to_dict(report), indent=2, sort_keys=True)
-
-
-def report_from_dict(payload: dict, labels: Sequence[str]) -> DetectionReport:
-    labels = tuple(str(x) for x in labels)
-    index = {lab: i for i, lab in enumerate(labels)}
-    try:
-        support_edges = [
-            (index[e["a"]], index[e["b"]]) for e in payload["support_edges"]
-        ]
-        support = UndirectedGraph(len(labels), support_edges)
-        edge_scores = {
-            (min(a, b), max(a, b)): float(e["band"])
-            for (a, b), e in zip(support_edges, payload["support_edges"])
-        }
-        evidence = {
-            index[node]: tuple(
-                (index[row["neighbor"]], float(row["w"]), str(row["verdict"]))
-                for row in rows
-            )
-            for node, rows in payload.get("evidence", {}).items()
-        }
-        return DetectionReport(
-            support_graph=support,
-            candidates=frozenset(index[x] for x in payload["candidates"]),
-            corrupt=frozenset(index[x] for x in payload["corrupt"]),
-            leaves=frozenset(index[x] for x in payload["leaves"]),
-            leaf_edges=frozenset(
-                (min(index[a], index[b]), max(index[a], index[b]))
-                for a, b in payload["leaf_edges"]
-            ),
-            evidence=evidence,
-            diagnostics=tuple(
-                Diagnostic(d["kind"], d["subject"], d["message"])
-                for d in payload.get("diagnostics", [])
-            ),
-            labels=labels,
-            edge_scores=edge_scores,
-            thresholds={k: float(v) for k, v in payload["thresholds"].items()},
-        )
-    except KeyError as exc:
-        raise DataError(f"malformed detection report: missing {exc}") from exc
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise DataError(f"malformed detection report: {exc}") from exc
 
 
 def report_to_dot(report: DetectionReport) -> str:

@@ -413,16 +413,22 @@ def edited_quick_config(tmp_path, edit) -> Path:
 NOISY_FILTER = {"node": "4", "kind": "noisy_filter", "taps": [1.0, -0.45], "noise_variance": 0.25}
 
 
-@pytest.mark.parametrize("entry, message", [
-    ({**NOISY_FILTER, "noise_variance": float("nan")}, "finite noise_variance >= 0, got nan"),
-    ({**NOISY_FILTER, "taps": [1.0, float("nan")]}, "finite taps, got [1.0, nan]"),
-    ({**NOISY_FILTER, "taps": [float("inf"), 0.5]}, "finite taps, got [inf, 0.5]"),
-    ({**CORRUPTION, "p": True}, "random_delay needs probability 0 < p <= 1, got p=True"),
-    ({"node": "4", "kind": "packet_drop", "p": True},
+@pytest.mark.parametrize("entries, message", [
+    ([{**NOISY_FILTER, "noise_variance": float("nan")}], "finite noise_variance >= 0, got nan"),
+    ([{**NOISY_FILTER, "taps": [1.0, float("nan")]}], "finite taps, got [1.0, nan]"),
+    ([{**NOISY_FILTER, "taps": [float("inf"), 0.5]}], "finite taps, got [inf, 0.5]"),
+    ([{**CORRUPTION, "p": True}], "random_delay needs probability 0 < p <= 1, got p=True"),
+    ([{"node": "4", "kind": "packet_drop", "p": True}],
      "packet_drop needs probability 0 < p <= 1, got p=True"),
-], ids=["filter-nan-variance", "filter-nan-tap", "filter-inf-tap", "delay-bool-p", "drop-bool-p"])
-def test_bad_corruption_value_exits_2_at_load(tmp_path, capsys, entry, message):
-    cfg = edited_quick_config(tmp_path, lambda payload: payload.update(corruption=[entry]))
+    ([CORRUPTION, {"node": "4", "kind": "packet_drop", "p": 0.5}],
+     "node '4' has more than one corruption spec"),
+    ([{**CORRUPTION, "node": "9"}], "corruption names unknown node '9'"),
+], ids=[
+    "filter-nan-variance", "filter-nan-tap", "filter-inf-tap", "delay-bool-p", "drop-bool-p",
+    "two-specs-on-one-node", "unknown-node-label",
+])
+def test_bad_corruption_value_exits_2_at_load(tmp_path, capsys, entries, message):
+    cfg = edited_quick_config(tmp_path, lambda payload: payload.update(corruption=entries))
     out = tmp_path / "run"
     assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err
@@ -926,9 +932,16 @@ def test_detection_report_in_the_phase_score_layout_exits_3(tmp_path, capsys):
     (out / "detection.json").write_text(json.dumps(report))
     assert main(["learn", "--config", str(cfg), "--out", str(out)]) == 3
     err = capsys.readouterr().err
-    assert "malformed detection report: missing" in err
+    assert stale_report_message(out) in err
     assert "Traceback" not in err
     assert not (out / "topology.json").exists()
+
+
+def stale_report_message(out: Path) -> str:
+    return (
+        f"{out / 'detection.json'} is not the detection of "
+        f"{out / 'spectra_corrupt.rtsm'} under this config; run `treespect detect` again"
+    )
 
 
 def test_degenerate_data_exits_4(tmp_path):
@@ -944,16 +957,37 @@ def test_degenerate_data_exits_4(tmp_path):
     assert main(["detect", "--config", str(cfg), "--out", str(out)]) == 4
 
 
-def test_all_corrupt_detection_exits_5(tmp_path):
+def test_hand_edited_detection_report_exits_3(tmp_path, capsys):
+    # learn detects again on the spectrum and refuses a report that differs
+    # from its own, here one that calls every node corrupt
     cfg = write_tiny(tmp_path)
     out = tmp_path / "run"
     for stage in ("simulate", "corrupt", "spectra", "detect"):
         assert main([stage, "--config", str(cfg), "--out", str(out)]) == 0
-    # doctor the report so every node is corrupt: reconstruction must refuse
     report = json.loads((out / "detection.json").read_text())
     report["corrupt"] = [str(i + 1) for i in range(7)]
     (out / "detection.json").write_text(json.dumps(report))
-    assert main(["learn", "--config", str(cfg), "--out", str(out)]) == 5
+    assert main(["learn", "--config", str(cfg), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert stale_report_message(out) in err
+    assert "Traceback" not in err
+    assert not (out / "topology.json").exists()
+
+
+def test_detection_report_of_another_run_exits_3(tmp_path, capsys):
+    # seed-7 spectra next to the detection.json of a seed-8 run
+    cfg = bundled_config_path("chain7_quick")
+    out, other = tmp_path / "run", tmp_path / "other"
+    for stage in ("simulate", "corrupt", "spectra"):
+        assert main([stage, "--config", str(cfg), "--out", str(out), "--seed", "7"]) == 0
+    assert main(["pipeline", "--config", str(cfg), "--out", str(other), "--seed", "8"]) == 0
+    shutil.copy(other / "detection.json", out / "detection.json")
+    capsys.readouterr()
+    assert main(["learn", "--config", str(cfg), "--out", str(out), "--seed", "7"]) == 3
+    err = capsys.readouterr().err
+    assert stale_report_message(out) in err
+    assert "Traceback" not in err
+    assert not (out / "topology.json").exists()
 
 
 def test_bundled_quick_config_pipeline(tmp_path):

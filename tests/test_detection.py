@@ -332,16 +332,3 @@ def test_report_serialization(chain_inverse):
     dot = report_to_dot(report)
     assert '"4" [style=filled, fillcolor="tomato"]' in dot
 
-
-def test_report_roundtrip(chain_inverse):
-    from treespect.detection import report_from_dict, report_to_dict
-
-    report = detect(chain_inverse, ANALYTIC_DECISION)
-    back = report_from_dict(report_to_dict(report), report.labels)
-    assert back.support_graph.edges == report.support_graph.edges
-    assert back.corrupt == report.corrupt
-    assert back.leaves == report.leaves
-    assert back.leaf_edges == report.leaf_edges
-    assert back.evidence == report.evidence
-    assert back.edge_scores == report.edge_scores
-    assert back.thresholds == report.thresholds

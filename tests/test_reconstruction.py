@@ -202,6 +202,13 @@ def test_estimate_lists_report_diagnostics_first_and_keeps_leaf_labels(chain_set
     )
 
 
+def test_report_that_hides_every_node_raises_assumption_violation(chain_setup):
+    _, psd, report = chain_setup
+    every_node = dataclasses.replace(report, corrupt=frozenset(range(psd.n_nodes)))
+    with pytest.raises(AssumptionViolation, match="only 0 observed nodes remain"):
+        hide_and_learn(psd, every_node, ANALYTIC_DECISION)
+
+
 def test_detect_then_hide_and_learn_inverts_once(monkeypatch):
     # one stacked inversion serves both steps, and no bin of this spectrum
     # is near enough to the conditioning cap to need eigvalsh
