@@ -1,31 +1,28 @@
 """Command-line pipeline: simulate | corrupt | spectra | detect | learn |
 pipeline | sweep.
 
-Every stage reads the experiment config plus its input files from the
-output directory, writes its own artifacts, and records a manifest with
-parameter echo and input/output SHA-256 hashes.  The panel files are the
-stages' working store: simulate writes its trajectory a scan span at a
-time, corrupt reads the clean panel and writes the corrupted one a row
-block at a time, and spectra reads spans of that, so no stage holds a
-whole panel or a whole row and memory does not grow with the trajectory.
-A panel is written to a temporary name that replaces the artifact only
-when the stage succeeds.  Each panel is hashed once per run, from its
-finished file, on the run's one helper thread, which also writes the
-manifests in stage order; a stage that reads a panel written earlier in
-the same run takes that hash, and a stage run alone hashes its input panel
-while it works.  Detect and learn take the spectra stage's
-`SpectralMatrix` in memory, so a `pipeline` run inverts its spectrum once;
-they refuse a spectra file from another Welch segment length.  Learn
-detects again on that one inverse and refuses a `detection.json` whose
-bytes are not that report's, so it never learns from another run's
-detection.  Spectra and reports are hashed from their files on the main
-thread.  Each manifest's `run` object records what the stage cost: its
-wall `seconds`, the process's `peak_rss_mb` when it ended, and
-`hash_seconds`, the helper's time to hash each panel it names (a panel
-that one stage writes and the next reads is hashed once, and both
-manifests show that time).  `run` changes
-from run to run and is no part of the digests.  Exit codes: 0 ok, 2 config,
-3 data, 4 numerical, 5 assumption violation.
+Every stage reads the experiment config plus the files `INPUTS` names
+from the output directory, writes its own artifacts, and records a
+manifest with parameter echo and input/output SHA-256 hashes.
+`run_stages` checks that each input exists and hashes it before the stage
+starts, and hashes the files the stage wrote after it ends, so a stage
+only does its work.  The panel files are the stages' working store:
+simulate writes its trajectory a scan span at a time, corrupt reads the
+clean panel and writes the corrupted one a row block at a time, and
+spectra reads spans of that, so no stage holds a whole panel or a whole
+row and memory does not grow with the trajectory.  A panel is written to
+a temporary name that replaces the artifact only when the stage succeeds.
+Each panel is hashed once per run, from its finished file, on the run's
+one helper thread, which also writes the manifests in stage order; a
+stage run alone hashes its input panel while it works.  Detect and learn
+take the spectra stage's `SpectralMatrix` in memory and refuse a spectra
+file from another Welch segment length.  Learn detects again and refuses
+a `detection.json` whose bytes are not that report's.  Spectra and
+reports are hashed from their files on the main thread.  Each manifest's
+`run` records the stage's wall `seconds`, the process's `peak_rss_mb`
+when it ended, and `hash_seconds`, the helper's time to hash each panel
+it names; it changes from run to run and is no part of the digests.  Exit
+codes: 0 ok, 2 config, 3 data, 4 numerical, 5 assumption violation.
 """
 
 from __future__ import annotations
@@ -86,12 +83,17 @@ DETECTION_JSON = "detection.json"
 DETECTION_DOT = "detection.dot"
 TOPOLOGY_JSON = "topology.json"
 TOPOLOGY_DOT = "topology.dot"
+PANELS = frozenset({PANEL_CLEAN, PANEL_CORRUPT})
 
-
-def _digests(paths) -> dict[str, str]:
-    """File name -> SHA-256 of each file, hashed on the calling thread; for
-    the small spectra and report files."""
-    return {p.name: sha256_file(p) for p in paths}
+# the files each stage reads from the output directory, and the stage that
+# writes each one
+INPUTS = {
+    "simulate": {},
+    "corrupt": {PANEL_CLEAN: "simulate"},
+    "spectra": {PANEL_CORRUPT: "corrupt"},
+    "detect": {SPECTRA: "spectra"},
+    "learn": {SPECTRA: "spectra", DETECTION_JSON: "detect"},
+}
 
 
 def _write_manifest(
@@ -121,26 +123,20 @@ def _write_manifest(
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True))
 
 
-def _require(path: Path, hint: str) -> Path:
+def _require(path: Path, hint: str) -> None:
     if not path.exists():
         raise DataError(f"missing {path.name}; run `{hint}` first")
     if not path.is_file():
         raise DataError(f"{path} is not a readable file; run `{hint}` again")
-    return path
 
 
-# A stage returns its manifest's entries; `run_stages` hands them to the
-# run's one helper thread, which writes the manifests in stage order.  The
-# helper also hashes each panel from its finished file (hashlib and file I/O
-# release the GIL), so the hash overlaps the next stage's work.  It hashes
-# with sha256_parts, never sha256_file: the benchmark's tracer wraps this
-# module's sha256_file, for the small files, and its span stack is the main
-# thread's.
-#
-# `handoff` maps a panel file name to the future of its SHA-256 for a panel
-# an earlier stage of the same run wrote; the stage that reads it pops the
-# entry, so no panel is hashed twice.  Under `SPECTRA` it holds the spectra
-# stage's estimate, which detect reads and learn pops.
+# A stage returns the names of the files it wrote and its manifest's extra
+# entries.  The run's one helper thread hashes each panel from its finished
+# file (hashlib and file I/O release the GIL), so the hash overlaps the next
+# stage's work.  It hashes with sha256_parts, never sha256_file: the
+# benchmark's tracer wraps this module's sha256_file, for the small files,
+# and its span stack is the main thread's.  `handoff` holds, under
+# `SPECTRA`, the spectra stage's estimate, which detect and learn take.
 
 def _hash_panel(helper: ThreadPoolExecutor, path: Path) -> Future:
     """The SHA-256 of the finished panel file at `path` and the seconds it
@@ -152,93 +148,70 @@ def _hash_panel(helper: ThreadPoolExecutor, path: Path) -> Future:
     return helper.submit(timed)
 
 
-def _input_digest(handoff: dict, path: Path, hint: str, helper: ThreadPoolExecutor) -> Future:
-    """The `_hash_panel` future of the input panel at `path`: the one its
-    writer submitted in this run, else one submitted now."""
-    _require(path, hint)
-    return handoff.pop(path.name, None) or _hash_panel(helper, path)
-
-
-def stage_simulate(cfg: ExperimentConfig, out: Path, handoff: dict, helper) -> dict:
+def stage_simulate(cfg: ExperimentConfig, out: Path, handoff: dict):
     blocks = simulate_blocks(cfg.model, cfg.trajectory_length, cfg.seed, burn_in=cfg.burn_in)
-    path = out / PANEL_CLEAN
-    with PanelWriter(path, cfg.model.labels, cfg.trajectory_length) as writer:
+    with PanelWriter(out / PANEL_CLEAN, cfg.model.labels, cfg.trajectory_length) as writer:
         for lo, block in blocks:
             writer.put(lo, block)
-    handoff[path.name] = _hash_panel(helper, path)
-    return {"inputs": {}, "outputs": {path.name: handoff[path.name]}}
+    return [PANEL_CLEAN], {}
 
 
-def stage_corrupt(cfg: ExperimentConfig, out: Path, handoff: dict, helper) -> dict:
-    src = out / PANEL_CLEAN
-    src_digest = _input_digest(handoff, src, "treespect simulate", helper)
-    path = out / PANEL_CORRUPT
-    with PanelReader(src) as reader:
-        with PanelWriter(path, reader.labels, reader.n_samples) as writer:
+def stage_corrupt(cfg: ExperimentConfig, out: Path, handoff: dict):
+    with PanelReader(out / PANEL_CLEAN) as reader:
+        with PanelWriter(out / PANEL_CORRUPT, reader.labels, reader.n_samples) as writer:
             for i, lo, samples in corrupted_blocks(reader, cfg.corruption, cfg.seed):
                 writer.write(i, lo, samples)
-    handoff[path.name] = _hash_panel(helper, path)
-    return {"inputs": {src.name: src_digest}, "outputs": {path.name: handoff[path.name]}}
+    return [PANEL_CORRUPT], {}
 
 
-def stage_spectra(cfg: ExperimentConfig, out: Path, handoff: dict, helper) -> dict:
-    src = out / PANEL_CORRUPT
-    src_digest = _input_digest(handoff, src, "treespect corrupt", helper)
-    with PanelReader(src) as reader:
+def stage_spectra(cfg: ExperimentConfig, out: Path, handoff: dict):
+    with PanelReader(out / PANEL_CORRUPT) as reader:
         spectra = estimate_cpsd(reader, cfg.welch)
-    path = out / SPECTRA
-    save_spectra_binary(spectra, path)
+    save_spectra_binary(spectra, out / SPECTRA)
     handoff[SPECTRA] = spectra
-    return {"inputs": {src.name: src_digest}, "outputs": _digests([path])}
+    return [SPECTRA], {}
 
 
-def _decision(cfg: ExperimentConfig, spectra, path: Path) -> EdgeDecisionParams:
-    """The decision rule of the run's spectrum: its Welch segment count.  A
-    DataError if the spectrum from `path` is on another Welch grid, whose
-    segment count would be another."""
+def _detection(cfg: ExperimentConfig, out: Path, handoff: dict):
+    """The run's spectrum, its decision rule, the count of its flagged
+    frequencies and its detection report, from one inverse.  The spectrum
+    is the spectra stage's of this run, else the `SPECTRA` file, refused if
+    it is on another Welch grid: the decision rule counts the config's
+    segments."""
+    path = out / SPECTRA
+    spectra = handoff.get(SPECTRA)
+    if spectra is None:
+        spectra = load_spectra_binary(path)
     if spectra.grid != cfg.welch:
         raise DataError(
             f"{path} holds spectra of Welch segment length "
             f"{spectra.grid.segment_length}, but the config's segment_length is "
             f"{cfg.welch.segment_length}; run `treespect spectra` again"
         )
-    return EdgeDecisionParams(cfg.welch.segment_count(cfg.trajectory_length))
-
-
-def stage_detect(cfg: ExperimentConfig, out: Path, handoff: dict, helper) -> dict:
-    src = _require(out / SPECTRA, "treespect spectra")
-    spectra = handoff.get(SPECTRA) or load_spectra_binary(src)
-    decision = _decision(cfg, spectra, src)
+    decision = EdgeDecisionParams(cfg.welch.segment_count(cfg.trajectory_length))
     inverse = invert_spectrum(spectra)
-    report = detect(inverse, decision)
-    jpath = out / DETECTION_JSON
-    jpath.write_text(report_to_json(report))
-    dpath = out / DETECTION_DOT
-    dpath.write_text(report_to_dot(report))
-    return {
-        "inputs": _digests([src]),
-        "outputs": _digests([jpath, dpath]),
-        "flagged_frequencies": int(inverse.flagged.sum()),
-    }
+    return spectra, decision, int(inverse.flagged.sum()), detect(inverse, decision)
 
 
-def stage_learn(cfg: ExperimentConfig, out: Path, handoff: dict, helper) -> dict:
-    spath = _require(out / SPECTRA, "treespect spectra")
-    rpath = _require(out / DETECTION_JSON, "treespect detect")
-    spectra = handoff.pop(SPECTRA, None) or load_spectra_binary(spath)
-    decision = _decision(cfg, spectra, spath)
-    report = detect(invert_spectrum(spectra), decision)
+def stage_detect(cfg: ExperimentConfig, out: Path, handoff: dict):
+    _, _, flagged, report = _detection(cfg, out, handoff)
+    (out / DETECTION_JSON).write_text(report_to_json(report))
+    (out / DETECTION_DOT).write_text(report_to_dot(report))
+    return [DETECTION_JSON, DETECTION_DOT], {"flagged_frequencies": flagged}
+
+
+def stage_learn(cfg: ExperimentConfig, out: Path, handoff: dict):
+    spectra, decision, _, report = _detection(cfg, out, handoff)
+    rpath = out / DETECTION_JSON
     if report_to_json(report).encode() != rpath.read_bytes():
         raise DataError(
-            f"{rpath} is not the detection of {spath} under this config; "
+            f"{rpath} is not the detection of {out / SPECTRA} under this config; "
             "run `treespect detect` again"
         )
     estimate = hide_and_learn(spectra, report, decision)
-    jpath = out / TOPOLOGY_JSON
-    jpath.write_text(estimate_to_json(estimate))
-    dpath = out / TOPOLOGY_DOT
-    dpath.write_text(estimate_to_dot(estimate))
-    return {"inputs": _digests([spath, rpath]), "outputs": _digests([jpath, dpath])}
+    (out / TOPOLOGY_JSON).write_text(estimate_to_json(estimate))
+    (out / TOPOLOGY_DOT).write_text(estimate_to_dot(estimate))
+    return [TOPOLOGY_JSON, TOPOLOGY_DOT], {}
 
 
 STAGES = {
@@ -268,20 +241,33 @@ def _peak_rss_mb() -> float:
 
 
 def run_stages(names, cfg: ExperimentConfig, out: Path) -> None:
-    """Run the stages `names` in order with one helper thread, which hashes
-    the panels and writes the manifests, each with the stage's cost; a
-    stage that fails still leaves the manifests of the stages before it."""
+    """Run the stages `names` in order.  Each stage's INPUTS must exist;
+    they are hashed before it starts, and the files it wrote after it ends.
+    One helper thread hashes the panels, each once per run, and writes the
+    manifests, each with the stage's cost; a stage that fails still leaves
+    the manifests of the stages before it."""
     _output_dir(out)
     handoff: dict = {}
+    panels: dict = {}  # panel name -> the future of its hash in this run
     manifests = []
     with ThreadPoolExecutor(max_workers=1) as helper:
+        def digest(name: str):
+            path = out / name
+            return _hash_panel(helper, path) if name in PANELS else sha256_file(path)
+
         for name in names:
             t0 = time.perf_counter()
-            entries = STAGES[name](cfg, out, handoff, helper)
+            for src, writer in INPUTS[name].items():
+                _require(out / src, f"treespect {writer}")
+            inputs = {src: panels.pop(src, None) or digest(src) for src in INPUTS[name]}
+            written, extra = STAGES[name](cfg, out, handoff)
+            outputs = {dst: digest(dst) for dst in written}
+            panels.update((dst, d) for dst, d in outputs.items() if dst in PANELS)
             dt = time.perf_counter() - t0
             run = {"seconds": dt, "peak_rss_mb": _peak_rss_mb()}
+            entries = {"inputs": inputs, "outputs": outputs, **extra}
             manifests.append(helper.submit(_write_manifest, out, name, cfg, entries, run))
-            print(f"[{name}] {dt:.1f}s -> {', '.join(entries['outputs'])}")
+            print(f"[{name}] {dt:.1f}s -> {', '.join(outputs)}")
     for job in manifests:
         job.result()
 
