@@ -15,14 +15,19 @@ a temporary name that replaces the artifact only when the stage succeeds.
 Each panel is hashed once per run, from its finished file, on the run's
 one helper thread, which also writes the manifests in stage order; a
 stage run alone hashes its input panel while it works.  Detect and learn
-take the spectra stage's `SpectralMatrix` in memory and refuse a spectra
-file from another Welch segment length.  Learn detects again and refuses
-a `detection.json` whose bytes are not that report's.  Spectra and
-reports are hashed from their files on the main thread.  Each manifest's
-`run` records the stage's wall `seconds`, the process's `peak_rss_mb`
-when it ended, and `hash_seconds`, the helper's time to hash each panel
-it names; it changes from run to run and is no part of the digests.  Exit
-codes: 0 ok, 2 config, 3 data, 4 numerical, 5 assumption violation.
+take the spectra stage's `SpectralMatrix` in memory.  A stage refuses an
+input written under another config where the input shows it: corrupt and
+spectra a panel of other labels or another sample count, detect and learn
+a spectrum of other labels or Welch segment length, or one whose
+`manifest_spectra.json` records another trajectory_length.  A panel drawn
+with other coefficients, seed or burn-in still passes.  Learn detects
+again and refuses a `detection.json` whose bytes are not that report's.
+Spectra and reports are hashed from their files on the main thread.  Each
+manifest's `run` records the stage's wall `seconds`, the process's
+`peak_rss_mb` when it ended, and `hash_seconds`, the helper's time to
+hash each panel it names; it changes from run to run and is no part of
+the digests.  Exit codes: 0 ok, 2 config, 3 data, 4 numerical, 5
+assumption violation.
 """
 
 from __future__ import annotations
@@ -94,6 +99,7 @@ INPUTS = {
     "detect": {SPECTRA: "spectra"},
     "learn": {SPECTRA: "spectra", DETECTION_JSON: "detect"},
 }
+WRITER = {name: stage for files in INPUTS.values() for name, stage in files.items()}
 
 
 def _write_manifest(
@@ -130,6 +136,44 @@ def _require(path: Path, hint: str) -> None:
         raise DataError(f"{path} is not a readable file; run `{hint}` again")
 
 
+def _stale(path: Path, held: str, wanted: str) -> DataError:
+    """The refusal of the input at `path`, which holds `held` where the
+    config asks for `wanted`: its writer must run again."""
+    return DataError(
+        f"{path} holds {held}, but the config's {wanted}; "
+        f"run `treespect {WRITER[path.name]}` again"
+    )
+
+
+def _check_source(cfg: ExperimentConfig, path: Path, labels, n_samples=None) -> None:
+    """A DataError unless the panel or spectrum at `path` has the config's
+    labels and, if `n_samples` is given, its trajectory_length."""
+    if labels != cfg.model.labels:
+        raise _stale(path, f"labels {list(labels)}", f"model labels are {list(cfg.model.labels)}")
+    if n_samples not in (None, cfg.trajectory_length):
+        raise _stale(path, f"{n_samples} samples", f"trajectory_length is {cfg.trajectory_length}")
+
+
+def _check_record_length(cfg: ExperimentConfig, path: Path) -> None:
+    """A DataError if the spectra stage's manifest next to the spectrum at
+    `path` records another trajectory_length than the config's, from which
+    the decision rule counts the Welch segments; nothing if it is absent."""
+    manifest = path.with_name("manifest_spectra.json")
+    if not manifest.is_file():
+        return
+    try:
+        held = json.loads(manifest.read_bytes())["config"]["trajectory_length"]
+    except (OSError, ValueError, LookupError, TypeError) as exc:
+        raise DataError(
+            f"{manifest} records no trajectory_length; run `treespect spectra` again"
+        ) from exc
+    if held != cfg.trajectory_length:
+        raise _stale(
+            path, f"spectra of {held} samples (per {manifest.name})",
+            f"trajectory_length is {cfg.trajectory_length}",
+        )
+
+
 # A stage returns the names of the files it wrote and its manifest's extra
 # entries.  The run's one helper thread hashes each panel from its finished
 # file (hashlib and file I/O release the GIL), so the hash overlaps the next
@@ -148,7 +192,7 @@ def _hash_panel(helper: ThreadPoolExecutor, path: Path) -> Future:
     return helper.submit(timed)
 
 
-def stage_simulate(cfg: ExperimentConfig, out: Path, handoff: dict):
+def stage_simulate(cfg: ExperimentConfig, out: Path, handoff: dict) -> tuple[list, dict]:
     blocks = simulate_blocks(cfg.model, cfg.trajectory_length, cfg.seed, burn_in=cfg.burn_in)
     with PanelWriter(out / PANEL_CLEAN, cfg.model.labels, cfg.trajectory_length) as writer:
         for lo, block in blocks:
@@ -156,16 +200,18 @@ def stage_simulate(cfg: ExperimentConfig, out: Path, handoff: dict):
     return [PANEL_CLEAN], {}
 
 
-def stage_corrupt(cfg: ExperimentConfig, out: Path, handoff: dict):
+def stage_corrupt(cfg: ExperimentConfig, out: Path, handoff: dict) -> tuple[list, dict]:
     with PanelReader(out / PANEL_CLEAN) as reader:
+        _check_source(cfg, reader.path, reader.labels, reader.n_samples)
         with PanelWriter(out / PANEL_CORRUPT, reader.labels, reader.n_samples) as writer:
             for i, lo, samples in corrupted_blocks(reader, cfg.corruption, cfg.seed):
                 writer.write(i, lo, samples)
     return [PANEL_CORRUPT], {}
 
 
-def stage_spectra(cfg: ExperimentConfig, out: Path, handoff: dict):
+def stage_spectra(cfg: ExperimentConfig, out: Path, handoff: dict) -> tuple[list, dict]:
     with PanelReader(out / PANEL_CORRUPT) as reader:
+        _check_source(cfg, reader.path, reader.labels, reader.n_samples)
         spectra = estimate_cpsd(reader, cfg.welch)
     save_spectra_binary(spectra, out / SPECTRA)
     handoff[SPECTRA] = spectra
@@ -175,32 +221,34 @@ def stage_spectra(cfg: ExperimentConfig, out: Path, handoff: dict):
 def _detection(cfg: ExperimentConfig, out: Path, handoff: dict):
     """The run's spectrum, its decision rule, the count of its flagged
     frequencies and its detection report, from one inverse.  The spectrum
-    is the spectra stage's of this run, else the `SPECTRA` file, refused if
-    it is on another Welch grid: the decision rule counts the config's
-    segments."""
+    is the spectra stage's of this run, else the `SPECTRA` file.  Either is
+    refused if it is on another Welch grid (the decision rule counts the
+    config's segments) or has other labels; the file also if its manifest
+    records another trajectory_length."""
     path = out / SPECTRA
     spectra = handoff.get(SPECTRA)
     if spectra is None:
+        _check_record_length(cfg, path)
         spectra = load_spectra_binary(path)
     if spectra.grid != cfg.welch:
-        raise DataError(
-            f"{path} holds spectra of Welch segment length "
-            f"{spectra.grid.segment_length}, but the config's segment_length is "
-            f"{cfg.welch.segment_length}; run `treespect spectra` again"
+        raise _stale(
+            path, f"spectra of Welch segment length {spectra.grid.segment_length}",
+            f"segment_length is {cfg.welch.segment_length}",
         )
+    _check_source(cfg, path, spectra.labels)
     decision = EdgeDecisionParams(cfg.welch.segment_count(cfg.trajectory_length))
     inverse = invert_spectrum(spectra)
     return spectra, decision, int(inverse.flagged.sum()), detect(inverse, decision)
 
 
-def stage_detect(cfg: ExperimentConfig, out: Path, handoff: dict):
+def stage_detect(cfg: ExperimentConfig, out: Path, handoff: dict) -> tuple[list, dict]:
     _, _, flagged, report = _detection(cfg, out, handoff)
     (out / DETECTION_JSON).write_text(report_to_json(report))
     (out / DETECTION_DOT).write_text(report_to_dot(report))
     return [DETECTION_JSON, DETECTION_DOT], {"flagged_frequencies": flagged}
 
 
-def stage_learn(cfg: ExperimentConfig, out: Path, handoff: dict):
+def stage_learn(cfg: ExperimentConfig, out: Path, handoff: dict) -> tuple[list, dict]:
     spectra, decision, _, report = _detection(cfg, out, handoff)
     rpath = out / DETECTION_JSON
     if report_to_json(report).encode() != rpath.read_bytes():

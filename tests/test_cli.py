@@ -43,6 +43,11 @@ def write_tiny(tmp_path, **overrides) -> Path:
     return path
 
 
+def snapshot(out: Path) -> dict:
+    """The name and bytes of every file in `out`, if it exists."""
+    return {p.name: p.read_bytes() for p in out.iterdir()} if out.exists() else {}
+
+
 def manifest_without_timestamp(path: Path) -> dict:
     # `run` holds the stage's seconds and peak RSS, which differ between runs
     payload = json.loads(path.read_text())
@@ -95,6 +100,26 @@ def test_pipeline_equals_stage_composition(tmp_path, corruption):
         ma = manifest_without_timestamp(a / f"manifest_{stage}.json")
         mb = manifest_without_timestamp(b / f"manifest_{stage}.json")
         assert ma == mb
+
+
+def test_each_stage_runs_from_its_inputs_alone(tmp_path):
+    # cli.INPUTS is the whole of what each stage reads from --out: in a
+    # directory holding only those files, copied from a pipeline run, each
+    # stage records the pipeline's input and output digests
+    cfg = write_tiny(tmp_path, corruption=[CORRUPTION])
+    run = tmp_path / "pipeline"
+    assert main(["pipeline", "--config", str(cfg), "--out", str(run)]) == 0
+    for stage, inputs in cli.INPUTS.items():
+        alone = tmp_path / stage
+        alone.mkdir()
+        for name in inputs:
+            shutil.copyfile(run / name, alone / name)
+        assert main([stage, "--config", str(cfg), "--out", str(alone)]) == 0, stage
+        ours, theirs = (
+            json.loads((d / f"manifest_{stage}.json").read_text()) for d in (alone, run)
+        )
+        for key in ("inputs", "outputs"):
+            assert ours[key] == theirs[key], (stage, key)
 
 
 def test_rerun_is_byte_identical(tmp_path):
@@ -638,9 +663,33 @@ def test_config_directory_or_out_file_exits_2_naming_the_path(
     assert "Traceback" not in err
     assert ran == [] and taken.read_text() == "not a directory"
 
-def test_missing_upstream_artifact_exits_3(tmp_path):
-    cfg = write_tiny(tmp_path)
-    assert main(["detect", "--config", str(cfg), "--out", str(tmp_path / "empty")]) == 3
+def test_missing_upstream_artifact_exits_3(tmp_path, capsys):
+    # a stage in an empty directory, then each input missing with every
+    # other one in place; the refusal names the stage that writes the file
+    # and writes nothing
+    cfg = write_tiny(tmp_path, trajectory_length=20_000, burn_in=100)
+    empty, out = tmp_path / "empty", tmp_path / "run"
+    for stage in ("simulate", "corrupt", "spectra", "detect"):
+        assert main([stage, "--config", str(cfg), "--out", str(out)]) == 0
+    for stage, missing, writer, where in (
+        ("detect", "spectra_corrupt.rtsm", "spectra", empty),
+        ("corrupt", "panel_clean.bin", "simulate", out),
+        ("spectra", "panel_corrupt.bin", "corrupt", out),
+        ("detect", "spectra_corrupt.rtsm", "spectra", out),
+        ("learn", "spectra_corrupt.rtsm", "spectra", out),
+        ("learn", "detection.json", "detect", out),
+    ):
+        kept = snapshot(out)
+        (where / missing).unlink(missing_ok=True)
+        before = snapshot(where)
+        capsys.readouterr()
+        assert main([stage, "--config", str(cfg), "--out", str(where)]) == 3, (stage, missing)
+        err = capsys.readouterr().err
+        assert f"missing {missing}; run `treespect {writer}` first" in err, (stage, missing)
+        assert "Traceback" not in err
+        assert snapshot(where) == before
+        for name, blob in kept.items():
+            (out / name).write_bytes(blob)
 
 
 @pytest.mark.parametrize("stage, name, content", [
@@ -744,6 +793,100 @@ def test_spectra_file_of_another_segment_length_exits_3(tmp_path, capsys, stage)
     ) in err
     assert "Traceback" not in err
     assert {p: p.read_bytes() for p in out.glob("manifest_*.json")} == manifests
+
+
+def quick_config(tmp_path, name: str, length: int, relabel: bool = False) -> Path:
+    """chain7_quick at `length` samples, its nodes relabelled n1..n7 if
+    `relabel`: the same model under other labels."""
+    payload = json.loads(bundled_config_path("chain7_quick").read_text())
+    payload["trajectory_length"] = length
+    if relabel:
+        model = payload["model"]
+        model["labels"] = [f"n{x}" for x in model["labels"]]
+        for edge in model["edges"]:
+            edge["a"], edge["b"] = f"n{edge['a']}", f"n{edge['b']}"
+        for key in ("noise_variance", "self_dynamics"):
+            model[key] = {f"n{k}": v for k, v in model[key].items()}
+        for spec in payload["corruption"]:
+            spec["node"] = f"n{spec['node']}"
+    path = tmp_path / name
+    path.write_text(json.dumps(payload))
+    return path
+
+
+def assert_refused(capsys, stage, cfg, out, *phrases):
+    """`stage` under `cfg` exits 3 without a traceback, its message holds
+    every phrase, and it leaves every file in `out` as it was."""
+    before = snapshot(out)
+    capsys.readouterr()
+    assert main([stage, "--config", str(cfg), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    for phrase in phrases:
+        assert phrase in err, (phrase, err)
+    assert snapshot(out) == before
+
+
+def test_corrupt_refuses_a_panel_of_another_trajectory_length(tmp_path, capsys):
+    short = quick_config(tmp_path, "short.json", 200_000)
+    long = quick_config(tmp_path, "long.json", 2_000_000)
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", str(short), "--out", str(out)]) == 0
+    assert_refused(
+        capsys, "corrupt", long, out,
+        f"{out / 'panel_clean.bin'} holds 200000 samples, "
+        "but the config's trajectory_length is 2000000; run `treespect simulate` again",
+    )
+
+
+def test_detect_refuses_spectra_of_another_trajectory_length(tmp_path, capsys):
+    # the decision rule counts Welch segments from the config's length, so
+    # these spectra were cut at a band ten times too narrow: every node
+    # came out corrupt
+    short = quick_config(tmp_path, "short.json", 200_000)
+    long = quick_config(tmp_path, "long.json", 2_000_000)
+    out = tmp_path / "run"
+    for stage in ("simulate", "corrupt", "spectra", "detect"):
+        assert main([stage, "--config", str(short), "--out", str(out)]) == 0
+    for stage in ("detect", "learn"):
+        assert_refused(
+            capsys, stage, long, out,
+            f"{out / 'spectra_corrupt.rtsm'} holds spectra of 200000 samples "
+            "(per manifest_spectra.json), but the config's trajectory_length is 2000000; "
+            "run `treespect spectra` again",
+        )
+
+
+def test_stages_refuse_inputs_under_other_labels(tmp_path, capsys):
+    cfg = quick_config(tmp_path, "quick.json", 200_000)
+    relabelled = quick_config(tmp_path, "relabelled.json", 200_000, relabel=True)
+    out = tmp_path / "run"
+    for stage in ("simulate", "corrupt", "spectra", "detect"):
+        assert main([stage, "--config", str(cfg), "--out", str(out)]) == 0
+    labels = "['1', '2', '3', '4', '5', '6', '7']"
+    wanted = "['n1', 'n2', 'n3', 'n4', 'n5', 'n6', 'n7']"
+    for stage, name, writer in (
+        ("corrupt", "panel_clean.bin", "simulate"),
+        ("spectra", "panel_corrupt.bin", "corrupt"),
+        ("detect", "spectra_corrupt.rtsm", "spectra"),
+        ("learn", "spectra_corrupt.rtsm", "spectra"),
+    ):
+        assert_refused(
+            capsys, stage, relabelled, out,
+            f"{out / name} holds labels {labels}, but the config's model labels are "
+            f"{wanted}; run `treespect {writer}` again",
+        )
+
+
+def test_a_spectra_manifest_without_a_trajectory_length_exits_3(tmp_path, capsys):
+    cfg, out, _ = spectra_of_tiny(tmp_path)
+    manifest = out / "manifest_spectra.json"
+    for blob in (b"{", b"[]", json.dumps({"config": {}}).encode()):
+        manifest.write_bytes(blob)
+        assert_refused(
+            capsys, "detect", cfg, out,
+            f"{manifest} records no trajectory_length; run `treespect spectra` again",
+        )
 
 
 @pytest.mark.parametrize("case", ["no_channels", "one_channel", "duplicate_label"])
