@@ -47,10 +47,13 @@ def narrate(out: Path, labels) -> None:
         print(f"certified leaf edges: {edge_names(order, report['leaf_edges'])}")
     if (out / TOPOLOGY_JSON).exists():
         estimate = json.loads((out / TOPOLOGY_JSON).read_text())
-        print(f"\nmarginal support (corrupt hidden): "
-              f"{edge_names(order, estimate['observed_support_edges'])}")
+        marginal = [(e["a"], e["b"]) for e in estimate["observed_support_edges"]]
+        print(f"\nmarginal support (corrupt hidden): {edge_names(order, marginal)}")
         comps = [sorted(c) for c in estimate["components_before_placement"]]
         print(f"components after pruning: {comps}")
+        for p in estimate["placements"]:
+            print(f"placement of {p['corrupt']}: sides {p['sides']}, "
+                  f"adopted attachments {p['adopted']}")
         edges = [(e["a"], e["b"]) for e in estimate["edges"]]
         print(f"recovered topology: {edge_names(order, edges)}")
         print(f"is a tree: {estimate['is_tree']}   "

@@ -12,18 +12,18 @@ clean panel and writes the corrupted one a row block at a time, and
 spectra reads spans of that, so no stage holds a whole panel or a whole
 row and memory does not grow with the trajectory.  A panel is written to
 a temporary name that replaces the artifact only when the stage succeeds.
-Each panel is hashed once per run, from its finished file, on the run's
-one helper thread, which also writes the manifests in stage order; a
-stage run alone hashes its input panel while it works.  Detect and learn
-take the spectra stage's `SpectralMatrix` in memory.  A stage refuses an
+Each file is hashed once per run: a panel from its finished file on the
+run's one helper thread, which also writes the manifests in stage order,
+and the spectra and reports on the main thread.  A stage run alone hashes
+its input panel while it works.  Detect and learn take the spectra
+stage's `SpectralMatrix` in memory.  A stage refuses an
 input written under another config where the input shows it: corrupt and
 spectra a panel of other labels or another sample count, detect and learn
 a spectrum of other labels or Welch segment length, or one whose
 `manifest_spectra.json` records another trajectory_length.  A panel drawn
 with other coefficients, seed or burn-in still passes.  Learn detects
 again and refuses a `detection.json` whose bytes are not that report's.
-Spectra and reports are hashed from their files on the main thread.  Each
-manifest's `run` records the stage's wall `seconds`, the process's
+Each manifest's `run` records the stage's wall `seconds`, the process's
 `peak_rss_mb` when it ended, and `hash_seconds`, the helper's time to
 hash each panel it names; it changes from run to run and is no part of
 the digests.  Exit codes: 0 ok, 2 config, 3 data, 4 numerical, 5
@@ -290,13 +290,13 @@ def _peak_rss_mb() -> float:
 
 def run_stages(names, cfg: ExperimentConfig, out: Path) -> None:
     """Run the stages `names` in order.  Each stage's INPUTS must exist;
-    they are hashed before it starts, and the files it wrote after it ends.
-    One helper thread hashes the panels, each once per run, and writes the
-    manifests, each with the stage's cost; a stage that fails still leaves
-    the manifests of the stages before it."""
+    they are hashed before it starts, unless this run wrote them, and the
+    files it wrote after it ends.  One helper thread hashes the panels and
+    writes the manifests, each with the stage's cost; a stage that fails
+    still leaves the manifests of the stages before it."""
     _output_dir(out)
     handoff: dict = {}
-    panels: dict = {}  # panel name -> the future of its hash in this run
+    digests: dict = {}  # file name -> its digest in this run, or a panel's future of it
     manifests = []
     with ThreadPoolExecutor(max_workers=1) as helper:
         def digest(name: str):
@@ -307,10 +307,10 @@ def run_stages(names, cfg: ExperimentConfig, out: Path) -> None:
             t0 = time.perf_counter()
             for src, writer in INPUTS[name].items():
                 _require(out / src, f"treespect {writer}")
-            inputs = {src: panels.pop(src, None) or digest(src) for src in INPUTS[name]}
+            inputs = {src: digests.get(src) or digest(src) for src in INPUTS[name]}
             written, extra = STAGES[name](cfg, out, handoff)
             outputs = {dst: digest(dst) for dst in written}
-            panels.update((dst, d) for dst, d in outputs.items() if dst in PANELS)
+            digests.update(outputs)
             dt = time.perf_counter() - t0
             run = {"seconds": dt, "peak_rss_mb": _peak_rss_mb()}
             entries = {"inputs": inputs, "outputs": outputs, **extra}

@@ -49,7 +49,8 @@ class EdgeDecisionParams:
     - an edge is kept where the band mean of |rho_k|^2 reaches the upper
       quantile of Gamma(shape N_b/1.40, mean 1/d), its law at a zero entry;
     - a phase is non-constant where W (`phase_nonconstancy_score`) reaches
-      that of Gamma(N_b/2.80, scale 2.80), its law at a real entry.
+      that of Gamma(N_b/2.80, scale 2.80), its law at a real entry;
+    - placement pools W over real entries (`pooled_phase_cuts`).
     """
 
     segments: float
@@ -68,8 +69,20 @@ class EdgeDecisionParams:
         tail = ALPHA / (n * (n - 1) / 2)
         return {
             "band": gamma_quantile(n_b / HANN_VARIANCE, HANN_VARIANCE / (n_b * self.dof(n)), tail),
-            "phase": gamma_quantile(n_b / (2 * HANN_VARIANCE), 2 * HANN_VARIANCE, tail),
+            "phase": self.pooled_phase_cuts(inv, 1)[0],
         }
+
+    def pooled_phase_cuts(self, inv: SpectralMatrix, pairs: int) -> tuple[float, float]:
+        """The cut of W summed over `pairs` real entries, Gamma(pairs N_b/2.80,
+        scale 2.80) if they are independent, at the tail of `thresholds`; and
+        z_(1 - ALPHA) times the spread of the difference of two such sums.
+        Both are 0 at no pair, where the sum is 0."""
+        if not pairs:
+            return 0.0, 0.0
+        n, scale = inv.n_nodes, 2 * HANN_VARIANCE
+        shape = pairs * int(_band(inv).sum()) / scale
+        z = NormalDist().inv_cdf(1 - ALPHA)
+        return gamma_quantile(shape, scale, ALPHA / (n * (n - 1) / 2)), z * scale * math.sqrt(2 * shape)
 
 
 # An exact spectrum is the K -> infinity limit, held back by rounding: K is
@@ -216,9 +229,9 @@ def detect(inv: SpectralMatrix, decision: EdgeDecisionParams) -> DetectionReport
 # ---------------------------------------------------------------------------
 # report serialization
 
-def report_to_dict(report: DetectionReport) -> dict:
+def report_to_json(report: DetectionReport) -> str:
     labs, cut = report.labels, report.thresholds
-    return {
+    return json.dumps({
         "thresholds": cut,
         "support_edges": [
             {
@@ -241,11 +254,7 @@ def report_to_dict(report: DetectionReport) -> dict:
             for i, rows in sorted(report.evidence.items())
         },
         "diagnostics": [asdict(d) for d in report.diagnostics],
-    }
-
-
-def report_to_json(report: DetectionReport) -> str:
-    return json.dumps(report_to_dict(report), indent=2, sort_keys=True)
+    }, indent=2, sort_keys=True)
 
 
 def report_to_dot(report: DetectionReport) -> str:

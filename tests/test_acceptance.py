@@ -118,7 +118,7 @@ def chain_run():
     psd = estimate_cpsd(corrupted, welch)
     inv = invert_spectrum(psd)
     rep = detect(inv, params)
-    t_m = observed_support_graph(inv, rep.corrupt, params)
+    t_m, _, _ = observed_support_graph(inv, rep.corrupt, params)
     kept = true_edges_by_separation(t_m, rep.observed, rep.leaves, rep.leaf_edges)
     estimate = hide_and_learn(psd, rep, params)
     elapsed = time.perf_counter() - t0

@@ -80,8 +80,16 @@ def test_pipeline_tiny_corrupted_recovers_chain(tmp_path):
     topology = json.loads((out / "topology.json").read_text())
     assert topology["diagnostics"] == []
     assert sorted([e["a"], e["b"]] for e in topology["edges"]) == CHAIN_EDGES
-    adopted = [t for t in topology["placements"] if t["adopted"]]
-    assert adopted and all(t["margin"] == t["w"] / topology["thresholds"]["phase"] < 1 for t in adopted)
+    # one swap decision for node 4: its sides, its adopted pick 3-5 below
+    # the cut, and a lead over the runner-up above the gap cut
+    (placement,) = topology["placements"]
+    assert placement["corrupt"] == "4" and placement["sides"] == [["2", "3"], ["5", "6"]]
+    assert placement["adopted"] == ["3", "5"]
+    best = placement["picks"][0]
+    assert best["adopted"] and best["margin"] == best["w"] / placement["cut"] < 1
+    assert placement["gap_ratio"] == placement["gap"] / placement["gap_cut"] > 1
+    assert all(e["margin"] == e["band"] / topology["thresholds"]["band"] >= 1
+               for e in topology["observed_support_edges"])
 
 
 @pytest.mark.parametrize("corruption", [[], [CORRUPTION]], ids=["clean", "corrupted"])
@@ -221,6 +229,21 @@ def test_spectra_hashes_the_panel_it_reads(tmp_path):
     swapped = file_sha256(other / "panel_corrupt.bin")
     assert spectra["inputs"] == {"panel_corrupt.bin": swapped}
     assert corrupted["outputs"]["panel_corrupt.bin"] != swapped
+
+
+def test_pipeline_hashes_each_small_file_once(tmp_path, monkeypatch):
+    # a later stage takes its input's digest from the stage of this run
+    # that wrote it, so the spectra and detection.json, which two and one
+    # later stages read, are hashed once each, on cli.sha256_file
+    hashed = []
+    real = cli.sha256_file
+    monkeypatch.setattr(cli, "sha256_file", lambda path: hashed.append(path.name) or real(path))
+    cfg = write_tiny(tmp_path, corruption=[CORRUPTION])
+    assert main(["pipeline", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
+    assert sorted(hashed) == [
+        "detection.dot", "detection.json", "spectra_corrupt.rtsm", "topology.dot", "topology.json",
+    ]
+    assert_manifests_hash_files(tmp_path / "run")
 
 
 def test_pipeline_hashes_each_panel_once(tmp_path, monkeypatch):
@@ -1285,18 +1308,15 @@ def sweep_rows(tmp_path, payload) -> list[dict]:
         return list(csv.DictReader(fh))
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "a silent wrong tree: placement adopts 2-4 in place of 3-4 with no "
-    "diagnostic; open under ROADMAP item 2 (say so when an alignment is "
-    "close) and item 5 (a phase-consistency check after placement)"
-))
 def test_readme_sweep_row_that_is_not_recovered_ends_in_a_diagnostic():
     # row 2 of the README sweep at seed 2 and 10^5 samples: a 9-node tree
-    # whose one corrupt node, index 4, is detected; placement then joins it
-    # to node 2, not to its true neighbour 3
+    # whose one corrupt node, index 4, is detected; the wrong pick (2, not
+    # its true neighbour 3) has the lower pooled W, but its lead is under
+    # the gap cut, so the placement is ambiguous rather than silently wrong
     welch = welch_params({"welch": {"segment_length": 256}})
     row = cli._sweep_row((2, 9, 1, 100_000, 2, welch, False))
-    assert row["recovered"] or row["n_diagnostics"] > 0
+    assert not row["recovered"]
+    assert row["diagnostics"] == "ambiguous_placement"
 
 
 def test_sweep_corrupt_zero_draws_no_corrupt_node(tmp_path):

@@ -53,14 +53,14 @@ def chain_setup():
 
 def test_marginal_support_matches_latent_figure(chain_setup):
     _, psd, report = chain_setup
-    t_m = observed_support_graph(invert_spectrum(psd), report.corrupt, ANALYTIC_DECISION)
+    t_m, _, _ = observed_support_graph(invert_spectrum(psd), report.corrupt, ANALYTIC_DECISION)
     assert t_m.edges == FIG_LATENT_EDGES
 
 
 def test_marginal_support_without_corrupt_is_moral(chain_setup):
     model, _, _ = chain_setup
     psd = analytic_psd(model, GRID)
-    t_m = observed_support_graph(invert_spectrum(psd), frozenset(), ANALYTIC_DECISION)
+    t_m, _, _ = observed_support_graph(invert_spectrum(psd), frozenset(), ANALYTIC_DECISION)
     assert t_m.edges == moral_graph(model.topology).edges
 
 
@@ -72,7 +72,7 @@ def test_hiding_middle_of_three_chain_creates_spurious_edge():
         np.ones(3),
     )
     inv = invert_spectrum(analytic_psd(model, GRID))
-    t_m = observed_support_graph(inv, {1}, ANALYTIC_DECISION)
+    t_m, _, _ = observed_support_graph(inv, {1}, ANALYTIC_DECISION)
     assert t_m.edges == {(0, 2)}
 
 
@@ -82,7 +82,7 @@ def test_marginal_support_within_four_hops():
         inst = random_instance(rng, 12, 2)
         sigs = analytic_signatures(inst.model, inst.specs, GRID)
         psd = analytic_corrupted_psd(inst.model, sigs, GRID)
-        t_m = observed_support_graph(invert_spectrum(psd), inst.corrupt, ANALYTIC_DECISION)
+        t_m, _, _ = observed_support_graph(invert_spectrum(psd), inst.corrupt, ANALYTIC_DECISION)
         for a, b in t_m.edges:
             assert bfs_distances(inst.topology, a)[b] <= 4
 
@@ -92,7 +92,7 @@ def test_marginal_support_within_four_hops():
 
 def test_separation_prunes_to_true_edges(chain_setup):
     _, psd, report = chain_setup
-    t_m = observed_support_graph(invert_spectrum(psd), report.corrupt, ANALYTIC_DECISION)
+    t_m, _, _ = observed_support_graph(invert_spectrum(psd), report.corrupt, ANALYTIC_DECISION)
     kept = true_edges_by_separation(t_m, report.observed, report.leaves, report.leaf_edges)
     assert kept == FIG_TRUE_EDGES
 
@@ -118,9 +118,9 @@ def test_complete_graph_keeps_nothing():
 
 def test_placement_reconnects_chain(chain_setup):
     _, psd, report = chain_setup
-    t_m = observed_support_graph(invert_spectrum(psd), report.corrupt, ANALYTIC_DECISION)
-    kept = true_edges_by_separation(t_m, report.observed, report.leaves, report.leaf_edges)
-    est = place_corrupt_nodes(kept, t_m, report, invert_spectrum(psd), ANALYTIC_DECISION)
+    support = observed_support_graph(invert_spectrum(psd), report.corrupt, ANALYTIC_DECISION)
+    kept = true_edges_by_separation(support[0], report.observed, report.leaves, report.leaf_edges)
+    est = place_corrupt_nodes(kept, support, report, invert_spectrum(psd), ANALYTIC_DECISION)
     assert est.graph.edges == CHAIN7_EDGES
     assert est.provenance[(2, 3)] == "placement_edge"
     assert est.provenance[(3, 4)] == "placement_edge"
@@ -133,42 +133,72 @@ def test_placement_without_corrupt_is_identity(chain_setup):
     psd = analytic_psd(model, GRID)
     report = detect(invert_spectrum(psd), ANALYTIC_DECISION)
     assert report.corrupt == frozenset()
-    t_m = observed_support_graph(invert_spectrum(psd), frozenset(), ANALYTIC_DECISION)
-    kept = true_edges_by_separation(t_m, report.observed, report.leaves, report.leaf_edges)
-    est = place_corrupt_nodes(kept, t_m, report, invert_spectrum(psd), ANALYTIC_DECISION)
+    support = observed_support_graph(invert_spectrum(psd), frozenset(), ANALYTIC_DECISION)
+    kept = true_edges_by_separation(support[0], report.observed, report.leaves, report.leaf_edges)
+    est = place_corrupt_nodes(kept, support, report, invert_spectrum(psd), ANALYTIC_DECISION)
     assert est.graph.edges == kept == CHAIN7_EDGES
 
 
-def test_conflicting_placements_are_reported(chain_setup):
-    # doctor the (3,5) entry into a fake constant so a second alignment
-    # also passes; the conflict must surface as a diagnostic, not a guess
+def test_doctored_tie_is_an_ambiguous_placement(chain_setup):
+    # doctor the (2,4) entry into a fake constant, so the wrong pick 1-5
+    # ties the true pick 2-4; the tie must surface as a diagnostic and
+    # place nothing, not a guess
     _, psd, report = chain_setup
-    t_m = observed_support_graph(invert_spectrum(psd), report.corrupt, ANALYTIC_DECISION)
-    kept = true_edges_by_separation(t_m, report.observed, report.leaves, report.leaf_edges)
+    support = observed_support_graph(invert_spectrum(psd), report.corrupt, ANALYTIC_DECISION)
+    kept = true_edges_by_separation(support[0], report.observed, report.leaves, report.leaf_edges)
     inv = invert_spectrum(psd)
     vals = inv.values.copy()
     vals[:, 2, 4] = 0.3
     vals[:, 4, 2] = 0.3
     doctored = type(inv)(inv.grid, vals, inv.labels, inv.flagged.copy())
-    est = place_corrupt_nodes(kept, t_m, report, doctored, ANALYTIC_DECISION)
-    assert any(d.kind == "conflicting_placements" for d in est.diagnostics)
+    est = place_corrupt_nodes(kept, support, report, doctored, ANALYTIC_DECISION)
+    assert [d.kind for d in est.diagnostics] == ["ambiguous_placement"]
+    assert est.graph.edges == kept
+    (swap,) = est.decisions
+    assert {p.attachments for p in swap.picks[:2]} == {(2, 4), (1, 5)}
+    assert not any(p.adopted for p in swap.picks)
+    assert swap.picks[1].w - swap.picks[0].w <= swap.gap_cut
 
 
 def test_unplaced_corrupt_node_is_reported(chain_setup):
     # doctor the true (1,5) far-pair entry into a rotating one so no
     # alignment passes; the corrupt node must be reported as unplaced
     _, psd, report = chain_setup
-    t_m = observed_support_graph(invert_spectrum(psd), report.corrupt, ANALYTIC_DECISION)
-    kept = true_edges_by_separation(t_m, report.observed, report.leaves, report.leaf_edges)
+    support = observed_support_graph(invert_spectrum(psd), report.corrupt, ANALYTIC_DECISION)
+    kept = true_edges_by_separation(support[0], report.observed, report.leaves, report.leaf_edges)
     inv = invert_spectrum(psd)
     vals = inv.values.copy()
     rot = 0.3 * np.exp(1j * 3 * GRID.frequencies)
     vals[:, 1, 5] = rot
     vals[:, 5, 1] = np.conj(rot)
     doctored = type(inv)(inv.grid, vals, inv.labels, inv.flagged.copy())
-    est = place_corrupt_nodes(kept, t_m, report, doctored, ANALYTIC_DECISION)
+    est = place_corrupt_nodes(kept, support, report, doctored, ANALYTIC_DECISION)
     assert any(d.kind == "unplaced_corrupt_node" for d in est.diagnostics)
     assert not is_tree(est.graph)
+
+
+def test_side_of_three_has_one_candidate_and_recovers():
+    # corrupt node 5 hangs off node 2, whose two other tree neighbours 1
+    # and 3 share its side: {1, 2, 3}, where only 2 is adjacent in the tree
+    # to the rest, so the support alone fixes that side; the spectra choose
+    # between 6 and 7 on the other side
+    tree = UndirectedGraph(9, [(0, 1), (1, 2), (2, 3), (3, 4), (2, 5), (5, 6), (6, 7), (7, 8)])
+    model = draw_model(np.random.default_rng(5), tree)
+    spec = CorruptionSpec(node=5, kind="random_delay", p=0.7, t1=-2, t2=0)
+    psd = analytic_corrupted_psd(model, analytic_signatures(model, [spec], GRID), GRID)
+    report = detect(invert_spectrum(psd), ANALYTIC_DECISION)
+    assert report.corrupt == {5}
+    est = hide_and_learn(psd, report, ANALYTIC_DECISION)
+    assert est.graph.edges == tree.edges
+    assert est.diagnostics == ()
+    (swap,) = est.decisions
+    assert swap.sides == ((1, 2, 3), (6, 7))
+    assert [p.attachments for p in swap.picks] == [(2, 6), (2, 7)]
+    assert [p.adopted for p in swap.picks] == [True, False]
+    # the pooled W of 2-6 sums the entries 1-7 and 3-7, so its cut is at P = 2
+    inv = invert_spectrum(psd)
+    assert swap.cut == ANALYTIC_DECISION.pooled_phase_cuts(inv, 2)[0]
+    assert swap.cut > ANALYTIC_DECISION.thresholds(inv)["phase"]
 
 
 # ---------------------------------------------------------------------------
@@ -394,15 +424,25 @@ def test_estimate_serialization(chain_setup):
     assert provs[("3", "4")] == "placement_edge"
     dot = estimate_to_dot(est)
     assert '"3" -- "4" [color="blue"]' in dot
-    # every examined alignment is recorded with its phase evidence, and the
-    # adopted one is the true path 2-3-4-5-6
-    trials = payload["placements"]
-    assert len(trials) >= 4
-    adopted = [t for t in trials if t["adopted"]]
-    assert [t["alignment"] for t in adopted] == [["2", "3", "4", "5", "6"]]
-    # each trial's W against the stated threshold, as a margin
-    cut = payload["thresholds"]["phase"]
-    assert all(t["margin"] == t["w"] / cut for t in trials)
-    assert adopted[0]["margin"] < 1e-6
-    rejected = [t for t in trials if not t["adopted"]]
-    assert all(t["margin"] > 1 for t in rejected)
+    # the swap decision for node 4: two sides of two nodes, four picks, and
+    # the adopted one, 3-5, is the true attachment on each side
+    (placement,) = payload["placements"]
+    assert placement["corrupt"] == "4"
+    assert placement["sides"] == [["2", "3"], ["5", "6"]]
+    picks = placement["picks"]
+    assert sorted(p["attachments"] for p in picks) == [["2", "5"], ["2", "6"], ["3", "5"], ["3", "6"]]
+    assert [p["adopted"] for p in picks] == [True, False, False, False]
+    assert placement["adopted"] == picks[0]["attachments"] == ["3", "5"]
+    # each pick's pooled W against the node's cut, as a margin: only the
+    # adopted pick is within it, and its lead is far above the gap cut
+    cut = placement["cut"]
+    assert cut == ANALYTIC_DECISION.thresholds(invert_spectrum(psd))["phase"]
+    assert all(p["margin"] == p["w"] / cut for p in picks)
+    assert picks[0]["margin"] < 1e-6 and all(p["margin"] > 1 for p in picks[1:])
+    assert placement["gap"] == picks[1]["w"] - picks[0]["w"]
+    assert placement["gap_ratio"] == placement["gap"] / placement["gap_cut"] > 1
+    # every marginal support edge with its band statistic and margin
+    band_cut = payload["thresholds"]["band"]
+    edges = payload["observed_support_edges"]
+    assert len(edges) == len(FIG_LATENT_EDGES)
+    assert all(e["margin"] == e["band"] / band_cut >= 1 for e in edges)
